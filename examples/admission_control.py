@@ -11,9 +11,9 @@ plus the newcomer still passes a schedulability bound.
 This demo is a thin client of the **admission service pipeline**
 (:mod:`repro.service`): concurrent requests coalesce in a micro-batching
 window, the :class:`~repro.core.sensitivity.DeltaCertifier` answers the
-provably-easy deltas in O(1), and the residue reruns through grouped
-vectorized DP/GN1/GN2 kernels — the same pipeline ``repro-service``
-exposes over HTTP, driven here in-process through
+provably-easy deltas in O(1), and each remaining request takes one exact
+DP → GN1 → GN2 check on the vectorized kernels — the same pipeline
+``repro-service`` exposes over HTTP, driven here in-process through
 :class:`repro.service.AdmissionService`.  Decisions are bit-identical to
 deciding every request alone through
 :class:`repro.incremental.AdmissionState` — pass ``--from-scratch`` to

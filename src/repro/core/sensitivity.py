@@ -170,10 +170,10 @@ class DeltaCertifier:
     def seed(self, state, accepted: bool, via: str) -> None:
         """Rebuild the cache from an externally established verdict.
 
-        The batched admission pipeline (:mod:`repro.service`) learns the
-        current resident set's portfolio verdict from a grouped vector
-        kernel sweep; re-running the exact portfolio just to warm this
-        cache would throw that amortization away.  ``seed`` accepts the
+        The admission service (:mod:`repro.service`) learns the new
+        resident set's portfolio verdict from its exact vector-kernel
+        check; re-running the exact portfolio just to warm this cache
+        would pay for the verdict twice.  ``seed`` accepts the
         verdict — ``accepted`` plus the first accepting member ``via`` in
         the composite's DP → GN1 → GN2 order (``""`` on rejection) — and
         rebuilds the O(N) arithmetic cache directly from ``state``'s

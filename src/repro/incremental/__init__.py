@@ -14,19 +14,18 @@ interference sums on every decision; this package keeps them cached.
   **bit-identical** to running the scalar tests on the equivalent
   :class:`~repro.model.task.TaskSet` — asserted at every step by the
   churn-parity suite, not assumed.
-* :class:`~repro.incremental.state.Delta` — one churn operation, the
-  unit the batched APIs and the churn experiment speak.
-* :func:`~repro.incremental.reverdict.reverdict` — fan the k states an
-  event actually touched into one vectorized call per taskset-size group
-  on the :mod:`repro.vector` kernels (backend-neutral via
-  :mod:`repro.vector.xp`).
+* :class:`~repro.incremental.state.Delta` — one churn operation, as
+  :meth:`~repro.incremental.state.AdmissionState.apply` takes it.
+* :func:`~repro.incremental.reverdict.accept_masks` — member verdicts of
+  candidate tasksets on the :mod:`repro.vector` kernels
+  (backend-neutral via :mod:`repro.vector.xp`), the admission service's
+  exact check.
 
 The delta-certificate fast path ("still schedulable after this Δ"
 without any rerun) lives in :class:`repro.core.sensitivity.DeltaCertifier`.
 """
 
 from repro.incremental.analyzers import DpAnalyzer, Gn1Analyzer, Gn2Analyzer
-from repro.incremental.reverdict import reverdict
 from repro.incremental.state import AdmissionState, Delta
 
 __all__ = [
@@ -35,5 +34,4 @@ __all__ = [
     "DpAnalyzer",
     "Gn1Analyzer",
     "Gn2Analyzer",
-    "reverdict",
 ]

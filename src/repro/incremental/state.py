@@ -32,8 +32,8 @@ from repro.model.task import Task, TaskSet
 class Delta:
     """One churn operation against an :class:`AdmissionState`.
 
-    The unit :func:`repro.incremental.reverdict.reverdict` and the churn
-    experiment speak; build instances with the class-method constructors.
+    The unit :meth:`AdmissionState.apply` takes; build instances with
+    the class-method constructors.
     """
 
     kind: str  # "add" | "remove" | "update"

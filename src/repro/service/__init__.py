@@ -7,13 +7,11 @@ replay of the same per-device request order**.  The pieces:
 
 - :mod:`repro.service.protocol` — wire types (``Request``/``Decision``)
   and JSON parsing.
-- :mod:`repro.service.engine` — the decision core: certifier fast path,
-  speculative per-device chains, residual exact reruns grouped by
-  device shape into single vectorized kernel calls.
+- :mod:`repro.service.engine` — the decision core: each request in
+  arrival order, first the O(1) delta certifier, then (if it cannot
+  decide) one exact DP → GN1 → GN2 kernel check of the candidate set.
 - :mod:`repro.service.batcher` — asyncio micro-batching (size- and
   latency-bounded window).
-- :mod:`repro.service.sharding` — rendezvous device→shard routing and
-  the multi-process scale-out story.
 - :mod:`repro.service.app` / :mod:`repro.service.http` — the service
   object and its stdlib HTTP/1.1 front (``repro-service`` CLI).
 - :mod:`repro.service.metrics` — decisions/sec inputs, batch-size
@@ -32,7 +30,6 @@ from repro.service.protocol import (
     parse_request,
     parse_task,
 )
-from repro.service.sharding import ShardRouter, rendezvous_shard
 
 __all__ = [
     "AdmissionService",
@@ -45,8 +42,6 @@ __all__ = [
     "ProtocolError",
     "Request",
     "ServiceMetrics",
-    "ShardRouter",
     "parse_request",
     "parse_task",
-    "rendezvous_shard",
 ]

@@ -1,17 +1,10 @@
-"""The admission service: device registry + sharded decision pipelines.
+"""The admission service: device registry + one decision pipeline.
 
 :class:`AdmissionService` is the process-level object the HTTP layer
-(and in-process clients like the load harness) talk to: it owns
-``shards`` independent :class:`~repro.service.engine.BatchEngine`
-pipelines, routes every request to its device's owning shard
-(rendezvous hashing — see :mod:`repro.service.sharding`), and shares
-one :class:`~repro.service.metrics.ServiceMetrics` across them.
-
-``batching=False`` turns the service into the per-request serial
-baseline (every request decided individually through
-``BatchEngine.process_serial``) — same API, no coalescing, no
-certifier, no kernels.  The load harness measures the micro-batched
-pipeline against exactly this.
+(and in-process clients like the load harness) talk to: it owns one
+:class:`~repro.service.engine.BatchEngine` behind one
+:class:`~repro.service.batcher.MicroBatcher`, and one
+:class:`~repro.service.metrics.ServiceMetrics` they both report into.
 """
 
 from __future__ import annotations
@@ -23,33 +16,24 @@ from repro.service.batcher import BatchConfig, MicroBatcher
 from repro.service.engine import BatchEngine
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import Decision, Request, task_to_json
-from repro.service.sharding import ShardRouter
 
 
 class AdmissionService:
-    """Front door over one or more sharded micro-batch pipelines."""
+    """Front door over the micro-batched decision pipeline."""
 
     def __init__(
         self,
         *,
         config: Optional[BatchConfig] = None,
-        shards: int = 1,
         backend: Optional[str] = None,
         use_certifier: bool = True,
-        batching: bool = True,
     ) -> None:
         self.config = config if config is not None else BatchConfig()
         self.metrics = ServiceMetrics()
-        self.batching = batching
-        self.router = ShardRouter(shards)
-        self.engines = [
-            BatchEngine(backend=backend, use_certifier=use_certifier, metrics=self.metrics)
-            for _ in range(shards)
-        ]
-        self.batchers = [
-            MicroBatcher(engine.process_batch, self.config, self.metrics)
-            for engine in self.engines
-        ]
+        self.engine = BatchEngine(
+            backend=backend, use_certifier=use_certifier, metrics=self.metrics
+        )
+        self.batcher = MicroBatcher(self.engine.process_batch, self.config, self.metrics)
         self._started = False
 
     # -- lifecycle -------------------------------------------------------------
@@ -58,77 +42,58 @@ class AdmissionService:
         if self._started:
             raise RuntimeError("service already started")
         # Claim the flag before the first await so a concurrent start()
-        # fails fast instead of double-starting the batchers (RL013);
-        # roll back if any batcher refuses to come up.
+        # fails fast instead of double-starting the batcher (RL013); roll
+        # back if the batcher refuses to come up.
         self._started = True
-        if self.batching:
-            try:
-                for batcher in self.batchers:
-                    await batcher.start()
-            except BaseException:
-                self._started = False
-                raise
+        try:
+            await self.batcher.start()
+        except BaseException:
+            self._started = False
+            raise
 
     async def close(self) -> None:
         if not self._started:
             return
         # Flip the flag before suspending so a concurrent close() is a
-        # no-op instead of double-closing the batchers (RL013).
+        # no-op instead of double-closing the batcher (RL013).
         self._started = False
-        if self.batching:
-            for batcher in self.batchers:
-                await batcher.close()
+        await self.batcher.close()
 
     # -- device registry -------------------------------------------------------
 
-    def _engine_for(self, device: str) -> BatchEngine:
-        return self.engines[self.router.shard_of(device)]
-
     def create_device(self, name: str, width: int) -> Dict[str, Any]:
         """Register a ``width``-column device; returns its info dict."""
-        fpga = Fpga(width=width)
-        self._engine_for(name).add_device(name, fpga)
+        self.engine.add_device(name, Fpga(width=width))
         return self.device_info(name)
 
     def has_device(self, name: str) -> bool:
-        return name in self._engine_for(name).devices
+        return name in self.engine.devices
 
     def device_info(self, name: str) -> Dict[str, Any]:
         """Resident tasks + metadata (the transferable device state)."""
-        dev = self._engine_for(name).device(name)
+        dev = self.engine.device(name)
         return {
             "name": name,
             "width": dev.fpga.width,
             "capacity": dev.fpga.capacity,
-            "shard": self.router.shard_of(name),
             "version": dev.state.version,
             "resident": len(dev.state),
             "tasks": [task_to_json(t) for t in dev.state.tasks],
         }
 
     def list_devices(self) -> List[Dict[str, Any]]:
-        out = []
-        for engine in self.engines:
-            for name in engine.devices:
-                out.append(self.device_info(name))
-        return sorted(out, key=lambda d: d["name"])
+        return [self.device_info(name) for name in sorted(self.engine.devices)]
 
     # -- decisions -------------------------------------------------------------
 
     async def submit(self, request: Request) -> Decision:
-        """Decide one request (micro-batched, or serial per-request when
-        ``batching=False``)."""
+        """Decide one request (through the micro-batching window)."""
         if not self._started:
             raise RuntimeError("service is not started")
-        shard = self.router.shard_of(request.device)
-        if self.batching:
-            return await self.batchers[shard].submit(request)
-        return self.engines[shard].process_serial([request])[0]
+        return await self.batcher.submit(request)
 
     def snapshot(self) -> Dict[str, Any]:
         """Service-level metrics (``GET /v1/metrics``)."""
         snap = self.metrics.snapshot()
-        snap["shards"] = len(self.engines)
-        snap["devices"] = sum(len(e.devices) for e in self.engines)
-        snap["batching"] = self.batching
+        snap["devices"] = len(self.engine.devices)
         return snap

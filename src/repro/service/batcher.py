@@ -9,23 +9,19 @@ hands the whole batch to :meth:`BatchEngine.process_batch
 <repro.service.engine.BatchEngine.process_batch>` and resolves every
 waiter with its decision.
 
-The trade the window makes is the standard inference-serving one:
-a bounded per-request latency cost (at most ``max_wait``) buys
-amortization of everything per-batch — the event-loop hop, the
-certifier sweep, and above all the grouped vector-kernel reruns, whose
-cost grows far slower than linearly in the number of coalesced
-requests.  ``max_wait=0`` still coalesces whatever accumulated while
-the previous batch was being decided (natural batching under load).
+The engine decides a batch's requests one at a time, so the window
+amortizes only the per-batch overhead: the event-loop hop and the
+engine call.  It costs each request at most ``max_wait`` of latency.
+``max_wait=0`` still coalesces whatever accumulated while the previous
+batch was being decided (natural batching under load).
 
 Decisions never depend on the window: per-device order is preserved and
-the engine's parity contract holds over any batch partition, so timing
-only moves *when* a decision happens, never *what* it is.
+the engine decides each request in arrival order, so timing only moves
+*when* a decision happens, never *what* it is.
 
 The engine runs synchronously on the event loop — decisions are pure
 CPU (numpy kernels release the GIL but there is no I/O to overlap), so
-a worker thread would only add handoff latency.  One process serves one
-batcher pipeline per shard; scaling beyond a core is the sharding
-story's job (:mod:`repro.service.sharding`).
+a worker thread would only add handoff latency.
 """
 
 from __future__ import annotations

@@ -3,12 +3,13 @@
 Example::
 
     repro-service --port 8080 --device fpga0=96 --device fpga1=64 \\
-        --max-batch 256 --max-wait-ms 2 --shards 1
+        --max-batch 256 --max-wait-ms 2
 
-The process serves until interrupted.  ``--no-batching`` runs the
-per-request serial baseline (for comparison), ``--no-certifier``
-disables the delta-certificate fast path (every decision goes through
-the grouped exact kernels).
+The process serves until interrupted.  Every request goes through the
+micro-batching window, then the device's delta certifier, then, when
+the certifier cannot decide, one exact DP → GN1 → GN2 check.
+``--no-certifier`` disables the certifier, so every add and trial takes
+the exact check.
 """
 
 from __future__ import annotations
@@ -62,17 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="batching window latency bound, in milliseconds",
     )
     parser.add_argument(
-        "--shards", type=int, default=1, help="independent pipelines in this process"
-    )
-    parser.add_argument(
         "--array-backend",
         default=None,
-        help="array backend for the grouped kernels (default: auto)",
-    )
-    parser.add_argument(
-        "--no-batching",
-        action="store_true",
-        help="decide every request individually (serial baseline)",
+        help="array backend for the exact kernels (default: auto)",
     )
     parser.add_argument(
         "--no-certifier",
@@ -85,10 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
 async def _serve(args: argparse.Namespace) -> None:
     service = AdmissionService(
         config=BatchConfig(max_batch=args.max_batch, max_wait=args.max_wait_ms / 1000.0),
-        shards=args.shards,
         backend=args.array_backend,
         use_certifier=not args.no_certifier,
-        batching=not args.no_batching,
     )
     for name, width in args.device:
         service.create_device(name, width)

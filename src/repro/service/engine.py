@@ -1,26 +1,24 @@
-"""The micro-batched admission decision core.
+"""The admission decision core: certifier, then one exact check.
 
 One :class:`BatchEngine` owns every named device's
-:class:`~repro.incremental.state.AdmissionState` (the churn-speed
-substrate) and decides coalesced request batches in three tiers:
+:class:`~repro.incremental.state.AdmissionState` and decides each
+request of a batch on its own, in arrival order:
 
-1. **Certifier fast path** — each device's head-of-queue requests are
-   offered to its :class:`~repro.core.sensitivity.DeltaCertifier`; the
-   provably-easy ones (arrivals inside the cached DP slack, departures
-   under a DP/GN1 acceptance) resolve in O(1) with no rerun at all.
-2. **Speculative grouped kernel rerun** — the residual requests are
-   chained per device under the optimistic assumption that earlier
-   uncertified adds in the same batch are admitted, and every candidate
-   resident set across *all* devices is fanned into one vectorized
-   DP/GN1/GN2 kernel call per ``(set size, capacity)`` group
-   (:func:`repro.incremental.reverdict.accept_masks`) instead of one
-   scalar rerun per request.
-3. **Ordered confirmation** — verdicts are applied walking each
-   device's queue in arrival order; the first rejected-but-assumed-
-   admitted task invalidates the speculation suffix for that device,
-   which simply stays queued for the next round.  Each round resolves
-   at least the head request of every backlogged device (the head's
-   base is always the real resident set), so the loop terminates.
+- ``remove`` retires the task and keeps the device's
+  :class:`~repro.core.sensitivity.DeltaCertifier` cache when a DP/GN1
+  accept provably survives the departure.
+- ``add`` / ``trial`` ask the certifier first; the provably-easy
+  arrivals (inside the cached DP slack) resolve in O(1).  Otherwise the
+  candidate resident set is checked exactly, one vectorized kernel call
+  per portfolio member in the paper's §6 order DP → GN1 → GN2
+  (:func:`repro.incremental.reverdict.accept_masks`), stopping at the
+  first accept.  An accepted ``add`` is applied and re-seeds the
+  certifier from the accepting member; a rejected ``add`` or any
+  ``trial`` leaves the state and the certifier cache untouched.
+
+A request whose decision raises becomes an ``ok: false`` decision with
+an ``error``; its device is left as it was and the rest of the batch is
+decided normally.
 
 **Parity contract.**  For float64-parameter tasks (the protocol
 boundary coerces — JSON numbers are doubles) off exact knife edges,
@@ -28,23 +26,16 @@ boundary coerces — JSON numbers are doubles) off exact knife edges,
 stream into batches yields decisions identical to
 :meth:`BatchEngine.process_serial` — the per-request reference that
 trial-admits through ``AdmissionState`` exactly like
-``state.admit(task)`` — including rollback-on-reject.  Certificates are
-sound by construction; kernel verdicts equal the scalar portfolio
-because DP, GN1 and GN2 all apply to EDF-NF and the kernels replicate
-the scalar float64 operations (see
-:mod:`repro.incremental.reverdict`).  The randomized concurrency suite
-in ``tests/test_service_parity.py`` asserts this bit-for-bit.
-
-Per-device ordering is the serialization guarantee: requests for one
-device are decided in arrival order no matter how batches coalesce;
-requests for different devices carry no ordering promise (they commute
-— states are disjoint).
+``state.admit(task)``.  Certificates are sound by construction; kernel
+verdicts equal the scalar portfolio because DP, GN1 and GN2 all apply to
+EDF-NF and the kernels replicate the scalar float64 operations.  The
+randomized suite in ``tests/test_service_parity.py`` asserts this.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+import logging
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.sensitivity import DeltaCertifier
 from repro.fpga.device import Fpga
@@ -64,12 +55,11 @@ from repro.service.protocol import (
 #: is what :meth:`DeltaCertifier.seed` expects ``via`` to encode.
 MEMBER_ORDER = ("DP", "GN1", "GN2")
 
-# Speculation-entry kinds (phase 2 chains).
-_ERROR, _REMOVE, _VERDICT = "error", "remove", "verdict"
+_log = logging.getLogger(__name__)
 
 
 class DeviceEngine:
-    """One device's confirmed admission state plus its certifier."""
+    """One device's admission state plus its certifier."""
 
     def __init__(self, name: str, fpga: Fpga, *, rel_eps: float = 1e-9) -> None:
         self.name = name
@@ -89,7 +79,7 @@ class DeviceEngine:
 
 
 class BatchEngine:
-    """Micro-batched (and per-request serial baseline) decision engine."""
+    """Per-request decision engine (and the serial reference path)."""
 
     def __init__(
         self,
@@ -115,163 +105,36 @@ class BatchEngine:
     def device(self, name: str) -> DeviceEngine:
         return self.devices[name]
 
-    # -- batched pipeline ------------------------------------------------------
+    # -- decision pipeline -----------------------------------------------------
 
     def process_batch(self, requests: Sequence[Request]) -> List[Decision]:
-        """Decide one coalesced batch; per-device arrival order is the
-        serialization order (see the module docstring's parity contract)."""
-        decisions: List[Optional[Decision]] = [None] * len(requests)
-        pending: Dict[str, Deque[Tuple[int, Request]]] = {}
-        for i, req in enumerate(requests):
-            if req.device not in self.devices:
-                decisions[i] = self._error(req, "unknown device")
-            else:
-                pending.setdefault(req.device, deque()).append((i, req))
+        """Decide ``requests`` one at a time, in arrival order."""
+        decisions: List[Decision] = []
+        for req in requests:
+            try:
+                decision = self._decide(req)
+            except Exception as exc:  # one bad request must not fail its batch
+                _log.exception("deciding %r failed", req)
+                decision = self._error(req, f"internal error: {exc!r}")
+            self.metrics.observe_decision(decision)
+            decisions.append(decision)
+        self.metrics.observe_batch(len(requests))
+        for dev in self.devices.values():
+            certified, unknown = dev.drain_certifier_stats()
+            if certified or unknown:
+                self.metrics.observe_certifier(certified, unknown)
+        return decisions
 
-        rounds = kernel_calls = kernel_rows = 0
-        while any(queue for queue in pending.values()):
-            rounds += 1
-            # Tier 1: certifier fast path / unconditional ops, in order,
-            # up to each device's first request that needs a rerun.
-            for devname, queue in pending.items():
-                dev = self.devices[devname]
-                while queue:
-                    i, req = queue[0]
-                    decision = self._fast_path(dev, req)
-                    if decision is None:
-                        break
-                    decisions[i] = decision
-                    queue.popleft()
-
-            # Tier 2: speculative per-device chains; candidate resident
-            # sets grouped by (size, capacity) for one kernel sweep each.
-            chains: Dict[str, List[Tuple]] = {}
-            groups: Dict[Tuple[int, int], List[TaskSet]] = {}
-            for devname, queue in pending.items():
-                if not queue:
-                    continue
-                dev = self.devices[devname]
-                spec = list(dev.state.tasks)
-                spec_names = {t.name for t in spec}
-                entries: List[Tuple] = []
-                for i, req in queue:
-                    if req.op == "remove":
-                        if req.name in spec_names:
-                            entries.append((_REMOVE, i, req))
-                            spec = [t for t in spec if t.name != req.name]
-                            spec_names.discard(req.name)
-                        else:
-                            entries.append((_ERROR, i, req, "task not resident"))
-                    else:  # add / trial
-                        task = req.task
-                        assert task is not None
-                        if task.name in spec_names:
-                            entries.append(
-                                (_ERROR, i, req, "task name already resident")
-                            )
-                            continue
-                        candidate = spec + [task]
-                        key = (len(candidate), dev.fpga.capacity)
-                        rows = groups.setdefault(key, [])
-                        entries.append((_VERDICT, i, req, key, len(rows)))
-                        rows.append(TaskSet(candidate))
-                        if req.op == "add":  # optimistic: assume admitted
-                            spec = candidate
-                            spec_names.add(task.name)
-                chains[devname] = entries
-
-            # Tier 2b: grouped kernel sweeps per (size, capacity), with the
-            # portfolio's short-circuit lifted to batch granularity: DP over
-            # every row, GN1 only over the DP-rejected rows, GN2 only over
-            # the remainder — exactly the members the scalar portfolio
-            # would have evaluated, so per-row cost matches the serial
-            # reference while the vectorization amortizes across rows.
-            verdicts: Dict[Tuple[int, int], List[Tuple[bool, str]]] = {}
-            for key, rows in groups.items():
-                group: List[Tuple[bool, str]] = [(False, "")] * len(rows)
-                undecided = list(range(len(rows)))
-                for member in MEMBER_ORDER:
-                    subset = [rows[i] for i in undecided]
-                    mask = accept_masks(
-                        subset, key[1], tests=(member,), backend=self.backend
-                    )[member]
-                    kernel_calls += 1
-                    kernel_rows += len(subset)
-                    still: List[int] = []
-                    for pos, i in enumerate(undecided):
-                        if bool(mask[pos]):
-                            group[i] = (True, member)
-                        else:
-                            still.append(i)
-                    undecided = still
-                    if not undecided:
-                        break
-                verdicts[key] = group
-
-            # Tier 3: ordered confirmation per device.
-            for devname, entries in chains.items():
-                dev = self.devices[devname]
-                queue = pending[devname]
-                known: Optional[Tuple[bool, str]] = None
-                for entry in entries:
-                    kind, i, req = entry[0], entry[1], entry[2]
-                    if kind == _ERROR:
-                        decisions[i] = self._error(req, entry[3])
-                        queue.popleft()
-                        continue  # state unchanged: speculation holds
-                    if kind == _REMOVE:
-                        if dev.cert_valid:
-                            if dev.certifier.certify_remove(req.name) is None:
-                                dev.cert_valid = False
-                        dev.state.remove(req.name)
-                        known = None  # resident set changed, verdict unknown
-                        decisions[i] = Decision(
-                            op=req.op, device=req.device, name=req.name, ok=True,
-                            via=VIA_STATE,
-                        )
-                        queue.popleft()
-                        continue
-                    # _VERDICT
-                    key, pos = entry[3], entry[4]
-                    accepted, member = verdicts[key][pos]
-                    task = req.task
-                    assert task is not None
-                    decisions[i] = Decision(
-                        op=req.op, device=req.device, name=task.name,
-                        ok=accepted, via=VIA_KERNEL, member=member,
-                    )
-                    queue.popleft()
-                    if req.op == "trial":
-                        continue  # no state change, speculation holds
-                    if accepted:
-                        dev.state.add(task)
-                        dev.cert_valid = False  # stale cache; reseeded below
-                        known = (True, member)
-                    else:
-                        # Rejection leaves the state unchanged, but every
-                        # later entry assumed this add went through:
-                        # abandon the speculation suffix for this device.
-                        break
-
-                # Re-seed the certifier when the walk ends on a resident
-                # set whose portfolio verdict the kernel sweep just told
-                # us — the cache rebuild is O(N) arithmetic, no rerun.
-                if self.use_certifier and not dev.cert_valid and known is not None:
-                    dev.certifier.seed(dev.state, known[0], known[1])
-                    dev.cert_valid = True
-
-        self._finish_batch(len(requests), rounds, kernel_calls, kernel_rows, decisions)
-        return [d for d in decisions if d is not None]
-
-    def _fast_path(self, dev: DeviceEngine, req: Request) -> Optional[Decision]:
-        """Resolve ``req`` without a kernel rerun, or ``None`` = blocked."""
+    def _decide(self, req: Request) -> Decision:
+        dev = self.devices.get(req.device)
+        if dev is None:
+            return self._error(req, "unknown device")
         state = dev.state
         if req.op == "remove":
             if req.name not in state:
                 return self._error(req, "task not resident")
-            if dev.cert_valid:
-                if dev.certifier.certify_remove(req.name) is None:
-                    dev.cert_valid = False
+            if dev.cert_valid and dev.certifier.certify_remove(req.name) is None:
+                dev.cert_valid = False
             state.remove(req.name)
             return Decision(
                 op=req.op, device=req.device, name=req.name, ok=True, via=VIA_STATE
@@ -280,31 +143,49 @@ class BatchEngine:
         assert task is not None
         if task.name in state:
             return self._error(req, "task name already resident")
-        if not (self.use_certifier and dev.cert_valid):
-            return None  # straight to the grouped kernel rerun
-        if req.op == "add":
-            if dev.certifier.certify_add(task) is not None:
-                state.add(task)
+        if self.use_certifier and dev.cert_valid:
+            certify = (
+                dev.certifier.certify_add if req.op == "add" else dev.certifier.certify_trial
+            )
+            if certify(task) is not None:
+                if req.op == "add":
+                    state.add(task)
                 return Decision(
                     op=req.op, device=req.device, name=task.name, ok=True,
                     via=VIA_CERTIFIER, member="DP",
                 )
-        else:  # trial
-            if dev.certifier.certify_trial(task) is not None:
-                return Decision(
-                    op=req.op, device=req.device, name=task.name, ok=True,
-                    via=VIA_CERTIFIER, member="DP",
-                )
-        return None
+        member = self._exact(dev, task)
+        if member and req.op == "add":
+            dev.cert_valid = False  # stale until the seed below succeeds
+            state.add(task)
+            if self.use_certifier:
+                dev.certifier.seed(state, True, member)
+                dev.cert_valid = True
+        return Decision(
+            op=req.op, device=req.device, name=task.name, ok=bool(member),
+            via=VIA_KERNEL, member=member,
+        )
+
+    def _exact(self, dev: DeviceEngine, task: Task) -> str:
+        """The first portfolio member accepting the residents plus
+        ``task``, or ``""`` when all reject."""
+        candidate = [TaskSet([*dev.state.tasks, task])]
+        for member in MEMBER_ORDER:
+            self.metrics.kernel_calls_total += 1
+            mask = accept_masks(
+                candidate, dev.fpga.capacity, tests=(member,), backend=self.backend
+            )[member]
+            if bool(mask[0]):
+                return member
+        return ""
 
     # -- per-request serial baseline (and parity reference) --------------------
 
     def process_serial(self, requests: Sequence[Request]) -> List[Decision]:
-        """The reference path: each request individually, straight through
-        ``AdmissionState`` (trial-admit + rollback), no coalescing, no
-        certifier, no kernels.  This is both the load harness's serial
-        baseline and the decision sequence :meth:`process_batch` is
-        bit-identical to."""
+        """The reference path: each request straight through
+        ``AdmissionState`` (trial-admit + rollback), no certifier, no
+        kernels.  This is the decision sequence :meth:`process_batch` is
+        identical to."""
         out = []
         for req in requests:
             dev = self.devices.get(req.device)
@@ -346,20 +227,3 @@ class BatchEngine:
             op=req.op, device=req.device, name=req.target, ok=False,
             via=VIA_STATE, error=message,
         )
-
-    def _finish_batch(
-        self,
-        size: int,
-        rounds: int,
-        kernel_calls: int,
-        kernel_rows: int,
-        decisions: Sequence[Optional[Decision]],
-    ) -> None:
-        self.metrics.observe_batch(size, rounds, kernel_calls, kernel_rows)
-        for decision in decisions:
-            if decision is not None:
-                self.metrics.observe_decision(decision)
-        for dev in self.devices.values():
-            certified, unknown = dev.drain_certifier_stats()
-            if certified or unknown:
-                self.metrics.observe_certifier(certified, unknown)

@@ -37,9 +37,7 @@ class ServiceMetrics:
         self.by_via: Counter = Counter()
         self.batches_total = 0
         self.batch_sizes: Counter = Counter()  # size -> count (histogram)
-        self.rounds_total = 0
         self.kernel_calls_total = 0
-        self.kernel_rows_total = 0
         self.certifier_certified = 0
         self.certifier_unknown = 0
         self.requests_in_flight = 0
@@ -60,12 +58,9 @@ class ServiceMetrics:
         """Queue-to-decision latency of one request (batcher-measured)."""
         self._latencies.append(seconds)
 
-    def observe_batch(self, size: int, rounds: int, kernel_calls: int, kernel_rows: int) -> None:
+    def observe_batch(self, size: int) -> None:
         self.batches_total += 1
         self.batch_sizes[size] += 1
-        self.rounds_total += rounds
-        self.kernel_calls_total += kernel_calls
-        self.kernel_rows_total += kernel_rows
 
     def observe_certifier(self, certified: int, unknown: int) -> None:
         """Accumulate one :class:`DeltaCertifier`'s stats delta."""
@@ -106,9 +101,7 @@ class ServiceMetrics:
                 str(size): count for size, count in sorted(self.batch_sizes.items())
             },
             "mean_batch_size": self.mean_batch_size,
-            "rounds_total": self.rounds_total,
             "kernel_calls_total": self.kernel_calls_total,
-            "kernel_rows_total": self.kernel_rows_total,
             "certifier": {
                 "certified": self.certifier_certified,
                 "unknown": self.certifier_unknown,

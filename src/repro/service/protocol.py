@@ -7,7 +7,7 @@ so a thin client — ``examples/admission_control.py`` — can drive the
 exact production decision core without any HTTP in the way.
 
 Task parameters are coerced to ``float`` at the protocol boundary: JSON
-numbers are IEEE doubles, and the grouped vector-kernel reruns compute
+numbers are IEEE doubles, and the exact vector-kernel checks compute
 in float64, so the service's parity contract (decisions bit-identical
 to a serial :class:`~repro.incremental.state.AdmissionState` replay) is
 stated — and tested — over float64-parameter tasks.  Exact-rational
@@ -28,7 +28,7 @@ OPS = ("add", "remove", "trial")
 
 #: How a decision was reached (`Decision.via`).
 VIA_CERTIFIER = "certifier"  #: O(1) DeltaCertifier certificate
-VIA_KERNEL = "kernel"        #: grouped vectorized test rerun
+VIA_KERNEL = "kernel"        #: exact vectorized portfolio check
 VIA_STATE = "state"          #: unconditional state op / serial exact path
 
 
@@ -75,7 +75,7 @@ class Decision:
     ``member`` the first accepting portfolio member (kernel-path accepts
     only).  ``error`` is set — and ``ok`` False — for requests that are
     well-formed but inapplicable (unknown device, duplicate task name,
-    removing an absent task).
+    removing an absent task) and for requests whose decision raised.
     """
 
     op: str

@@ -26,7 +26,7 @@ from repro.core.gn2 import gn2_test
 from repro.core.interfaces import SchedulerKind
 from repro.core.sensitivity import DeltaCertifier
 from repro.fpga.device import Fpga
-from repro.incremental import AdmissionState, Delta, reverdict
+from repro.incremental import AdmissionState
 from repro.model.task import Task, TaskSet
 
 MEMBERS = {"DP": dp_test, "GN1": gn1_test, "GN2": gn2_test}
@@ -213,55 +213,6 @@ class TestPaperTablesChurn:
             for name, want in expect[label].items():
                 assert state.accepts(name) is want, (label, name)
             assert state.portfolio_accepts()
-
-
-class TestReverdict:
-    def test_matches_states_and_vacuous_empty(self, fpga10):
-        rng = random.Random(5)
-        states = []
-        for b in range(6):
-            state = AdmissionState(fpga10)
-            for j in range(3):
-                period = float(rng.randint(4, 12))
-                # Irregular float WCETs keep the strict-inequality checks
-                # away from exact ties (where the float64 vector kernels
-                # legitimately differ from exact-rational scalar verdicts).
-                wcet = rng.randint(1, int(period) // 2) + 0.1 + 0.01 * rng.random()
-                state.add(
-                    Task(wcet=wcet, period=period, area=rng.randint(1, 6), name=f"s{b}t{j}")
-                )
-            states.append(state)
-        states.append(AdmissionState(fpga10))  # empty
-        deltas = [None] * len(states)
-        deltas[0] = Delta.remove("s0t0")
-        deltas[1] = Delta.add(Task(wcet=1, period=9, area=2, name="s1new"))
-        results = reverdict(states, deltas, tests=("DP", "GN1", "GN2", "ANY"))
-        assert len(states[0]) == 2 and "s1new" in states[1]
-        for state, verdicts in zip(states, results):
-            if len(state) == 0:
-                assert verdicts == {"DP": True, "GN1": True, "GN2": True, "ANY": True}
-                continue
-            # Float-parameter tasks: the vector kernels agree exactly.
-            for name in ("DP", "GN1", "GN2"):
-                assert verdicts[name] == state.accepts(name), (name, state.tasks)
-            assert verdicts["ANY"] == (
-                verdicts["DP"] or verdicts["GN1"] or verdicts["GN2"]
-            )
-
-    def test_groups_mixed_sizes(self, fpga10):
-        states = [AdmissionState(fpga10) for _ in range(4)]
-        for i, state in enumerate(states):
-            for j in range(1 + i % 2):  # sizes 1, 2, 1, 2
-                state.add(Task(wcet=1, period=6, area=2, name=f"m{i}t{j}"))
-        results = reverdict(states, tests=("DP",))
-        assert all(r["DP"] for r in results)
-
-    def test_rejects_bad_input(self, fpga10):
-        state = AdmissionState(fpga10)
-        with pytest.raises(ValueError):
-            reverdict([state], tests=("DP", "BOGUS"))
-        with pytest.raises(ValueError):
-            reverdict([state], [None, None])
 
 
 class TestDeltaCertifier:

@@ -1,16 +1,17 @@
 """Decision parity: the micro-batched service == serial replay, bit-for-bit.
 
-The service's central contract (ISSUE: PR 9): for float64-parameter
-tasks (everything that can arrive through the JSON protocol), the
-decisions of :meth:`BatchEngine.process_batch` over *any* partition of
-a request stream into batches are identical to
-:meth:`BatchEngine.process_serial` — one request at a time, straight
-through ``AdmissionState.admit`` with rollback — and the final resident
-sets agree.  Randomized interleaved admit/remove/trial streams exercise
-the certifier fast path, the speculative grouped kernel reruns, and the
-rejected-speculation requeue; dedicated tests pin rollback-on-reject,
-trial non-mutation, error semantics and the certifier-vs-exact
-agreement.
+The service's central contract: for float64-parameter tasks (everything
+that can arrive through the JSON protocol), the decisions of
+:meth:`BatchEngine.process_batch` over *any* partition of a request
+stream into batches are identical to :meth:`BatchEngine.process_serial`
+— one request at a time, straight through ``AdmissionState.admit`` with
+rollback — and the final resident sets agree.  Randomized interleaved
+admit/remove/trial streams exercise the certifier fast path and the
+exact DP → GN1 → GN2 check, on roomy devices and on near-capacity ones
+where many candidates reach GN2; dedicated tests pin the exact check
+against the from-scratch portfolio, rollback-on-reject, trial
+non-mutation, error semantics, per-request fault isolation and the
+certifier-vs-exact agreement.
 """
 
 import asyncio
@@ -18,8 +19,9 @@ import random
 
 import pytest
 
+from repro.core import SchedulerKind, paper_portfolio
 from repro.fpga.device import Fpga
-from repro.model.task import Task
+from repro.model.task import Task, TaskSet
 from repro.service import (
     AdmissionService,
     BatchConfig,
@@ -29,7 +31,6 @@ from repro.service import (
     Request,
     parse_request,
     parse_task,
-    rendezvous_shard,
 )
 from repro.service.protocol import VIA_CERTIFIER, VIA_KERNEL, VIA_STATE
 
@@ -51,7 +52,19 @@ def draw_task(rng: random.Random, i: int) -> Task:
     )
 
 
-def gen_stream(rng: random.Random, n: int, devices=DEVICES):
+def draw_tight_task(rng: random.Random, i: int) -> Task:
+    """The near-capacity shape: moderate tasks with WCETs x4 on a
+    width-12 device, where many candidates are rejected only after GN2."""
+    period = float(rng.randint(40, 90))
+    wcet = 4 * (rng.randint(1, 5) + 0.05 + 0.01 * rng.random())
+    return Task(wcet=wcet, period=period, area=rng.randint(1, 8), name=f"t{i}")
+
+
+#: Stream shapes: (device width, task drawer).
+SHAPES = {"wide": (64, draw_task), "tight": (12, draw_tight_task)}
+
+
+def gen_stream(rng: random.Random, n: int, devices=DEVICES, draw=draw_task):
     """Interleaved add/remove/trial requests with plausible targets."""
     resident = {d: [] for d in devices}
     requests = []
@@ -65,7 +78,7 @@ def gen_stream(rng: random.Random, n: int, devices=DEVICES):
         elif roll < 0.27 and resident[device]:
             # duplicate-name add: must error identically in both paths
             name = rng.choice(resident[device])
-            dup = draw_task(rng, i)
+            dup = draw(rng, i)
             requests.append(
                 Request(op="add", device=device, task=Task(
                     wcet=dup.wcet, period=dup.period, deadline=dup.deadline,
@@ -76,9 +89,9 @@ def gen_stream(rng: random.Random, n: int, devices=DEVICES):
             # remove of an absent task: must error identically
             requests.append(Request(op="remove", device=device, name=f"ghost{i}"))
         elif roll < 0.52:
-            requests.append(Request(op="trial", device=device, task=draw_task(rng, i)))
+            requests.append(Request(op="trial", device=device, task=draw(rng, i)))
         else:
-            task = draw_task(rng, i)
+            task = draw(rng, i)
             requests.append(Request(op="add", device=device, task=task))
             resident[device].append(task.name)  # optimistic bookkeeping
     return requests
@@ -118,23 +131,52 @@ def assert_states_agree(a: BatchEngine, b: BatchEngine, devices=DEVICES):
 # -- randomized stream parity --------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("use_certifier", [True, False])
-def test_batched_decisions_match_serial_replay(seed, use_certifier):
+def partition(rng: random.Random, stream, batching):
+    """``"random"`` chunks, one ``"giant"`` batch, or fixed-size batches."""
+    if batching == "random":
+        return random_partition(rng, stream)
+    size = len(stream) if batching == "giant" else batching
+    return [stream[k : k + size] for k in range(0, len(stream), size)]
+
+
+#: (seed, use_certifier, shape, batching).
+REPLAY_CASES = [
+    (seed, cert, "wide", "random") for cert in (True, False) for seed in range(6)
+] + [
+    (seed, cert, "tight", batching)
+    for batching in (1, 2, "giant")
+    for cert in (True, False)
+    for seed in range(3)
+]
+
+
+def _replay_id(case):
+    seed, cert, shape, batching = case
+    return f"{cert}-{seed}" if shape == "wide" else f"tight-{batching}-{cert}-{seed}"
+
+
+@pytest.mark.parametrize(
+    "seed,use_certifier,shape,batching", REPLAY_CASES, ids=map(_replay_id, REPLAY_CASES)
+)
+def test_batched_decisions_match_serial_replay(seed, use_certifier, shape, batching):
     rng = random.Random(seed)
-    stream = gen_stream(rng, 300)
-    serial = make_engine()
+    width, draw = SHAPES[shape]
+    stream = gen_stream(rng, 300, draw=draw)
+    serial = make_engine(width=width)
     reference = serial.process_serial(stream)
 
-    batched = make_engine(use_certifier=use_certifier)
+    batched = make_engine(width=width, use_certifier=use_certifier)
     got = []
-    for chunk in random_partition(rng, stream):
+    for chunk in partition(rng, stream, batching):
         got.extend(batched.process_batch(chunk))
 
     assert len(got) == len(reference)
     for ref, dec in zip(reference, got):
         assert decision_key(dec) == decision_key(ref)
     assert_states_agree(serial, batched)
+    if shape == "tight":
+        # GN2-heavy: every rejection ran all three members, GN2 last.
+        assert sum(not d.ok and d.error is None for d in got) >= len(got) // 5
 
 
 @pytest.mark.parametrize("seed", [11, 12])
@@ -158,8 +200,7 @@ def test_every_partition_yields_identical_decisions(seed):
 
 
 def test_high_contention_single_device_parity():
-    """Everything lands on one device: maximal speculation chains and
-    rejected-speculation requeues."""
+    """Everything lands on one device, in one giant batch."""
     rng = random.Random(99)
     stream = gen_stream(rng, 250, devices=("solo",))
     serial = make_engine(width=32, devices=("solo",))
@@ -264,6 +305,82 @@ def test_via_taxonomy():
     assert add.via == VIA_KERNEL and add.member in ("DP", "GN1", "GN2")
     rem = engine.process_batch([Request(op="remove", device="d", name="a")])[0]
     assert rem.via == VIA_STATE
+
+
+def portfolio_member(result) -> str:
+    """The first accepting member named by a portfolio ``TestResult``."""
+    if not result.accepted:
+        return ""
+    via = result.reason.removeprefix("accepted by member ")
+    return next((m for m in ("GN1", "GN2") if via.startswith(m)), "DP")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_check_matches_from_scratch_portfolio(seed):
+    """With the certifier off every add/trial takes the exact check; its
+    ``ok`` and ``member`` equal the scalar portfolio run from scratch on
+    the candidate resident set."""
+    rng = random.Random(seed)
+    fpga = Fpga(width=12)
+    portfolio = paper_portfolio(SchedulerKind.EDF_NF)
+    engine = make_engine(width=12, use_certifier=False, devices=("d",))
+    state = engine.device("d").state
+    members = set()
+    for i in range(80):
+        if len(state) > 6 and rng.random() < 0.3:
+            victim = rng.choice(state.tasks).name
+            engine.process_batch([Request(op="remove", device="d", name=victim)])
+            continue
+        task = draw_tight_task(rng, i)
+        expected = portfolio(TaskSet([*state.tasks, task]), fpga)
+        op = rng.choice(("add", "trial"))
+        (decision,) = engine.process_batch([Request(op=op, device="d", task=task)])
+        assert decision.via == VIA_KERNEL
+        assert (decision.ok, decision.member) == (
+            expected.accepted,
+            portfolio_member(expected),
+        )
+        members.add(decision.member)
+    assert {"DP", ""} <= members  # both accepts and rejects were checked
+
+
+def test_raising_request_is_isolated(monkeypatch):
+    """A request whose exact check raises becomes an error decision; its
+    device's state and certifier stay as they were, and every other
+    request in the batch is decided as if it had never been sent."""
+    import repro.service.engine as engine_module
+
+    real = engine_module.accept_masks
+
+    def flaky(tasksets, *args, **kwargs):
+        if any(t.name == "boom" for ts in tasksets for t in ts):
+            raise RuntimeError("kernel fault")
+        return real(tasksets, *args, **kwargs)
+
+    stream = gen_stream(random.Random(8), 120)
+    # Too heavy to certify, so the request reaches the exact check.
+    boom = Request(
+        op="add", device="fpga1", task=Task(wcet=9.0, period=10.0, area=30, name="boom")
+    )
+    reference = make_engine()
+    expected = reference.process_batch(stream)
+
+    monkeypatch.setattr(engine_module, "accept_masks", flaky)
+    engine = make_engine()
+    got = engine.process_batch(stream[:60] + [boom] + stream[60:])
+
+    failed = got.pop(60)
+    assert (failed.ok, failed.name) == (False, "boom")
+    assert failed.error is not None and "kernel fault" in failed.error
+    assert got == expected
+    for name in DEVICES:
+        left, right = engine.device(name), reference.device(name)
+        assert left.state.tasks == right.state.tasks
+        assert left.state.version == right.state.version
+        assert left.cert_valid == right.cert_valid
+        cached = {k: v for k, v in vars(left.certifier).items() if k != "stats"}
+        assert cached == {k: v for k, v in vars(right.certifier).items() if k != "stats"}
+    assert engine.metrics.errors_total == reference.metrics.errors_total + 1
 
 
 # -- protocol boundary ---------------------------------------------------------
@@ -372,47 +489,24 @@ def test_batch_config_validation():
 # -- service front door --------------------------------------------------------
 
 
-def test_service_sharded_parity_with_serial_mode():
+def test_service_parity_with_serial_replay():
     rng = random.Random(31)
     stream = gen_stream(rng, 200)
+    service = AdmissionService(config=BatchConfig(max_batch=64, max_wait=0.002))
 
-    def drive(service):
-        async def run():
-            await service.start()
-            try:
-                for name in DEVICES:
-                    service.create_device(name, 64)
-                return await asyncio.gather(*[service.submit(r) for r in stream])
-            finally:
-                await service.close()
+    async def run():
+        await service.start()
+        try:
+            for name in DEVICES:
+                service.create_device(name, 64)
+            return await asyncio.gather(*[service.submit(r) for r in stream])
+        finally:
+            await service.close()
 
-        return asyncio.run(run())
-
-    batched = AdmissionService(config=BatchConfig(max_batch=64, max_wait=0.002), shards=3)
-    serial = AdmissionService(batching=False, shards=1)
-    got = drive(batched)
-    reference = drive(serial)
-    # Per-device subsequences must agree decision-for-decision (cross-device
-    # interleaving carries no ordering promise, but gather preserves it here).
-    for device in DEVICES:
-        left = [decision_key(d) for d in got if d.device == device]
-        right = [decision_key(d) for d in reference if d.device == device]
-        assert left == right, device
-    snap = batched.snapshot()
-    assert snap["shards"] == 3 and snap["devices"] == 3 and snap["batching"]
+    got = asyncio.run(run())
+    reference = make_engine().process_serial(stream)
+    assert [decision_key(d) for d in got] == [decision_key(d) for d in reference]
+    snap = service.snapshot()
+    assert snap["devices"] == 3
     assert snap["decisions_total"] == len(stream)
-
-
-def test_rendezvous_sharding_is_consistent_and_minimal():
-    names = [f"dev{i}" for i in range(200)]
-    assert [rendezvous_shard(n, 4) for n in names] == [
-        rendezvous_shard(n, 4) for n in names
-    ]
-    assert {rendezvous_shard(n, 4) for n in names} == {0, 1, 2, 3}
-    # growing 4 -> 5 shards remaps roughly 1/5 of the devices
-    moved = sum(
-        1 for n in names if rendezvous_shard(n, 4) != rendezvous_shard(n, 5)
-    )
-    assert 0 < moved < len(names) // 2
-    with pytest.raises(ValueError):
-        rendezvous_shard("d", 0)
+    assert snap["batches_total"] < len(stream)  # requests actually coalesced
