@@ -66,37 +66,54 @@ def test_bench_placement_vector_vs_scalar(benchmark):
     Same workload shape as the FREE-mode throughput bench (fig3b sets
     pinned at US=60 — nearly every row runs to the horizon, the batch
     path's worst case) but through the contiguous-placement free-list.
+
+    Both sides are timed as the minimum of three interleaved runs, so a
+    CPU-bound neighbour on a shared host slows both sides alike instead
+    of whichever one it happens to overlap.
     """
     raw = generate_batch(paper_unconstrained(10), BATCH, rng_from_seed(55))
     batch = raw.scaled_to_system_utilization(np.full(BATCH, 60.0))
     benchmark.group = "sim-batch-placement"
 
-    res = benchmark.pedantic(
-        lambda: simulate_batch(
+    def vector():
+        return simulate_batch(
             batch, FPGA, "EDF-NF",
             mode=MigrationMode.RELOCATABLE, horizon_factor=10,
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    # Reuse the pedantic measurement rather than timing a second full
-    # B=1000 pass (the most expensive call in the smoke suite).
-    vector_per_set = benchmark.stats.stats.mean / BATCH
-
-    # Scalar reference, timed once over a subsample (full B=1000 scalar
-    # placement passes would dominate the suite's runtime).
-    sub = 40
-    t0 = time.perf_counter()
-    scalar_ok = []
-    for i in range(sub):
-        ts = batch.taskset(i)
-        scalar_ok.append(
-            simulate(
-                ts, FPGA, EdfNf(), default_horizon(ts, factor=10),
-                mode=MigrationMode.RELOCATABLE,
-            ).schedulable
         )
-    scalar_per_set = (time.perf_counter() - t0) / sub
+
+    # Scalar reference over a subsample (full B=1000 scalar placement
+    # passes would dominate the suite's runtime).
+    sub = 40
+
+    def scalar():
+        out = []
+        for i in range(sub):
+            ts = batch.taskset(i)
+            out.append(
+                simulate(
+                    ts, FPGA, EdfNf(), default_horizon(ts, factor=10),
+                    mode=MigrationMode.RELOCATABLE,
+                ).schedulable
+            )
+        return out
+
+    def timed(fn):
+        t0 = time.perf_counter()
+        out = fn()
+        return time.perf_counter() - t0, out
+
+    # The pedantic round is the first vector run; scalar and vector then
+    # alternate until each side has three timings.
+    res = benchmark.pedantic(vector, rounds=1, iterations=1)
+    t_vector = benchmark.stats.stats.min
+    t_scalar = float("inf")
+    for k in range(3):
+        dt, scalar_ok = timed(scalar)
+        t_scalar = min(t_scalar, dt)
+        if k < 2:
+            t_vector = min(t_vector, timed(vector)[0])
+    vector_per_set = t_vector / BATCH
+    scalar_per_set = t_scalar / sub
 
     assert (np.array(scalar_ok) == res.schedulable[:sub]).all()
     speedup = scalar_per_set / vector_per_set
@@ -104,5 +121,5 @@ def test_bench_placement_vector_vs_scalar(benchmark):
           f"vector {vector_per_set * 1e3:.3f} ms/set "
           f"-> {speedup:.1f}x at B={BATCH}")
     # Measured ~5.5-7x on the reference machine (the printed line above
-    # is the demonstration); the ISSUE's acceptance floor is 5x.
+    # is the demonstration); the acceptance floor is 5x.
     assert speedup > 5.0

@@ -8,10 +8,9 @@ event loop against the vectorized FREE-mode batch simulator
 per-set speedup that lets the acceptance engine simulate full buckets.
 
 The per-backend axis runs the batched simulator once per installed
-:mod:`repro.vector.xp` backend (numpy always; torch-CPU and the device
-backends when importable, skip-with-reason otherwise), asserts verdict
-parity against the numpy run, and records the backend name in the
-benchmark JSON (``extra_info["array_backend"]``) so the uploaded
+:mod:`repro.vector.xp` backend (numpy always; torch when importable,
+skip-with-reason otherwise), asserts verdict parity against the numpy
+run, and records the backend name in the benchmark JSON (``extra_info["array_backend"]``) so the uploaded
 ``BENCH_<sha>.json`` artifacts chart backend speedups over time.
 """
 
@@ -37,14 +36,14 @@ BATCH = 1000  # the ISSUE's reference batch size for the speedup target
 
 
 def _backend_params():
-    """numpy always; the optional backends (incl. the GPU legs) skip
-    with the precise unavailability reason when absent."""
-    params = [pytest.param("numpy", id="numpy")]
-    for name in ("torch", "torch:cuda", "cupy"):
-        reason = xp_backends.backend_skip_reason(name)
-        marks = () if reason is None else pytest.mark.skip(reason=reason)
-        params.append(pytest.param(name, id=name, marks=marks))
-    return params
+    """numpy always; torch skips with the precise unavailability reason
+    when absent."""
+    reason = xp_backends.backend_skip_reason("torch")
+    marks = () if reason is None else pytest.mark.skip(reason=reason)
+    return [
+        pytest.param("numpy", id="numpy"),
+        pytest.param("torch", id="torch", marks=marks),
+    ]
 
 
 def _workload():
@@ -146,9 +145,8 @@ def test_bench_sim_batch_array_backends(benchmark, backend):
     """Batched-simulator throughput per array backend (parity-checked).
 
     The numpy leg doubles as the indirection-overhead guard for the
-    pluggable namespace; the torch/cupy legs start the per-backend perf
-    trajectory (torch-CPU is expected near numpy; the device backends
-    are the scaling headroom).
+    pluggable namespace; the torch leg records the CPU-tensor trajectory
+    next to it.
     """
     batch = _sim_batch()
     benchmark.group = "sim-batch-array-backend"
@@ -170,25 +168,20 @@ def test_bench_sim_batch_fused_sharded(benchmark):
     """Fused stepping + batch sharding vs the pre-fusion serial path.
 
     The benchmarked configuration is the default fast path — ``fuse=8``
-    (eight event steps per kernel pass), ``nf_select="auto"``, and the
-    batch dimension sharded over ``min(4, cpus)`` worker processes.
-    The baseline is the exact pre-fusion behaviour, reachable through
-    the same entry point: ``fuse=1`` (one event step per pass),
-    ``nf_select="greedy"`` (the per-task loop, which is also what
-    ``auto`` resolves to on host backends — the batched fixpoint pays
-    off where launches cost, i.e. on device backends), serial.
+    (eight event steps per kernel pass) and the batch dimension sharded
+    over ``min(4, cpus)`` worker processes.  The baseline is the exact
+    pre-fusion behaviour, reachable through the same entry point:
+    ``fuse=1`` (one event step per pass), serial.
 
-    Fusion is a *launch-count* optimisation: it collapses host↔kernel
-    round-trips ~8x (asserted on the pass counters below), which is the
-    big lever on device backends, and on numpy removes the per-pass
-    sync/compaction overhead — roughly throughput-neutral single-core.
-    The wall-clock multiplier on host backends comes from sharding, so
-    the speedup floor scales with the cores this runner actually has:
-    >= 2x with >= 4 cores (the CI runner class), >= 1.3x with 2-3, and
-    >= 0.9x (fusion alone must not regress; measured ~1.15x) on a
-    single core, where a process pool cannot help.  Verdicts and
-    ``min_slack`` must be bit-identical to the baseline in every
-    configuration.
+    Fusion cuts the per-pass liveness readback, verdict scatter and row
+    compaction ~8x (asserted on the pass counters below) — roughly
+    throughput-neutral single-core.  The wall-clock multiplier comes
+    from sharding, so the speedup floor scales with the cores this
+    runner actually has: >= 2x with >= 4 cores (the CI runner class),
+    >= 1.3x with 2-3, and >= 0.9x (fusion alone must not regress;
+    measured ~1.15x) on a single core, where a process pool cannot
+    help.  Verdicts and ``min_slack`` must be bit-identical to the
+    baseline in every configuration.
     """
     batch = _sim_batch()
     cpus = os.cpu_count() or 1
@@ -208,7 +201,7 @@ def test_bench_sim_batch_fused_sharded(benchmark):
     # on a shared runner hits both sides of every ratio equally.
     t_baseline = t_fused_serial = t_sharded = float("inf")
     for _ in range(3):
-        dt, base = once(fuse=1, nf_select="greedy", sim_workers=1)
+        dt, base = once(fuse=1, sim_workers=1)
         t_baseline = min(t_baseline, dt)
         dt, fused_serial = once(fuse=8, sim_workers=1)
         t_fused_serial = min(t_fused_serial, dt)

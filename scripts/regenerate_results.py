@@ -62,11 +62,11 @@ def main() -> None:
     parser.add_argument("--sim-backend", choices=("vector", "scalar"),
                         default="vector", dest="sim_backend")
     parser.add_argument("--array-backend",
-                        choices=("numpy", "cupy", "torch", "torch:cuda"),
+                        choices=("numpy", "torch"),
                         default=None, dest="array_backend",
                         help="array namespace for the vectorized kernels "
                              "(default: REPRO_ARRAY_BACKEND env var, then "
-                             "numpy); cupy/torch are optional installs")
+                             "numpy); torch is an optional install")
     parser.add_argument("--ci-target", type=float, default=None,
                         dest="ci_target",
                         help="adaptive bucket sizing: per-bucket draws stop "

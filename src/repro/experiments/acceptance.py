@@ -25,7 +25,6 @@ get cheap, knife-edge buckets get the full budget.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -333,15 +332,11 @@ def acceptance_experiment(
       per bucket; ``workers > 1`` parallelizes it over processes.
 
     ``sim_array_backend`` picks the :mod:`repro.vector.xp` array
-    namespace the batched simulator computes on (``"numpy"``,
-    ``"torch"``, ``"cupy"``, ...); ``None`` follows the process
-    override / ``REPRO_ARRAY_BACKEND`` / numpy precedence.  Host/device
-    transfer is confined to batch boundaries, and the seeded sporadic
-    sampler stays host-side whatever the backend (its draw order is
-    pinned to the scalar reference).  When a *device* backend is active
-    (cupy, torch:cuda) and ``workers > 1``, the engine forces
-    ``parallel_map`` back to serial chunking with a one-line
-    ``RuntimeWarning`` — forked workers must not share a GPU context.
+    namespace the batched simulator computes on (``"numpy"`` or
+    ``"torch"``); ``None`` follows the process override /
+    ``REPRO_ARRAY_BACKEND`` / numpy precedence.  The seeded sporadic
+    sampler runs in numpy whatever the backend (its draw order is
+    pinned to the scalar reference).
 
     Both backends yield bit-identical verdicts per taskset.  Simulations
     exceeding ``max_events`` are recorded as not schedulable and counted
@@ -352,8 +347,7 @@ def acceptance_experiment(
     a process pool inside :func:`simulate_batch` (verdicts bit-identical
     to serial; ``None`` defers to the ``REPRO_SIM_WORKERS`` environment
     variable, then 1).  It is independent of ``workers``, which
-    parallelizes over *tasksets* on the scalar backend; the device-serial
-    rule applies to both.
+    parallelizes over *tasksets* on the scalar backend.
 
     ``sampling`` selects how buckets are filled: ``"rescale"`` draws from
     the profile and rescales WCETs to the exact target (fast, exact
@@ -380,16 +374,7 @@ def acceptance_experiment(
         raise ValueError(f"unknown sim_backend {sim_backend!r}")
     # Resolve eagerly: a bad/uninstalled backend fails here, not after
     # the first bucket's taskset generation.
-    array_backend = xp.get_backend(sim_array_backend)
-    if array_backend.is_device and workers > 1:
-        warnings.warn(
-            f"array backend {array_backend.name!r} is device-resident; "
-            f"forcing parallel_map to serial chunking (workers {workers} "
-            f"-> 1): forked workers must not share a GPU context",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        workers = 1
+    xp.get_backend(sim_array_backend)
     if not isinstance(sim_mode, MigrationMode):
         raise ValueError(f"sim_mode must be a MigrationMode, got {sim_mode!r}")
     if not isinstance(sim_policy, PlacementPolicy):

@@ -42,8 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--sim-workers", type=int, default=None,
                      dest="sim_workers", metavar="W",
                      help="shard each vector-sim batch over W processes "
-                          "(verdicts bit-identical to serial; device "
-                          "array backends force 1). Unset, the "
+                          "(verdicts bit-identical to serial). Unset, the "
                           "REPRO_SIM_WORKERS environment variable is "
                           "consulted, then 1")
     run.add_argument("--sim-backend", choices=("vector", "scalar"),
@@ -53,11 +52,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "buckets, 'scalar' the per-taskset event loop "
                           "on a subsample")
     run.add_argument("--array-backend",
-                     choices=("numpy", "cupy", "torch", "torch:cuda"),
+                     choices=("numpy", "torch"),
                      default=None, dest="array_backend",
                      help="array namespace for the vectorized kernels "
-                          "(repro.vector.xp): numpy is the default; cupy/"
-                          "torch are optional installs resolved lazily. "
+                          "(repro.vector.xp): numpy is the default; torch "
+                          "is an optional install resolved lazily. "
                           "Unset, the REPRO_ARRAY_BACKEND environment "
                           "variable is consulted, then numpy")
     run.add_argument("--sim-mode", choices=("free", "relocatable", "pinned"),

@@ -2,7 +2,7 @@
 
 Every parity guarantee this repo rests on — bit-identical verdicts vs.
 the scalar reference, the :mod:`repro.vector.xp` rule that no kernel
-imports numpy directly, lazy-only torch/cupy imports, float64 pinning
+imports numpy directly, lazy-only torch imports, float64 pinning
 at batch boundaries, host-side seeded sampling — is a *structural*
 property of the source.  This package turns those prose contracts
 (ROADMAP.md "Array backends", the module docstrings of
@@ -29,7 +29,7 @@ section for the contract each one enforces):
 
 ====== =====================================================================
 RL001  no direct numpy import inside ``repro.vector`` (only ``xp.py``)
-RL002  no module-top-level ``torch``/``cupy`` import (lazy-only)
+RL002  no module-top-level optional array-library import (lazy-only)
 RL003  no RNG construction/draws outside the sampler/generation modules
 RL004  no ``float32`` outside pragma-annotated pin sites in ``repro.vector``
 RL005  no implicit host-device sync inside kernel pass loops

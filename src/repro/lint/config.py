@@ -21,7 +21,7 @@ SRC_NAMESPACE: Tuple[str, ...] = ("repro",)
 
 #: Modules (prefixes) that form the backend-pluggable kernel surface:
 #: inside these, importing numpy directly would fork the array namespace
-#: and silently break torch/cupy parity (RL001).
+#: and silently break torch parity (RL001).
 KERNEL_PACKAGES: Tuple[str, ...] = ("repro.vector",)
 
 #: The sanctioned numpy touchpoints inside/beside the kernel surface:
@@ -35,9 +35,9 @@ NUMPY_ALLOWED_MODULES: Tuple[str, ...] = (
 )
 
 #: Libraries that must never be imported at module top level anywhere
-#: under ``src`` (RL002): both are optional accelerators resolved lazily
-#: by ``repro.vector.xp``; a top-level import would make the whole tree
-#: unimportable without them installed.
+#: under ``src`` (RL002): optional array libraries, resolved lazily by
+#: ``repro.vector.xp`` when they are supported at all; a top-level import
+#: would make the whole tree unimportable without them installed.
 LAZY_ONLY_LIBRARIES: Tuple[str, ...] = ("torch", "cupy")
 
 #: Modules (prefixes) allowed to construct RNGs or draw from global RNG
@@ -91,7 +91,7 @@ KERNEL_STRICT_MODULES: Tuple[str, ...] = (
 
 #: Modules where RL005 applies (host-device sync calls inside loops):
 #: the two kernel modules with pass loops.  ``.get()`` is only flagged
-#: zero-arg (cupy's device->host transfer); ``d.get(key)`` stays legal.
+#: zero-arg (an array readback); ``d.get(key)`` stays legal.
 SYNC_SCOPED_MODULES: Tuple[str, ...] = (
     "repro.vector.sim_vec",
     "repro.vector.placement_vec",
@@ -109,8 +109,7 @@ DEVICE_TRANSFER_CALLS: Tuple[str, ...] = (
 
 #: ``module -> attribute`` pairs that read wall clocks (RL006).  The
 #: repro tree must stay deterministic and profiler-friendly; timing
-#: belongs in ``benchmarks/`` (outside ``src``) or behind
-#: ``xp.synchronize()``-bracketed pytest-benchmark runs.
+#: belongs in ``benchmarks/`` (outside ``src``).
 WALL_CLOCK_CALLS: Tuple[Tuple[str, str], ...] = (
     ("time", "time"),
     ("time", "time_ns"),

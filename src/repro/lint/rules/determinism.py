@@ -108,11 +108,10 @@ class RngOutsideSamplers(Rule):
 class WallClockCall(Rule):
     """RL006 — nothing under ``src/repro`` reads a wall clock.
 
-    Analysis results must be a function of inputs and seeds alone, and
-    device timing is only honest behind ``xp.synchronize()``.  Timing
-    lives in ``benchmarks/`` (pytest-benchmark, outside ``src``); a
-    clock read inside the library would smuggle nondeterminism into
-    results or record async-launch times as kernel times.
+    Analysis results must be a function of inputs and seeds alone.
+    Timing lives in ``benchmarks/`` (pytest-benchmark, outside ``src``);
+    a clock read inside the library would smuggle nondeterminism into
+    results.
     """
 
     id = "RL006"

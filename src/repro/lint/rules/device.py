@@ -25,13 +25,12 @@ class HostSyncInKernelLoop(Rule):
     """RL005 — sync only at batch boundaries, never per event step.
 
     ``.item()``, ``.cpu()``, ``.tolist()`` and zero-arg ``.get()``
-    (cupy's device→host transfer; ``d.get(key)`` dict lookups keep
-    their argument and stay legal) each force a device round-trip.
+    (an array readback; ``d.get(key)`` dict lookups keep their argument
+    and stay legal) each force a per-call readback.
     Inside the fused pass loops of ``sim_vec``/``placement_vec`` that
-    turns one kernel launch per pass into one stall per event — the
-    exact overhead the fused-stepping refactor removed.  Device values
-    cross to the host once per batch, via ``xp.asnumpy``/
-    ``xp.synchronize()`` at the boundary.
+    turns one readback per pass into one stall per event — the exact
+    overhead the fused-stepping refactor removed.  Backend values cross
+    to numpy once per batch, via ``xp.asnumpy`` at the boundary.
     """
 
     id = "RL005"
@@ -39,7 +38,7 @@ class HostSyncInKernelLoop(Rule):
     summary = (
         "no .item()/.cpu()/.tolist()/zero-arg .get() inside "
         "sim_vec/placement_vec loops; host↔device sync only at batch "
-        "boundaries via xp.synchronize()"
+        "boundaries via xp.asnumpy"
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
@@ -65,7 +64,6 @@ class HostSyncInKernelLoop(Rule):
                         child,
                         f".{child.func.attr}() inside a kernel pass loop "
                         f"forces a host-device sync per iteration; hoist it "
-                        f"to the batch boundary (xp.asnumpy / "
-                        f"xp.synchronize())",
+                        f"to the batch boundary (xp.asnumpy)",
                     )
             yield from self._walk(ctx, child, depth)

@@ -1,5 +1,5 @@
 """Import-shape rules: RL001 (kernel numpy purity), RL002 (lazy-only
-torch/cupy), RL007 (package layering)."""
+optional array libraries), RL007 (package layering)."""
 
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ class KernelNumpyImport(Rule):
     Every kernel in ``repro.vector`` computes through the
     ``repro.vector.xp`` namespace; a direct numpy import (top-level *or*
     function-body — there is no lazy escape hatch here) forks the array
-    namespace and breaks torch/cupy parity.  ``repro.vector.xp`` itself
+    namespace and breaks torch parity.  ``repro.vector.xp`` itself
     is the one sanctioned resolver; host-side numpy access goes through
     ``repro.vector.xp.host``.
     """
@@ -60,20 +60,20 @@ class KernelNumpyImport(Rule):
 
 @register
 class EagerAcceleratorImport(Rule):
-    """RL002 — torch/cupy are optional and must import lazily.
+    """RL002 — optional array libraries must import lazily.
 
-    A module-top-level ``import torch``/``import cupy`` anywhere under
-    ``src`` makes the tree unimportable without the accelerator
-    installed.  Only ``repro.vector.xp`` resolves them, inside the
-    backend factory functions; ``if TYPE_CHECKING:`` blocks are exempt
-    (they never execute).
+    A module-top-level import of a library in
+    ``config.LAZY_ONLY_LIBRARIES`` (e.g. ``import torch``) anywhere under
+    ``src`` makes the tree unimportable without it installed.  Only
+    ``repro.vector.xp`` resolves torch, inside the backend factory;
+    ``if TYPE_CHECKING:`` blocks are exempt (they never execute).
     """
 
     id = "RL002"
     name = "eager-accelerator-import"
     summary = (
-        "no module-top-level torch/cupy import anywhere under src "
-        "(lazy function-body imports only)"
+        "no module-top-level optional array-library import anywhere "
+        "under src (lazy function-body imports only)"
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:

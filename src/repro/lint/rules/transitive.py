@@ -139,8 +139,7 @@ class TransitiveHostSyncInLoop(Rule):
                         f"call inside a kernel pass loop reaches a "
                         f"host-device sync via "
                         f"{render_chain(project, callee, 'HOST_SYNC')}; "
-                        f"hoist it to the batch boundary "
-                        f"(xp.asnumpy / xp.synchronize())",
+                        f"hoist it to the batch boundary (xp.asnumpy)",
                     )
             yield from self._walk(ctx, child, depth, resolver, project)
 

@@ -8,7 +8,8 @@ exact knife-edge that floats cannot certify (see DESIGN.md §4.4).
 
 from __future__ import annotations
 
-from numbers import Real
+import math
+from numbers import Rational, Real
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -32,6 +33,12 @@ def _require_real(value: object, name: str, task_name: str) -> None:
         raise TaskParameterError(
             f"task {task_name!r}: {name} must be a real number, got {value!r}"
         )
+    # Ints and Fractions are always finite (and may be too large to
+    # convert to float); only the float-like reals can be nan or inf.
+    if not isinstance(value, Rational) and not math.isfinite(value):
+        raise TaskParameterError(
+            f"task {task_name!r}: {name} must be finite, got {value!r}"
+        )
 
 
 def validate_task(task: "Task") -> None:
@@ -39,6 +46,7 @@ def validate_task(task: "Task") -> None:
 
     Requirements (paper §2):
 
+    * every parameter finite (no NaN or infinity);
     * ``wcet`` (C) > 0, ``period`` (T) > 0, ``deadline`` (D) > 0;
     * ``area`` (A) >= 1 — the number of contiguous columns occupied.
       The paper argues areas are integers (§3); we accept any real >= 1

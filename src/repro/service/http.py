@@ -46,6 +46,12 @@ class _HttpError(Exception):
         self.message = message
 
 
+def _reject_constant(literal: str) -> Any:
+    """``json.loads`` hook for the non-standard ``NaN``/``Infinity``
+    literals: the model has no use for non-finite values."""
+    raise _HttpError(400, f"invalid JSON body: {literal} is not a number")
+
+
 _STATUS_TEXT = {
     200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 409: "Conflict", 413: "Content Too Large",
@@ -213,7 +219,7 @@ class HttpServer:
     @staticmethod
     def _json(body: bytes) -> Dict[str, Any]:
         try:
-            obj = json.loads(body or b"{}")
+            obj = json.loads(body or b"{}", parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise _HttpError(400, f"invalid JSON body: {exc}") from exc
         if not isinstance(obj, dict):

@@ -106,7 +106,10 @@ def parse_task(obj: Mapping[str, Any]) -> Task:
             raise ProtocolError(f"task {name!r} needs a numeric {field!r}")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ProtocolError(f"task {name!r}: {field} must be a number")
-        numbers[field] = float(value)
+        try:
+            numbers[field] = float(value)
+        except OverflowError as exc:
+            raise ProtocolError(f"task {name!r}: {field} is out of range") from exc
     try:
         return Task(
             wcet=numbers["wcet"],

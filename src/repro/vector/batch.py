@@ -7,11 +7,10 @@ Conversion to/from the object model is provided for cross-validation and
 for feeding individual sets to the simulator.
 
 The arrays may belong to any :mod:`repro.vector.xp` backend: generation
-and object-model conversion are host-side (the rngs are numpy
-generators), but every aggregate dispatches on the arrays' own namespace
-(:func:`repro.vector.xp.namespace_of`), so a batch moved onto a device
-backend with :meth:`TaskSetBatch.with_backend` keeps its math on the
-device.
+and object-model conversion use numpy (the rngs are numpy generators),
+but every aggregate dispatches on the arrays' own namespace
+(:func:`repro.vector.xp.namespace_of`), so a batch converted with
+:meth:`TaskSetBatch.with_backend` keeps its math on that backend.
 """
 
 from __future__ import annotations
@@ -34,8 +33,7 @@ def sequential_sum(arr, axis: int = -1):
     verdicts at knife-edge tasksets relative to the scalar reference
     (which accumulates left-to-right).  The vectorized tests use this so
     their verdicts are bit-identical to :mod:`repro.core`.  The
-    accumulation runs in the array's own namespace (host arrays stay
-    host, device arrays stay on device).
+    accumulation runs in the array's own namespace.
     """
     ns = xp.namespace_of(arr)
     arr = ns.moveaxis(arr, axis, -1)
@@ -159,8 +157,7 @@ class TaskSetBatch:
 
         ``backend`` follows the :func:`repro.vector.xp.get_backend`
         precedence (``None`` means the active selection).  This is the
-        one host->device transfer point for batch data; dtypes are
-        preserved.
+        one conversion point for batch data; dtypes are preserved.
         """
         ns = xp.get_backend(backend)
         return TaskSetBatch(
@@ -210,8 +207,8 @@ def generate_batch(
     :func:`repro.gen.random_tasksets.generate_taskset`, but one vectorized
     draw instead of ``count * N`` Python-object constructions.  Always
     host-side (the generator is a numpy one and the draw order is pinned
-    to the scalar reference); move the result with
-    :meth:`TaskSetBatch.with_backend` when a device batch is wanted.
+    to the scalar reference); convert the result with
+    :meth:`TaskSetBatch.with_backend` when another backend is wanted.
     """
     if count < 1:
         raise ValueError("count must be >= 1")

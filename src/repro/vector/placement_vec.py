@@ -27,9 +27,9 @@ bit-exact by construction — and property-tested against ``FreeList`` and
 
 Backend-neutral: every kernel dispatches on the bitmap array's own
 :mod:`repro.vector.xp` namespace (or an explicit ``ns``), so the same
-code runs on numpy uint64 words, cupy uint64 words, or torch int64
-words (torch has no uint64 arithmetic; the int64 reinterpretation is
-bit-identical for ``& | ~`` and equality under two's complement — see
+code runs on numpy uint64 words or torch int64 words (torch has no
+uint64 arithmetic; the int64 reinterpretation is bit-identical for
+``& | ~`` and equality under two's complement — see
 :meth:`repro.vector.xp.ArrayBackend.bitmap_from_host`).
 """
 

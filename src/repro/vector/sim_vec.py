@@ -66,10 +66,9 @@ sets.
 Array backends: the state arrays live on the namespace resolved through
 :mod:`repro.vector.xp` (``array_backend`` kwarg > process override >
 ``REPRO_ARRAY_BACKEND`` env var > numpy).  Validation, samplers and the
-returned :class:`SimBatchResult` are host-side; data crosses the
-host/device boundary exactly once per batch in each direction.  Inputs
-are pinned to float64 at that boundary (float32 state would silently
-change knife-edge verdicts on every backend).
+returned :class:`SimBatchResult` use plain numpy; inputs are converted
+to the backend once per batch, pinned to float64 (float32 state would
+silently change knife-edge verdicts), and results converted back once.
 
 Bit-exactness discipline: the float operations (release accumulation,
 ``now + remaining`` completion times, ``remaining - dt`` advances, area
@@ -78,23 +77,19 @@ as the scalar reference, and all placement geometry is integer
 arithmetic on the shared interval representation
 (:mod:`repro.fpga.intervals`), so verdicts are bit-identical to
 ``simulate(batch.taskset(i), offsets=...)`` /
-``simulate_release_schedule(...)`` — the same contract
+``simulate_release_schedule(...)`` on every backend — the same contract
 :func:`repro.vector.batch.sequential_sum` gives the analytical tests.
-(On the numpy and torch-CPU backends this holds bit-for-bit; the device
-backends keep the same operand order per element but may re-associate
-reductions, so their contract is verdict-level.)  The EDF tie-break
-replicates the scalar queue exactly, including the *lexicographic*
-task-name ordering of ``batch.taskset`` names (``tau10`` sorts before
-``tau2``) — and, in sporadic mode, the pseudo-task names ``tau{i}@{j}``
-that the scalar :func:`repro.sim.sporadic.simulate_release_schedule`
-encodes schedules with (``tau10@...`` sorts before ``tau1@...`` because
-``'0' < '@'``).
+The EDF tie-break replicates the scalar queue exactly, including the
+*lexicographic* task-name ordering of ``batch.taskset`` names (``tau10``
+sorts before ``tau2``) — and, in sporadic mode, the pseudo-task names
+``tau{i}@{j}`` that the scalar
+:func:`repro.sim.sporadic.simulate_release_schedule` encodes schedules
+with (``tau10@...`` sorts before ``tau1@...`` because ``'0' < '@'``).
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -165,12 +160,12 @@ class SimBatchResult:
     missed.  It is the scoring channel of the adaptive release-pattern
     search (:mod:`repro.search`) and matches the scalar
     :attr:`repro.sim.simulator.SimulationResult.min_slack` bit-exactly
-    (same operands, same order) on the numpy and torch-CPU backends.
+    (same operands, same order) on both backends.
 
     ``kernel_passes``/``event_steps`` instrument the fused stepper:
     ``event_steps`` counts inner event-loop iterations actually executed
-    and ``kernel_passes`` the host-synchronized outer passes (scatter +
-    compaction points).  Unfused (``fuse=1``) the two are equal; at
+    and ``kernel_passes`` the outer passes (liveness readback, scatter
+    and compaction points).  Unfused (``fuse=1``) the two are equal; at
     ``fuse=K`` the ratio approaches ``K`` — the measured, not assumed,
     fusion factor.  Sharded runs sum the counters over their shards.
     """
@@ -397,13 +392,12 @@ def sample_release_times_batch(
 
 
 def _nf_running_greedy(ns, area_s, capacity):
-    """EDF-NF FREE-mode selection, reference implementation.
+    """EDF-NF FREE-mode selection.
 
     The scalar rule verbatim: walk priority positions left to right,
     take a job iff the areas taken so far plus its own fit, skipping
-    (not stopping at) blocked jobs.  One Python iteration — several
-    kernel launches — per task slot; kept as the bit-parity reference
-    the batched fixpoint below is tested (and benchmarked) against.
+    (not stopping at) blocked jobs.  One column-vector step per task
+    slot, so every row's accumulation matches the scalar adds exactly.
     """
     M, N = area_s.shape
     run_s = ns.empty((M, N), dtype=ns.bool_)
@@ -414,64 +408,6 @@ def _nf_running_greedy(ns, area_s, capacity):
         used += ns.where(take, a_j, 0.0)
         run_s[:, j] = take
     return run_s
-
-
-def _nf_running_batched(ns, area_s, capacity):
-    """EDF-NF FREE-mode selection without the per-task Python loop.
-
-    Fixpoint formulation of the same greedy rule: start from every
-    active job as a candidate, and repeatedly un-admit — per row — the
-    *first* candidate whose left-to-right prefix sum overflows the
-    capacity, until no candidate overflows.  The loop runs at most
-    ``N`` times; rounds past the first touch only the rows that still
-    overflow.
-
-    Bit-exactness: ``cumsum`` accumulates left to right over exactly the
-    operands the greedy reference adds — admitted areas, ``0.0`` for
-    skipped/inactive slots (the reference adds ``where(take, a, 0.0)``
-    too, and ``x + 0.0 == x`` exactly for finite ``x``) — so the prefix
-    sums, and therefore the ``<= capacity`` decisions, match
-    :func:`_nf_running_greedy` bit-for-bit.  Induction on priority
-    position shows the surviving candidate set *is* the greedy take set:
-    ahead of the first pruned position both scans agree, and pruning
-    only ever removes the leftmost overflow, which the greedy scan
-    skips at the same prefix sum.
-
-    Each pruning round blocks exactly one job per overflowing row, so
-    the round count is the *maximum* skip count over the rows — and
-    rows are independent, so converged rows must not pay for the
-    straggler's rounds.  After the first full-width round the fixpoint
-    therefore compresses onto the still-overflowing rows (the same
-    gather/scatter trick as :func:`_select_placement`), shrinking the
-    re-``cumsum`` work every round.
-    """
-    finite = ns.isfinite(area_s)
-    csum = ns.cumsum(ns.where(finite, area_s, 0.0), axis=1)
-    overflow = finite & (csum > capacity)
-    rows = ns.nonzero(ns.any(overflow, axis=1))[0]
-    if not rows.shape[0]:
-        return finite
-    admitted = ns.copy(finite)
-    idx = rows  # absolute row ids still in play
-    sub_adm = admitted[idx]
-    sub_area = area_s[idx]
-    sub_over = overflow[idx]
-    while True:
-        # Every surviving row has >= 1 overflow: un-admit the first.
-        first = ns.argmax(sub_over, axis=1)
-        sub_adm[ns.arange(idx.shape[0]), first] = False
-        csum = ns.cumsum(ns.where(sub_adm, sub_area, 0.0), axis=1)
-        sub_over = sub_adm & (csum > capacity)
-        still = ns.any(sub_over, axis=1)
-        if not ns.any(still):
-            admitted[idx] = sub_adm
-            return admitted
-        settled = ~still
-        admitted[idx[settled]] = sub_adm[settled]
-        idx = idx[still]
-        sub_adm = sub_adm[still]
-        sub_area = sub_area[still]
-        sub_over = sub_over[still]
 
 
 def _select_placement(
@@ -573,7 +509,6 @@ def simulate_batch(
     array_backend: Optional[str] = None,
     fuse: int = 8,
     sim_workers: Optional[int] = None,
-    nf_select: str = "auto",
 ) -> SimBatchResult:
     """Simulate every row of ``batch`` on one device geometry.
 
@@ -594,9 +529,8 @@ def simulate_batch(
     ``array_backend`` selects the :mod:`repro.vector.xp` namespace the
     state arrays live on (``None`` follows the process override /
     ``REPRO_ARRAY_BACKEND`` / numpy precedence).  Inputs are validated
-    on the host, moved once onto the backend pinned to float64, and the
-    verdicts come back as host numpy arrays — one transfer per batch in
-    each direction.
+    in numpy, converted once to the backend pinned to float64, and the
+    verdicts come back as numpy arrays.
 
     Release patterns:
 
@@ -627,9 +561,9 @@ def simulate_batch(
     * ``fuse`` advances every live row up to that many events per
       kernel pass; decided rows are neutralized in place (infinite
       next-release/deadline/area makes every further step a no-op for
-      them) and host synchronization, verdict scatter and row
+      them) and the liveness readback, verdict scatter and row
       compaction happen once per pass instead of once per event.
-      ``fuse=1`` degenerates to the classic one-sync-per-event loop.
+      ``fuse=1`` degenerates to the classic one-event-per-pass loop.
       Verdicts, ``events`` and ``min_slack`` are bit-identical for
       every ``fuse`` on every backend.
     * ``sim_workers`` shards the batch dimension into contiguous
@@ -640,30 +574,12 @@ def simulate_batch(
       independent, and all seeded sampling/validation/horizon
       derivation happens on the full batch *before* the split, so
       sharded results are bit-identical to the serial path whatever the
-      worker count.  Device backends (``is_device``) force serial with
-      a ``RuntimeWarning`` — forked workers must not share a GPU
-      context (the same rule the acceptance engine applies to its
-      scalar-backend pool).
-    * ``nf_select`` picks the EDF-NF FREE-mode selection kernel:
-      ``"batched"`` (the :func:`_nf_running_batched` fixpoint — no
-      per-task Python loop) or ``"greedy"`` (the per-task reference
-      scan).  Both are bit-identical on every backend, so the default
-      ``"auto"`` picks by *cost model*: the per-task loop is a
-      launch-count problem, which only exists off-host — device
-      backends resolve to ``"batched"`` (one fixpoint round replaces
-      ``N`` kernel launches), host backends to ``"greedy"`` (at small
-      ``N`` a memory-local column scan beats repeated ``(M, N)``
-      ``cumsum`` passes, measured ~1.4x on the numpy bench workload).
+      worker count.
     """
     ns = xp.get_backend(array_backend)
     skip_blocked = _resolve_skip_blocked(scheduler)
     if not isinstance(fuse, int) or fuse < 1:
         raise ValueError(f"fuse must be an integer >= 1, got {fuse!r}")
-    if nf_select not in ("auto", "batched", "greedy"):
-        raise ValueError(
-            f"nf_select must be 'auto', 'batched' or 'greedy', "
-            f"got {nf_select!r}"
-        )
     workers = resolve_sim_workers(sim_workers)
     if release not in ("periodic", "sporadic"):
         raise ValueError(f"unknown release pattern {release!r}")
@@ -821,15 +737,6 @@ def simulate_batch(
     # already run on the *full* batch above, and rows never interact — so
     # contiguous row slices simulated independently concatenate to the
     # exact serial result, worker count notwithstanding.
-    if workers > 1 and ns.is_device:
-        warnings.warn(
-            f"array backend {ns.name!r} is device-resident; forcing "
-            f"sim_workers to serial (workers {workers} -> 1): forked "
-            f"workers must not share a GPU context",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        workers = 1
     n_shards = min(workers, B)
     if n_shards > 1:
         bounds = [(B * s) // n_shards for s in range(n_shards + 1)]
@@ -850,7 +757,6 @@ def simulate_batch(
                 array_backend=ns.name,
                 fuse=fuse,
                 sim_workers=1,
-                nf_select=nf_select,
             )
             if off is not None:
                 kw["offsets"] = off[lo:hi]
@@ -879,10 +785,6 @@ def simulate_batch(
         )
 
     hz_out = hz.copy()  # compaction rebinds hz; keep the full-batch view
-    # Host backends afford cheap any() early-outs inside a pass; device
-    # backends skip them (each would be a blocking sync) and rely on the
-    # masked updates being no-ops instead.
-    host = not ns.is_device
 
     # -- working set: live (undecided) rows only ------------------------------
     # Task columns are permuted into lexicographic-name order once, so a
@@ -890,18 +792,18 @@ def simulate_batch(
     # queue's full (deadline, release, name) tie-break for free.  The
     # sporadic rank follows the scalar pseudo-task names instead.
     # Everything below this point lives on the selected array backend
-    # (float64-pinned); `idx` and the out_* arrays stay host-side so the
-    # per-decision scatters never touch the device.
+    # (float64-pinned); `idx` and the out_* arrays stay numpy so the
+    # per-decision scatters index plain arrays.
     perm = hnp.argsort(_name_ranks(N, sporadic=sporadic), kind="stable")
     idx = hnp.arange(B)
 
-    def dev_f64(a: "hnp.ndarray"):
+    def ns_f64(a: "hnp.ndarray"):
         return ns.asarray(hnp.asarray(a[:, perm], dtype=hnp.float64))
 
-    wcet = dev_f64(host_batch.wcet)
-    period = dev_f64(host_batch.period)
-    deadline = dev_f64(host_batch.deadline)
-    area = dev_f64(host_batch.area)
+    wcet = ns_f64(host_batch.wcet)
+    period = ns_f64(host_batch.period)
+    deadline = ns_f64(host_batch.deadline)
+    area = ns_f64(host_batch.area)
     hz = ns.asarray(hz)
 
     INF = float("inf")
@@ -1000,11 +902,7 @@ def simulate_batch(
         while-loop a single pass)."""
         nonlocal rel, remaining, abs_dl, area_m, next_rel, rel_ptr
         due = next_rel <= now[:, None] + eps
-        # The no-release early-out is host-only: on a device backend the
-        # any() would force a sync per event step — the very round trip
-        # fused stepping removes — and the where() updates below are
-        # no-ops under an all-False mask anyway.
-        if host and not ns.any(due):
+        if not ns.any(due):
             return
         rel = ns.where(due, next_rel, rel)
         remaining = ns.where(due, wcet, remaining)
@@ -1022,25 +920,17 @@ def simulate_batch(
                 due, ns.where(nxt < hz[:, None], nxt, INF), next_rel
             )
 
-    if nf_select == "auto":
-        # Bit-identical either way; pick by cost model (see docstring).
-        nf_select = "batched" if ns.is_device else "greedy"
-    nf_running = (
-        _nf_running_batched if nf_select == "batched" else _nf_running_greedy
-    )
-
     release_due()  # the scalar pre-loop release_due(0)
 
     # Fused stepping: the outer loop is one *kernel pass* — up to `fuse`
     # event steps computed back to back on the backend, then exactly one
-    # host synchronization (liveness readback, verdict scatter, row
-    # compaction).  Bit-identity with the classic per-event loop holds
-    # because a dead row's neutralized state makes every subsequent
-    # in-pass step a no-op for it: it selects no jobs (infinite areas),
-    # schedules no candidate events (infinite release/deadline), cannot
-    # re-miss, and never touches slack_min again.  The host-only any()
-    # early-outs below skip no-op updates cheaply on numpy without ever
-    # forcing a device sync inside a pass.
+    # liveness readback, verdict scatter and row compaction.
+    # Bit-identity with the classic per-event loop holds because a dead
+    # row's neutralized state makes every subsequent in-pass step a no-op
+    # for it: it selects no jobs (infinite areas), schedules no candidate
+    # events (infinite release/deadline), cannot re-miss, and never
+    # touches slack_min again.  The any() early-outs below just skip
+    # those no-op updates.
     while idx.shape[0]:
         kernel_passes += 1
         M = idx.shape[0]
@@ -1073,7 +963,7 @@ def simulate_batch(
             else:
                 area_s = area_m[rows, order]
                 if skip_blocked:  # EDF-NF: greedy, blocked jobs skipped
-                    run_s = nf_running(ns, area_s, capacity)
+                    run_s = _nf_running_greedy(ns, area_s, capacity)
                 else:  # EDF-FkF: prefix, first blocked job stops the scan.
                     # Areas are positive, so the running sum over the
                     # active prefix is strictly increasing and "cumsum <=
@@ -1108,7 +998,7 @@ def simulate_batch(
             # -- completions first (finishing exactly at the deadline
             #    succeeds).
             completed = running & (remaining <= eps)
-            if not host or ns.any(completed):
+            if ns.any(completed):
                 # Slack channel: deadline minus completion time, recorded
                 # before the slot is cleared (same subtraction as the
                 # scalar simulator's per-completion slack).
@@ -1133,8 +1023,8 @@ def simulate_batch(
             row_miss = ns.any(miss, axis=1)
             done = row_miss | (now >= hz - eps)
             newly = done & live
-            if not host or ns.any(newly):
-                if not host or ns.any(row_miss):
+            if ns.any(newly):
+                if ns.any(row_miss):
                     # Tardiness-proximity: a missing job contributes
                     # -remaining (the scalar DeadlineMiss.remaining,
                     # negated).  A missing row is necessarily live, so
@@ -1152,13 +1042,13 @@ def simulate_batch(
                 next_rel = ns.where(newly_col, INF, next_rel)
                 abs_dl = ns.where(newly_col, INF, abs_dl)
                 area_m = ns.where(newly_col, INF, area_m)
-                if host and not ns.any(live):
+                if not ns.any(live):
                     break
 
             # -- releases due at the new `now` (one job per task slot).
             release_due()
 
-        # -- end of pass: one host sync — read liveness back, scatter the
+        # -- end of pass: read liveness back, scatter the
         #    frozen verdicts of every row that died this pass, compact.
         live_h = ns.asnumpy(live)
         if not live_h.all():

@@ -1,4 +1,4 @@
-"""Pluggable array namespace for the vector kernels (numpy / cupy / torch).
+"""Pluggable array namespace for the vector kernels (numpy / torch).
 
 Every kernel in :mod:`repro.vector` computes through an
 :class:`ArrayBackend` — a numpy-compatible namespace plus the handful of
@@ -6,21 +6,19 @@ divergence shims the kernels need (:meth:`~ArrayBackend.lexsort`,
 :meth:`~ArrayBackend.take_along_axis`, :meth:`~ArrayBackend.astype`,
 :meth:`~ArrayBackend.maximum_accumulate`, the uint64 bitmap helpers) —
 instead of importing numpy directly.  This module is the *only* place
-that resolves which concrete array library backs that namespace:
+that resolves which concrete array library backs that namespace.  Both
+are host backends:
 
 * ``numpy`` — the eager default, imported unconditionally; with it
   active every kernel performs the exact same operations as before the
   backends existed, so verdicts stay bit-identical to the scalar
   reference implementations.
-* ``cupy`` / ``torch`` / ``torch:cuda`` — resolved lazily behind
-  optional imports.  Neither library is required at import time;
-  requesting an uninstalled backend raises :class:`BackendUnavailable`
-  with an actionable message.  ``torch`` runs on CPU tensors (float64,
-  sequential reductions — the bit-exact parity contract holds there
-  too); ``torch:cuda``/``cupy`` are *device* backends
-  (:attr:`ArrayBackend.is_device`), where parallel reductions may
-  re-associate float adds, so parity is verdict-level, not guaranteed
-  bit-for-bit.
+* ``torch`` — CPU tensors, resolved lazily behind an optional import
+  (requesting it without torch installed raises
+  :class:`BackendUnavailable` with an actionable message).  It runs the
+  same float64 operations in the same order with sequential reductions,
+  so the bit-exact parity contract holds there too; CI runs it as the
+  parity leg.
 
 Selection precedence (first match wins):
 
@@ -31,11 +29,10 @@ Selection precedence (first match wins):
 3. the ``REPRO_ARRAY_BACKEND`` environment variable;
 4. ``numpy``.
 
-Host/device discipline: samplers and anything feeding the object model
-stay on the host — :data:`host` is the guaranteed-host numpy namespace
-for them — and kernels move data onto the active backend once per batch
-(:meth:`ArrayBackend.asarray`) and back once per result
-(:func:`asnumpy`), so transfers sit at batch boundaries only.
+Samplers and anything feeding the object model use :data:`host`, the
+guaranteed numpy namespace; kernels convert their inputs once per batch
+(:meth:`ArrayBackend.asarray`) and their results back once
+(:func:`asnumpy`).
 
 The uint64 bitmaps of :mod:`repro.vector.placement_vec` need one real
 representation shim: torch has no uint64 arithmetic, so the torch
@@ -49,7 +46,7 @@ from __future__ import annotations
 import math
 import os
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy
 
@@ -64,7 +61,7 @@ host = numpy
 BACKEND_ENV = "REPRO_ARRAY_BACKEND"
 
 #: Backend names this module knows how to resolve.
-KNOWN_BACKENDS = ("numpy", "cupy", "torch", "torch:cuda")
+KNOWN_BACKENDS = ("numpy", "torch")
 
 
 class BackendUnavailable(ImportError):
@@ -73,8 +70,6 @@ class BackendUnavailable(ImportError):
 
 def _normalize(name: str) -> str:
     name = name.strip().lower()
-    if name == "torch-cuda":  # tolerated spelling
-        name = "torch:cuda"
     if name not in KNOWN_BACKENDS:
         known = ", ".join(KNOWN_BACKENDS)
         raise ValueError(f"unknown array backend {name!r}; known: {known}")
@@ -92,12 +87,8 @@ class ArrayBackend:
     backend matches *numpy's* semantics for the kernel call sites.
     """
 
-    #: resolution-name of this backend ("numpy", "cupy", "torch", ...)
+    #: resolution-name of this backend ("numpy" or "torch")
     name: str = "abstract"
-    #: True when arrays live off-host (cupy, torch:cuda) — the engine
-    #: must not fork workers sharing the device context, and
-    #: bit-identical float reduction order is not guaranteed.
-    is_device: bool = False
 
     def __init__(self, mod: Any) -> None:
         self._mod = mod
@@ -120,16 +111,8 @@ class ArrayBackend:
         return numpy.asarray(a)
 
     def bitmap_from_host(self, words: "numpy.ndarray") -> Any:
-        """Move a host uint64 bitmap into this backend's bitmap dtype."""
+        """A host uint64 bitmap in this backend's bitmap dtype."""
         return self.asarray(words)
-
-    def synchronize(self) -> None:
-        """Block until all queued device work is done (no-op on host).
-
-        Benchmarks must call this before reading the clock: device
-        backends enqueue kernels asynchronously, so without a sync a
-        timing loop measures launch latency, not execution.  Host
-        backends execute eagerly and return immediately."""
 
     # -- dtype shims --------------------------------------------------------
 
@@ -202,52 +185,9 @@ class NumpyBackend(ArrayBackend):
     """The eager default: plain numpy, zero behavioural delta."""
 
     name = "numpy"
-    is_device = False
 
     def __init__(self) -> None:
         super().__init__(numpy)
-
-
-class CupyBackend(ArrayBackend):
-    """CuPy: numpy-compatible API on CUDA arrays (device-resident)."""
-
-    name = "cupy"
-    is_device = True
-
-    def __init__(self, mod: Any) -> None:
-        super().__init__(mod)
-
-    def asnumpy(self, a: Any) -> "numpy.ndarray":
-        return self._mod.asnumpy(a)
-
-    def synchronize(self) -> None:  # pragma: no cover - needs CUDA
-        self._mod.cuda.get_current_stream().synchronize()
-
-    def lexsort(self, keys: Sequence[Any], axis: int = -1) -> Any:
-        """``numpy.lexsort`` semantics (last key primary, tuple of keys,
-        ``axis`` keyword) — cupy.lexsort only takes a stacked array and
-        no axis, so build the order from stable argsorts instead (cupy's
-        ``kind=None`` argsort is stable)."""
-        if len(keys) == 0:
-            raise ValueError("need at least one key")
-        cp = self._mod
-        order = cp.argsort(keys[0], axis=axis)
-        for key in keys[1:]:
-            reordered = cp.take_along_axis(key, order, axis=axis)
-            refine = cp.argsort(reordered, axis=axis)
-            order = cp.take_along_axis(order, refine, axis=axis)
-        return order
-
-    def maximum_accumulate(self, a: Any, axis: int) -> Any:
-        try:
-            return self._mod.maximum.accumulate(a, axis=axis)
-        except (AttributeError, NotImplementedError):
-            # Generic fallback: a column-at-a-time running maximum.
-            out = a.copy()
-            moved = self._mod.moveaxis(out, axis, -1)
-            for j in range(1, moved.shape[-1]):
-                moved[..., j] = self._mod.maximum(moved[..., j - 1], moved[..., j])
-            return out
 
 
 class TorchBackend(ArrayBackend):
@@ -259,16 +199,13 @@ class TorchBackend(ArrayBackend):
     tensor operand's dtype (the kernels pass exact values — 0, -1, inf —
     so the adoption is lossless), and int64-reinterpreted uint64
     bitmaps (bitwise ops and equality are bit-identical under two's
-    complement).
+    complement).  Tensors live on the CPU.
     """
 
-    is_device = False  # overridden for torch:cuda in __init__
+    name = "torch"
 
-    def __init__(self, mod: Any, device: str = "cpu") -> None:
+    def __init__(self, mod: Any) -> None:
         super().__init__(mod)
-        self._device = device
-        self.name = "torch" if device == "cpu" else f"torch:{device}"
-        self.is_device = device != "cpu"
         # dtype attributes, set eagerly so __getattr__ never guesses.
         self.float64 = mod.float64
         self.float32 = mod.float32  # repro-lint: disable=RL004 -- the namespace must expose float32 so the batch-boundary pins can detect and widen f32 inputs
@@ -291,18 +228,14 @@ class TorchBackend(ArrayBackend):
             return a.detach().cpu().numpy()
         return numpy.asarray(a)
 
-    def synchronize(self) -> None:
-        if self.is_device:  # pragma: no cover - needs CUDA
-            self._mod.cuda.synchronize(self._device)
-
     def bitmap_from_host(self, words: "numpy.ndarray") -> Any:
         as_i64 = numpy.ascontiguousarray(words).view(numpy.int64).copy()
-        return self._mod.from_numpy(as_i64).to(self._device)
+        return self._mod.from_numpy(as_i64)
 
     # -- construction / conversion -----------------------------------------
 
     def asarray(self, a: Any, dtype: Any = None) -> Any:
-        return self._mod.as_tensor(a, dtype=dtype, device=self._device)
+        return self._mod.as_tensor(a, dtype=dtype)
 
     def astype(self, a: Any, dtype: Any) -> Any:
         return a.to(dtype)
@@ -311,21 +244,19 @@ class TorchBackend(ArrayBackend):
         return a.clone()
 
     def zeros(self, shape: Any, dtype: Any = None) -> Any:
-        return self._mod.zeros(self._shape(shape), dtype=dtype, device=self._device)
+        return self._mod.zeros(self._shape(shape), dtype=dtype)
 
     def ones(self, shape: Any, dtype: Any = None) -> Any:
-        return self._mod.ones(self._shape(shape), dtype=dtype, device=self._device)
+        return self._mod.ones(self._shape(shape), dtype=dtype)
 
     def empty(self, shape: Any, dtype: Any = None) -> Any:
-        return self._mod.empty(self._shape(shape), dtype=dtype, device=self._device)
+        return self._mod.empty(self._shape(shape), dtype=dtype)
 
     def full(self, shape: Any, fill: Any, dtype: Any = None) -> Any:
         if dtype is None:
             # Match numpy: a python-float fill yields a float64 array.
             dtype = self.float64 if isinstance(fill, float) else self.int64
-        return self._mod.full(
-            self._shape(shape), fill, dtype=dtype, device=self._device
-        )
+        return self._mod.full(self._shape(shape), fill, dtype=dtype)
 
     def ones_like(self, a: Any, dtype: Any = None) -> Any:
         return self._mod.ones_like(a, dtype=dtype)
@@ -334,7 +265,7 @@ class TorchBackend(ArrayBackend):
         return self._mod.zeros_like(a, dtype=dtype)
 
     def arange(self, *args: Any, dtype: Any = None) -> Any:
-        return self._mod.arange(*args, dtype=dtype, device=self._device)
+        return self._mod.arange(*args, dtype=dtype)
 
     @staticmethod
     def _shape(shape: Any) -> Any:
@@ -346,9 +277,9 @@ class TorchBackend(ArrayBackend):
         """Promote a python scalar operand to the tensor operand's dtype."""
         torch = self._mod
         if torch.is_tensor(a) and not torch.is_tensor(b):
-            b = torch.as_tensor(b, dtype=a.dtype, device=a.device)
+            b = torch.as_tensor(b, dtype=a.dtype)
         elif torch.is_tensor(b) and not torch.is_tensor(a):
-            a = torch.as_tensor(a, dtype=b.dtype, device=b.device)
+            a = torch.as_tensor(a, dtype=b.dtype)
         return a, b
 
     def where(self, cond: Any, x: Any, y: Any) -> Any:
@@ -436,7 +367,7 @@ class TorchBackend(ArrayBackend):
 
     def unpack_bitmap(self, words: Any, width: int) -> Any:
         torch = self._mod
-        shifts = torch.arange(64, dtype=torch.int64, device=words.device)
+        shifts = torch.arange(64, dtype=torch.int64)
         # Arithmetic >> fills with the sign bit; the & 1 keeps only the
         # selected bit, so bit 63 of "negative" (reinterpreted-uint64)
         # words is extracted correctly too.
@@ -458,37 +389,16 @@ _OVERRIDE: Optional[str] = None
 def _make_backend(name: str) -> ArrayBackend:
     if name == "numpy":
         return NumpyBackend()
-    if name == "cupy":
-        try:
-            import cupy  # noqa: F401  (optional dependency)
-        except Exception as exc:  # ImportError or CUDA init failure
-            raise BackendUnavailable(
-                f"array backend 'cupy' requested but cupy is not usable "
-                f"({exc!r}); install cupy (pip install cupy-cuda12x) or "
-                f"pick another backend"
-            ) from exc
-        return CupyBackend(cupy)
-    if name in ("torch", "torch:cuda"):
-        try:
-            import torch  # noqa: F401  (optional dependency)
-        except Exception as exc:
-            raise BackendUnavailable(
-                f"array backend {name!r} requested but torch is not "
-                f"importable ({exc!r}); install the CPU wheel "
-                f"(pip install torch --index-url "
-                f"https://download.pytorch.org/whl/cpu) or pick another "
-                f"backend"
-            ) from exc
-        if name == "torch:cuda":
-            if not torch.cuda.is_available():
-                raise BackendUnavailable(
-                    "array backend 'torch:cuda' requested but "
-                    "torch.cuda.is_available() is False; use 'torch' for "
-                    "CPU tensors"
-                )
-            return TorchBackend(torch, device="cuda")
-        return TorchBackend(torch, device="cpu")
-    raise AssertionError(name)  # pragma: no cover - _normalize guards
+    try:
+        import torch  # noqa: F401  (optional dependency)
+    except Exception as exc:
+        raise BackendUnavailable(
+            f"array backend 'torch' requested but torch is not importable "
+            f"({exc!r}); install the CPU wheel (pip install torch "
+            f"--index-url https://download.pytorch.org/whl/cpu) or pick "
+            f"another backend"
+        ) from exc
+    return TorchBackend(torch)
 
 
 def get_backend(name: "Optional[str | ArrayBackend]" = None) -> ArrayBackend:
@@ -564,8 +474,7 @@ def backend_skip_reason(name: str) -> Optional[str]:
 
     The shared helper behind every test/bench parametrization over
     backends: the reason is the :class:`BackendUnavailable` message
-    itself, so a skipped ``torch:cuda`` leg reads "cuda unavailable",
-    not "not installed", when torch is present but GPU-less.
+    itself.
     """
     name = _normalize(name)
     if backend_available(name):
@@ -574,24 +483,19 @@ def backend_skip_reason(name: str) -> Optional[str]:
 
 
 def namespace_of(arr: Any) -> ArrayBackend:
-    """The backend an array belongs to (host numpy for anything host).
+    """The backend an array belongs to (numpy for anything not a tensor).
 
     This is the array-API-style dispatch used by the type-generic
     helpers (:func:`repro.vector.batch.sequential_sum`, the
     :class:`~repro.vector.batch.TaskSetBatch` aggregates, the placement
-    bit-kernels): host inputs stay host, device inputs stay on device.
+    bit-kernels): numpy inputs stay numpy, tensors stay tensors.
     """
     mod = type(arr).__module__.split(".")[0]
-    if mod == "torch":
-        dev = arr.device
-        return get_backend("torch" if dev.type == "cpu" else f"torch:{dev.type}")
-    if mod == "cupy":
-        return get_backend("cupy")
-    return get_backend("numpy")
+    return get_backend("torch" if mod == "torch" else "numpy")
 
 
 def asnumpy(arr: Any) -> "numpy.ndarray":
-    """Materialize any backend's array on the host (identity for numpy)."""
+    """Any backend's array as a numpy array (identity for numpy)."""
     return namespace_of(arr).asnumpy(arr)
 
 

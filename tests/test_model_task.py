@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from repro.model.task import Task, TaskSet
@@ -92,6 +93,24 @@ class TestTaskValidation:
     def test_rejects_nonpositive_parameters(self, kwargs):
         with pytest.raises(TaskParameterError):
             Task(**kwargs)
+
+    @pytest.mark.parametrize("field", ["wcet", "period", "deadline", "area"])
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), float("-inf"),
+        pytest.param(np.float32("nan"), id="float32-nan"),
+    ])
+    def test_rejects_non_finite_parameters(self, field, value):
+        kwargs = dict(wcet=1.0, period=10.0, deadline=10.0, area=2.0)
+        kwargs[field] = value
+        with pytest.raises(TaskParameterError, match="finite"):
+            Task(**kwargs)
+
+    def test_huge_exact_parameters_stay_exact(self):
+        # Ints and Fractions are finite by construction and are never
+        # converted to float (10**400 has no float).
+        huge = 10**400
+        t = Task(wcet=1, period=huge, area=F(huge, 3))
+        assert t.period == huge and t.area == F(huge, 3)
 
     def test_rejects_non_numeric(self):
         with pytest.raises(TaskParameterError):

@@ -134,6 +134,40 @@ def test_malformed_payload_is_400():
     with_service(scenario)
 
 
+def test_non_finite_numbers_are_400_and_service_keeps_serving():
+    """No HTTP body can put a non-finite task into a device: the
+    ``NaN``/``Infinity`` literals, overflowing exponents and integers
+    too large for a float are all rejected at the boundary."""
+
+    async def post_raw(host, port, body):
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(
+            (
+                f"POST /v1/admit HTTP/1.1\r\nHost: t\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n"
+            ).encode()
+            + body
+        )
+        await writer.drain()
+        status = int((await reader.readline()).split()[1])
+        writer.close()
+        return status
+
+    task = b'{"device": "d", "task": {"name": "a", "period": 10, "wcet": %s}}'
+    probes = [b"NaN", b"Infinity", b"-Infinity", b"1e999", b"1" + b"0" * 400]
+
+    async def scenario(service, host, port, call):
+        await call("POST", "/v1/devices", {"name": "d", "width": 64})
+        for literal in probes:
+            assert await post_raw(host, port, task % literal) == 400, literal
+        status, info = await call("GET", "/v1/devices/d")
+        assert status == 200 and info["resident"] == 0
+        status, dec = await call("POST", "/v1/admit", {"device": "d", "task": TASK})
+        assert status == 200 and dec["ok"]
+
+    with_service(scenario)
+
+
 def test_keep_alive_reuses_one_connection():
     async def scenario(service, host, port, call):
         await call("POST", "/v1/devices", {"name": "d", "width": 64})

@@ -22,6 +22,7 @@ import pytest
 from repro.core import SchedulerKind, paper_portfolio
 from repro.fpga.device import Fpga
 from repro.model.task import Task, TaskSet
+from repro.model.validation import TaskParameterError
 from repro.service import (
     AdmissionService,
     BatchConfig,
@@ -383,6 +384,20 @@ def test_raising_request_is_isolated(monkeypatch):
     assert engine.metrics.errors_total == reference.metrics.errors_total + 1
 
 
+def test_non_finite_task_cannot_reach_either_path():
+    """A NaN wcet once split the paths: ``process_batch`` rejected it in
+    the kernels while ``process_serial`` admitted it.  Now neither path
+    can see one, because the task cannot be built at all."""
+    for kwargs in (
+        dict(wcet=float("nan"), period=10.0),
+        dict(wcet=1.0, period=float("inf")),
+        dict(wcet=1.0, period=10.0, deadline=float("nan")),
+        dict(wcet=1.0, period=10.0, area=float("inf")),
+    ):
+        with pytest.raises(TaskParameterError):
+            Task(name="bad", **kwargs)
+
+
 # -- protocol boundary ---------------------------------------------------------
 
 
@@ -400,6 +415,22 @@ def test_parse_task_coerces_to_float_and_validates():
         parse_task({"name": "a", "wcet": 1, "period": 10, "color": "red"})
     with pytest.raises(ProtocolError):
         parse_task({"name": "a", "wcet": -1, "period": 10})  # ModelError wrapped
+
+
+@pytest.mark.parametrize("field,value", [
+    ("wcet", float("nan")),
+    ("wcet", float("inf")),
+    ("period", float("inf")),
+    ("deadline", float("-inf")),
+    ("area", float("nan")),
+    pytest.param("wcet", 10**400, id="wcet-huge-int"),  # float() overflows
+    pytest.param("period", -(10**400), id="period-huge-negative-int"),
+])
+def test_parse_task_rejects_unrepresentable_numbers(field, value):
+    obj = {"name": "a", "wcet": 1, "period": 10}
+    obj[field] = value
+    with pytest.raises(ProtocolError):
+        parse_task(obj)
 
 
 def test_parse_request_shapes():

@@ -766,17 +766,6 @@ class TestFusionKnifeEdges:
         _assert_results_equal(base, huge)
         assert huge.kernel_passes == 1
 
-    def test_nf_select_parity(self):
-        batch = _batch(paper_unconstrained(10), seed=23)
-        for fuse in (1, 8):
-            greedy = simulate_batch(
-                batch, CAPACITY, "EDF-NF", fuse=fuse, nf_select="greedy"
-            )
-            batched = simulate_batch(
-                batch, CAPACITY, "EDF-NF", fuse=fuse, nf_select="batched"
-            )
-            _assert_results_equal(greedy, batched, counters=True)
-
     def test_max_events_exhaustion_mid_chunk(self):
         """The budget counts events, not passes: a budget that runs out
         in the middle of a fused chunk must match the unfused verdicts."""
@@ -804,8 +793,6 @@ class TestFusionKnifeEdges:
             simulate_batch(batch, CAPACITY, fuse=0)
         with pytest.raises(ValueError):
             simulate_batch(batch, CAPACITY, fuse=1.5)
-        with pytest.raises(ValueError):
-            simulate_batch(batch, CAPACITY, nf_select="bogus")
 
 
 class TestShardingKnifeEdges:
@@ -815,7 +802,7 @@ class TestShardingKnifeEdges:
     equivalence above already pins fused verdicts per backend, and the
     sharded path re-enters ``simulate_batch`` per shard with the same
     backend name, so numpy sharding plus per-backend fusion covers the
-    matrix without forking device contexts.
+    matrix.
     """
 
     def test_not_divisible_and_prime_batch(self):
@@ -876,19 +863,6 @@ class TestShardingKnifeEdges:
         assert sharded.event_steps >= serial.event_steps
         assert sharded.kernel_passes >= serial.kernel_passes
         assert (serial.events == sharded.events).all()
-
-    def test_device_backend_forces_serial(self, monkeypatch):
-        batch = _batch(paper_unconstrained(4), seed=37, count=6)
-        ns = xp_backends.get_backend("numpy")
-        serial = simulate_batch(batch, CAPACITY, "EDF-NF")
-        monkeypatch.setattr(ns, "is_device", True)
-        with pytest.warns(RuntimeWarning, match="serial"):
-            forced = simulate_batch(batch, CAPACITY, "EDF-NF", sim_workers=4)
-        _assert_results_equal(serial, forced)
-        # device passes may pad trailing no-op steps inside the last
-        # chunk (the all-rows-dead early break is host-only), so only
-        # the pass count is pinned, not event_steps
-        assert forced.kernel_passes == serial.kernel_passes
 
     def test_resolve_sim_workers_precedence(self, monkeypatch):
         monkeypatch.delenv(SIM_WORKERS_ENV, raising=False)

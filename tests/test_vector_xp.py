@@ -54,13 +54,19 @@ class TestResolution:
             xp_mod.set_backend("tensorflow")
 
     def test_unavailable_backend_raises_backend_unavailable(self):
-        missing = [
-            n for n in ("torch", "cupy") if not xp_mod.backend_available(n)
-        ]
-        if not missing:
-            pytest.skip("all optional backends installed here")
-        with pytest.raises(BackendUnavailable, match=missing[0]):
-            xp_mod.get_backend(missing[0])
+        if xp_mod.backend_available("torch"):
+            pytest.skip("torch installed here")
+        with pytest.raises(BackendUnavailable, match="torch"):
+            xp_mod.get_backend("torch")
+
+    def test_host_backends_only(self, monkeypatch):
+        assert xp_mod.KNOWN_BACKENDS == ("numpy", "torch")
+        for name in ("cupy", "torch:cuda", "torch-cuda"):
+            with pytest.raises(ValueError, match="unknown array backend"):
+                xp_mod.get_backend(name)
+        monkeypatch.setenv(xp_mod.BACKEND_ENV, "cupy")
+        with pytest.raises(ValueError, match="unknown array backend"):
+            xp_mod.get_backend()
 
     def test_backend_unavailable_is_import_error(self):
         # Callers may catch plain ImportError around optional features.
@@ -68,9 +74,8 @@ class TestResolution:
 
     def test_backend_skip_reason(self):
         assert xp_mod.backend_skip_reason("numpy") is None
-        for name in ("torch", "cupy", "torch:cuda"):
-            reason = xp_mod.backend_skip_reason(name)
-            assert reason is None or name.split(":")[0] in reason
+        reason = xp_mod.backend_skip_reason("torch")
+        assert reason is None or "torch" in reason
         with pytest.raises(ValueError):
             xp_mod.backend_skip_reason("tensorflow")
 
@@ -99,14 +104,11 @@ class TestResolution:
         a = np.arange(4)
         assert xp_mod.asnumpy(a) is a or (xp_mod.asnumpy(a) == a).all()
 
-    def test_numpy_backend_not_device(self):
-        assert xp_mod.get_backend("numpy").is_device is False
-
 
 class TestShimParity:
     """Every divergence shim vs its numpy reference, per installed
-    backend.  ``array_backend`` supplies numpy always and torch/cupy
-    when installed (skip-with-reason otherwise)."""
+    backend.  ``array_backend`` supplies numpy always and torch when
+    installed (skip-with-reason otherwise)."""
 
     @pytest.fixture
     def ns(self, array_backend):
