@@ -11,12 +11,10 @@ simulator over the scalar event loop at the ISSUE's reference batch
 size (B=1000) so placement-kernel regressions are caught per-PR.
 """
 
-import time
-
 import numpy as np
 import pytest
 
-from benchmarks.helpers import auc, print_curves
+from benchmarks.helpers import auc, interleaved_min, print_curves
 
 from repro.experiments.ablations import placement_ablation
 from repro.fpga.device import Fpga
@@ -97,21 +95,7 @@ def test_bench_placement_vector_vs_scalar(benchmark):
             )
         return out
 
-    def timed(fn):
-        t0 = time.perf_counter()
-        out = fn()
-        return time.perf_counter() - t0, out
-
-    # The pedantic round is the first vector run; scalar and vector then
-    # alternate until each side has three timings.
-    res = benchmark.pedantic(vector, rounds=1, iterations=1)
-    t_vector = benchmark.stats.stats.min
-    t_scalar = float("inf")
-    for k in range(3):
-        dt, scalar_ok = timed(scalar)
-        t_scalar = min(t_scalar, dt)
-        if k < 2:
-            t_vector = min(t_vector, timed(vector)[0])
+    t_vector, t_scalar, res, scalar_ok = interleaved_min(benchmark, vector, scalar)
     vector_per_set = t_vector / BATCH
     scalar_per_set = t_scalar / sub
 

@@ -20,6 +20,8 @@ import time
 import numpy as np
 import pytest
 
+from benchmarks.helpers import interleaved_min
+
 from repro.fpga.device import Fpga
 from repro.gen.profiles import paper_unconstrained
 from repro.gen.sweep import generate_at_system_utilization
@@ -106,27 +108,33 @@ def _sim_batch():
 @pytest.mark.parametrize("sched_name,sched_cls",
                          [("EDF-NF", EdfNf), ("EDF-FkF", EdfFkf)])
 def test_bench_sim_batch_vector_vs_scalar(benchmark, sched_name, sched_cls):
-    """Batched vs scalar simulation throughput (and verdict parity)."""
+    """Batched vs scalar simulation throughput (and verdict parity).
+
+    Both sides are timed as the minimum of three interleaved runs (see
+    :func:`benchmarks.helpers.interleaved_min`).
+    """
     batch = _sim_batch()
     benchmark.group = f"sim-batch-{sched_name}"
 
-    res = benchmark(lambda: simulate_batch(batch, 100, sched_name))
+    def vector():
+        return simulate_batch(batch, 100, sched_name)
 
-    # Scalar reference, timed once over a subsample (full B=1000 scalar
-    # passes would dominate the suite's runtime).
+    # Scalar reference over a subsample (full B=1000 scalar passes would
+    # dominate the suite's runtime).
     sub = 60
-    t0 = time.perf_counter()
-    scalar_ok = []
-    for i in range(sub):
-        ts = batch.taskset(i)
-        scalar_ok.append(
-            simulate(ts, FPGA, sched_cls(), default_horizon(ts)).schedulable
-        )
-    scalar_per_set = (time.perf_counter() - t0) / sub
 
-    t0 = time.perf_counter()
-    simulate_batch(batch, 100, sched_name)
-    vector_per_set = (time.perf_counter() - t0) / BATCH
+    def scalar():
+        out = []
+        for i in range(sub):
+            ts = batch.taskset(i)
+            out.append(
+                simulate(ts, FPGA, sched_cls(), default_horizon(ts)).schedulable
+            )
+        return out
+
+    t_vector, t_scalar, res, scalar_ok = interleaved_min(benchmark, vector, scalar)
+    vector_per_set = t_vector / BATCH
+    scalar_per_set = t_scalar / sub
 
     assert (np.array(scalar_ok) == res.schedulable[:sub]).all()
     speedup = scalar_per_set / vector_per_set

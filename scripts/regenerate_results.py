@@ -3,7 +3,7 @@
 
 Usage:
     python scripts/regenerate_results.py            # default scale
-    python scripts/regenerate_results.py --samples 10000 --workers 8
+    python scripts/regenerate_results.py --samples 10000 --sim-workers 2
 
 At --samples 10000 this matches the paper's group sizes (be patient).
 Outputs:
@@ -57,10 +57,7 @@ def main() -> None:
                         help="tasksets per bucket for the figures")
     parser.add_argument("--sim-samples", type=int, default=None,
                         help="simulated tasksets per bucket (default: the "
-                             "full bucket on the vector backend, 150 on "
-                             "the scalar one)")
-    parser.add_argument("--sim-backend", choices=("vector", "scalar"),
-                        default="vector", dest="sim_backend")
+                             "full bucket)")
     parser.add_argument("--array-backend",
                         choices=("numpy", "torch"),
                         default=None, dest="array_backend",
@@ -83,10 +80,9 @@ def main() -> None:
                         dest="elite_frac", metavar="FRAC",
                         help="fraction of lowest-slack patterns refitting "
                              "the adaptive proposals each round")
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--sim-workers", type=int, default=None,
                         dest="sim_workers", metavar="W",
-                        help="shard each vector-sim batch over W processes "
+                        help="shard each sim batch over W processes "
                              "(bit-identical verdicts; unset consults "
                              "REPRO_SIM_WORKERS, then 1)")
     parser.add_argument("--seed", type=int, default=2007)
@@ -102,19 +98,14 @@ def main() -> None:
     args.out.mkdir(parents=True, exist_ok=True)
     blocks = []
 
-    sim_samples = args.sim_samples
-    if sim_samples is None and args.sim_backend == "scalar":
-        sim_samples = 150
     for fid in sorted(FIGURES):
         print(f"running {fid} ...", flush=True)
         curves = run_figure(
             fid,
             samples=args.samples,
-            sim_samples=sim_samples,
-            sim_backend=args.sim_backend,
+            sim_samples=args.sim_samples,
             sim_array_backend=args.array_backend,
             seed=args.seed,
-            workers=args.workers,
             sim_workers=args.sim_workers,
             ci_target=args.ci_target,
         )
@@ -126,28 +117,22 @@ def main() -> None:
     blocks.append(as_text(alpha_ablation(samples=2 * args.samples, seed=31,
                                          ci_target=args.ci_target)))
     blocks.append(as_text(nf_vs_fkf_ablation(samples=80, seed=37,
-                                             workers=args.workers,
                                              ci_target=args.ci_target)))
     # Placement curves run on the vectorized array free-list, so full
-    # paper-scale buckets are affordable (the scalar path capped this
-    # at ~50 sets per bucket).
+    # paper-scale buckets are affordable.
     blocks.append(as_text(placement_ablation(samples=max(50, args.samples // 4),
                                              seed=41,
-                                             sim_backend=args.sim_backend,
                                              array_backend=args.array_backend)))
     # The release-pattern searches fan their pattern axis into the batch
-    # dimension, so full buckets are affordable here too (the scalar
-    # path capped these at ~50 sets per bucket).
+    # dimension, so full buckets are affordable here too.
     blocks.append(as_text(offset_ablation(samples=max(50, args.samples // 10),
                                           seed=43,
-                                          sim_backend=args.sim_backend,
                                           array_backend=args.array_backend,
                                           search=args.sim_search,
                                           search_rounds=args.search_rounds,
                                           elite_frac=args.elite_frac)))
     blocks.append(as_text(sporadic_ablation(samples=max(50, args.samples // 10),
                                             seed=47,
-                                            sim_backend=args.sim_backend,
                                             array_backend=args.array_backend,
                                             search=args.sim_search,
                                             search_rounds=args.search_rounds,

@@ -7,7 +7,8 @@
 * :mod:`repro.experiments.ablations` — the DESIGN.md ablation studies
   (integer vs real α, EDF-NF vs EDF-FkF, placement modes, offset search);
 * :mod:`repro.experiments.acceptance` — the shared acceptance-ratio
-  engine (vectorized tests, simulation subsampling, parallel workers);
+  engine (vectorized tests and one batched simulator,
+  :func:`repro.vector.sim_vec.simulate_batch`, for every sim curve);
 * :mod:`repro.experiments.churn` — online admission under an
   arrival/departure stream, scored through :mod:`repro.incremental`;
 * :mod:`repro.experiments.report` — text/CSV/markdown rendering;

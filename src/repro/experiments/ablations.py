@@ -14,6 +14,10 @@
 * :func:`sporadic_ablation` — the sporadic sibling: how much acceptance
   drops when jittered inter-arrival patterns are searched as well.
 
+Every simulated curve comes from the batched simulator
+:func:`repro.vector.sim_vec.simulate_batch`; the per-taskset simulators
+of :mod:`repro.sim` are kept as test oracles only.
+
 Both release-pattern searches fan their pattern axis into the *batch*
 dimension of :func:`repro.vector.sim_vec.simulate_batch` (via the
 :mod:`repro.search` drivers): a bucket's ``B`` tasksets are repeated
@@ -50,7 +54,6 @@ from repro.experiments.acceptance import (
 from repro.fpga.device import Fpga
 from repro.fpga.placement import PlacementPolicy
 from repro.gen.profiles import GenerationProfile, paper_unconstrained
-from repro.sched.edf_nf import EdfNf
 from repro.search.drivers import (
     adaptive_offset_search_batch,
     adaptive_sporadic_search_batch,
@@ -58,17 +61,7 @@ from repro.search.drivers import (
     uniform_sporadic_search_batch,
 )
 from repro.search.proposal import SearchConfig
-from repro.sim.offsets import (
-    adaptive_offset_search,
-    sample_offsets,
-    simulate_with_offsets,
-)
-from repro.sim.simulator import MigrationMode, default_horizon, simulate
-from repro.sim.sporadic import (
-    adaptive_sporadic_search,
-    sample_release_schedule,
-    simulate_release_schedule,
-)
+from repro.sim.simulator import MigrationMode
 from repro.util.rngutil import rng_from_seed, spawn_rngs
 from repro.vector.batch import TaskSetBatch
 from repro.vector.sim_vec import simulate_batch
@@ -114,8 +107,6 @@ def nf_vs_fkf_ablation(
     us_grid: Sequence[float] = tuple(range(20, 100, 10)),
     samples: int = 60,
     seed: int = 37,
-    workers: int = 1,
-    sim_backend: str = "vector",
     sim_array_backend: Optional[str] = None,
     ci_target: Optional[float] = None,
 ) -> AcceptanceCurves:
@@ -130,9 +121,7 @@ def nf_vs_fkf_ablation(
         tests=(),
         sim_schedulers=("EDF-NF", "EDF-FkF"),
         sim_samples_per_point=None if ci_target is not None else samples,
-        sim_backend=sim_backend,
         sim_array_backend=sim_array_backend,
-        workers=workers,
         name="ablation: EDF-NF vs EDF-FkF (simulation)",
         ci_target=ci_target,
     )
@@ -145,7 +134,6 @@ def placement_ablation(
     seed: int = 41,
     policies: Sequence[PlacementPolicy] = (PlacementPolicy.FIRST_FIT,),
     horizon_factor: int = 10,
-    sim_backend: str = "vector",
     array_backend: Optional[str] = None,
     fpga: Optional[Fpga] = None,
 ) -> AcceptanceCurves:
@@ -157,16 +145,13 @@ def placement_ablation(
     an ``fpga`` with static regions to study pre-fragmented devices.
 
     Every mode/policy curve shares the same per-bucket batches, so the
-    gaps are paired comparisons.  ``sim_backend="vector"`` (default)
-    runs each curve through the batched simulator's array free-list and
-    makes full paper-scale buckets affordable; ``"scalar"`` walks the
-    per-taskset event loop (bit-identical verdicts, for cross-checks).
-    ``array_backend`` selects the :mod:`repro.vector.xp` namespace the
-    batched simulator computes on (``None`` = ambient precedence).
+    gaps are paired comparisons.  Each curve runs through the batched
+    simulator's array free-list, which makes full paper-scale buckets
+    affordable.  ``array_backend`` selects the :mod:`repro.vector.xp`
+    namespace the batched simulator computes on (``None`` = ambient
+    precedence).
     """
     profile = profile or paper_unconstrained(10)
-    if sim_backend not in ("vector", "scalar"):
-        raise ValueError(f"unknown sim_backend {sim_backend!r}")
     fpga = fpga or Fpga(width=100)
     rngs = spawn_rngs(seed, len(us_grid))
     configs = [("sim:FREE", MigrationMode.FREE, PlacementPolicy.FIRST_FIT)]
@@ -177,27 +162,14 @@ def placement_ablation(
     ratios: Dict[str, list] = {label: [] for label, _, _ in configs}
     for i, us in enumerate(us_grid):
         batch = feasible_batch_at(profile, float(us), samples, rngs[i])
-        if sim_backend == "vector":
-            for label, mode, policy in configs:
-                res = simulate_batch(
-                    batch, fpga, "EDF-NF",
-                    mode=mode, placement_policy=policy,
-                    horizon_factor=horizon_factor,
-                    array_backend=array_backend,
-                )
-                ratios[label].append(res.acceptance_ratio)
-        else:
-            tasksets = batch.to_tasksets()
-            outcomes: Dict[str, int] = {label: 0 for label, _, _ in configs}
-            for ts in tasksets:
-                horizon = default_horizon(ts, factor=horizon_factor)
-                for label, mode, policy in configs:
-                    outcomes[label] += simulate(
-                        ts, fpga, EdfNf(), horizon,
-                        mode=mode, placement_policy=policy,
-                    ).schedulable
-            for label, _, _ in configs:
-                ratios[label].append(outcomes[label] / len(tasksets))
+        for label, mode, policy in configs:
+            res = simulate_batch(
+                batch, fpga, "EDF-NF",
+                mode=mode, placement_policy=policy,
+                horizon_factor=horizon_factor,
+                array_backend=array_backend,
+            )
+            ratios[label].append(res.acceptance_ratio)
     buckets = tuple(float(u) for u in us_grid)
     return AcceptanceCurves(
         name="ablation: placement modes",
@@ -218,7 +190,6 @@ def offset_ablation(
     offset_samples: int = 10,
     seed: int = 43,
     horizon_factor: int = 10,
-    sim_backend: str = "vector",
     array_backend: Optional[str] = None,
     search: str = "uniform",
     search_rounds: int = 4,
@@ -226,24 +197,21 @@ def offset_ablation(
 ) -> AcceptanceCurves:
     """Synchronous-release acceptance vs offset-searched acceptance.
 
-    ``sim_backend="vector"`` (default) fans the ``offset_samples``
-    pattern axis into the batch dimension — ``samples x offset_samples``
-    rows per bucket, one :func:`simulate_batch` sweep — which makes
-    full-bucket searches affordable; ``"scalar"`` walks the per-taskset
-    event loop through :func:`repro.sim.offsets.simulate_with_offsets`
-    (bit-identical verdicts and identical offset draws, for
-    cross-checks).
+    The ``offset_samples`` pattern axis is fanned into the batch
+    dimension — ``samples x offset_samples`` rows per bucket, one
+    :func:`simulate_batch` sweep — which makes full-bucket searches
+    affordable.
 
     ``search`` picks how the per-taskset budget of ``offset_samples``
     patterns is spent: ``"uniform"`` (default) draws assignments
     independently; ``"adaptive"`` runs the cross-entropy importance
     sampler of :mod:`repro.search` (``search_rounds`` rounds,
     ``elite_frac`` refit fraction) seeded per taskset, so low-slack
-    regions of offset space get the budget.  Both searches support both
-    backends with bit-identical curves (per-taskset streams under
-    adaptive, a shared taskset-major stream under uniform).
+    regions of offset space get the budget.  The uniform search draws
+    from one taskset-major stream per bucket, the adaptive search from a
+    child stream per taskset.
 
-    Soundness invariants (both searches, both backends):
+    Soundness invariants (both searches):
 
     * every sampled offset lies in ``[0, T_i)`` — a legal pattern — and
       every pattern's window is extended by its largest offset (the
@@ -254,8 +222,6 @@ def offset_ablation(
       pointwise <= the synchronous curve.
     """
     profile = profile or paper_unconstrained(10)
-    if sim_backend not in ("vector", "scalar"):
-        raise ValueError(f"unknown sim_backend {sim_backend!r}")
     if offset_samples < 0:
         raise ValueError("offset_samples must be >= 0")
     config = _search_config(search, search_rounds, elite_frac)
@@ -269,69 +235,36 @@ def offset_ablation(
         # stop independently, so a shared stream would desynchronize).
         offset_rng = rng_from_seed(seed * 1000 + i)
         pattern_rngs = spawn_rngs(seed * 1000 + i, batch.count)
-        if sim_backend == "vector":
-            sync = simulate_batch(
-                batch, fpga, "EDF-NF", horizon_factor=horizon_factor,
-                array_backend=array_backend,
-            ).schedulable
-            searched = sync.copy()
-            if offset_samples:
-                if search == "uniform":
-                    outcome = uniform_offset_search_batch(
-                        batch, fpga, "EDF-NF",
-                        patterns=offset_samples, rng=offset_rng,
-                        horizon_factor=horizon_factor,
+        sync = simulate_batch(
+            batch, fpga, "EDF-NF", horizon_factor=horizon_factor,
+            array_backend=array_backend,
+        ).schedulable
+        searched = sync.copy()
+        if offset_samples:
+            if search == "uniform":
+                outcome = uniform_offset_search_batch(
+                    batch, fpga, "EDF-NF",
+                    patterns=offset_samples, rng=offset_rng,
+                    horizon_factor=horizon_factor,
+                    array_backend=array_backend,
+                )
+                searched &= ~outcome.found
+            else:
+                # Only sync-survivors: a sync-failing row's searched
+                # verdict is already False, and per-row streams make
+                # skipping safe.
+                live = np.nonzero(sync)[0]
+                if live.size:
+                    outcome = adaptive_offset_search_batch(
+                        _batch_rows(batch, live), fpga, "EDF-NF",
+                        budget=offset_samples,
+                        rngs=[pattern_rngs[b] for b in live],
+                        config=config, horizon_factor=horizon_factor,
                         array_backend=array_backend,
                     )
-                    searched &= ~outcome.found
-                else:
-                    # Only sync-survivors: a sync-failing row's searched
-                    # verdict is already False, and per-row streams make
-                    # skipping safe (mirrors the scalar branch below).
-                    live = np.nonzero(sync)[0]
-                    if live.size:
-                        outcome = adaptive_offset_search_batch(
-                            _batch_rows(batch, live), fpga, "EDF-NF",
-                            budget=offset_samples,
-                            rngs=[pattern_rngs[b] for b in live],
-                            config=config, horizon_factor=horizon_factor,
-                            array_backend=array_backend,
-                        )
-                        searched[live] &= ~outcome.found
-            sync_ok = int(sync.sum())
-            offset_ok = int(searched.sum())
-        else:
-            sync_ok = offset_ok = 0
-            for b, ts in enumerate(batch.to_tasksets()):
-                horizon = default_horizon(ts, factor=horizon_factor)
-                sync_passes = simulate(ts, fpga, EdfNf(), horizon).schedulable
-                sync_ok += sync_passes
-                if search == "adaptive":
-                    # Per-taskset streams: sync-failing sets need no
-                    # search (their searched verdict is already False)
-                    # and skipping them cannot desynchronize the others.
-                    searched_passes = sync_passes
-                    if searched_passes and offset_samples:
-                        searched_passes = adaptive_offset_search(
-                            ts, fpga, EdfNf(), horizon, pattern_rngs[b],
-                            budget=offset_samples, config=config,
-                            include_synchronous=False,
-                        ).schedulable
-                    offset_ok += searched_passes
-                elif sync_passes:
-                    searched_passes = simulate_with_offsets(
-                        ts, fpga, EdfNf(), horizon, offset_rng,
-                        samples=offset_samples, include_synchronous=False,
-                    ).schedulable if offset_samples else True
-                    offset_ok += searched_passes
-                else:
-                    # The searched verdict is already False; draw (and
-                    # discard) the assignments anyway so the offset
-                    # stream stays aligned with the vector backend.
-                    for _ in range(offset_samples):
-                        sample_offsets(ts, offset_rng)
-        sync_ratios.append(sync_ok / samples)
-        offset_ratios.append(offset_ok / samples)
+                    searched[live] &= ~outcome.found
+        sync_ratios.append(int(sync.sum()) / samples)
+        offset_ratios.append(int(searched.sum()) / samples)
     buckets = tuple(float(u) for u in us_grid)
     return AcceptanceCurves(
         name=f"ablation: synchronous vs offset-searched ({search}) simulation",
@@ -353,7 +286,6 @@ def sporadic_ablation(
     jitter: float = 0.5,
     seed: int = 47,
     horizon_factor: int = 10,
-    sim_backend: str = "vector",
     array_backend: Optional[str] = None,
     search: str = "uniform",
     search_rounds: int = 4,
@@ -375,19 +307,11 @@ def sporadic_ablation(
     budget through the cross-entropy sampler of :mod:`repro.search`
     over constant-per-task gap factors (``search_rounds`` rounds,
     ``elite_frac`` refit fraction) — tasks drift against each other at
-    fitted rates, steering toward near-miss phase alignments.
-
-    ``sim_backend="vector"`` (default) fans the pattern axis into the
-    batch dimension of :func:`simulate_batch`; ``"scalar"`` replays the
-    same sampled schedules through
-    :func:`repro.sim.sporadic.simulate_release_schedule` (bit-identical
-    verdicts on the shared stream, for cross-checks) — under
-    ``"adaptive"`` each taskset replays its own child stream through
-    :func:`repro.sim.sporadic.adaptive_sporadic_search`.
+    fitted rates, steering toward near-miss phase alignments.  Either
+    way the pattern axis is fanned into the batch dimension of
+    :func:`simulate_batch`.
     """
     profile = profile or paper_unconstrained(10)
-    if sim_backend not in ("vector", "scalar"):
-        raise ValueError(f"unknown sim_backend {sim_backend!r}")
     if sporadic_samples < 0:
         raise ValueError("sporadic_samples must be >= 0")
     config = _search_config(search, search_rounds, elite_frac)
@@ -398,71 +322,36 @@ def sporadic_ablation(
         batch = feasible_batch_at(profile, float(us), samples, rngs[i])
         pattern_rng = rng_from_seed(seed * 1000 + i)
         pattern_rngs = spawn_rngs(seed * 1000 + i, batch.count)
-        if sim_backend == "vector":
-            periodic = simulate_batch(
-                batch, fpga, "EDF-NF", horizon_factor=horizon_factor,
-                array_backend=array_backend,
-            ).schedulable
-            searched = periodic.copy()
-            if sporadic_samples:
-                if search == "uniform":
-                    outcome = uniform_sporadic_search_batch(
-                        batch, fpga, "EDF-NF",
-                        patterns=sporadic_samples, rng=pattern_rng,
-                        max_jitter_factor=jitter,
+        periodic = simulate_batch(
+            batch, fpga, "EDF-NF", horizon_factor=horizon_factor,
+            array_backend=array_backend,
+        ).schedulable
+        searched = periodic.copy()
+        if sporadic_samples:
+            if search == "uniform":
+                outcome = uniform_sporadic_search_batch(
+                    batch, fpga, "EDF-NF",
+                    patterns=sporadic_samples, rng=pattern_rng,
+                    max_jitter_factor=jitter,
+                    horizon_factor=horizon_factor,
+                    array_backend=array_backend,
+                )
+                searched &= ~outcome.found
+            else:
+                # Only periodic-survivors (see offset_ablation).
+                live = np.nonzero(periodic)[0]
+                if live.size:
+                    outcome = adaptive_sporadic_search_batch(
+                        _batch_rows(batch, live), fpga, "EDF-NF",
+                        budget=sporadic_samples,
+                        rngs=[pattern_rngs[b] for b in live],
+                        max_jitter_factor=jitter, config=config,
                         horizon_factor=horizon_factor,
                         array_backend=array_backend,
                     )
-                    searched &= ~outcome.found
-                else:
-                    # Only periodic-survivors (see offset_ablation).
-                    live = np.nonzero(periodic)[0]
-                    if live.size:
-                        outcome = adaptive_sporadic_search_batch(
-                            _batch_rows(batch, live), fpga, "EDF-NF",
-                            budget=sporadic_samples,
-                            rngs=[pattern_rngs[b] for b in live],
-                            max_jitter_factor=jitter, config=config,
-                            horizon_factor=horizon_factor,
-                            array_backend=array_backend,
-                        )
-                        searched[live] &= ~outcome.found
-            periodic_ok = int(periodic.sum())
-            sporadic_ok = int(searched.sum())
-        else:
-            periodic_ok = sporadic_ok = 0
-            for b, ts in enumerate(batch.to_tasksets()):
-                horizon = default_horizon(ts, factor=horizon_factor)
-                periodic_passes = simulate(
-                    ts, fpga, EdfNf(), horizon
-                ).schedulable
-                periodic_ok += periodic_passes
-                if search == "adaptive":
-                    # Per-taskset streams (see offset_ablation).
-                    all_pass = periodic_passes
-                    if all_pass and sporadic_samples:
-                        all_pass = adaptive_sporadic_search(
-                            ts, fpga, EdfNf(), horizon, pattern_rngs[b],
-                            budget=sporadic_samples,
-                            max_jitter_factor=jitter, config=config,
-                            include_periodic=False,
-                        ).schedulable
-                else:
-                    all_pass = periodic_passes
-                    for _ in range(sporadic_samples):
-                        # Always sample (stream stays aligned with the
-                        # vector backend); only simulate while still
-                        # undefeated.
-                        schedule = sample_release_schedule(
-                            ts, horizon, pattern_rng, jitter
-                        )
-                        if all_pass:
-                            all_pass = simulate_release_schedule(
-                                ts, fpga, EdfNf(), horizon, schedule
-                            ).schedulable
-                sporadic_ok += all_pass
-        periodic_ratios.append(periodic_ok / samples)
-        sporadic_ratios.append(sporadic_ok / samples)
+                    searched[live] &= ~outcome.found
+        periodic_ratios.append(int(periodic.sum()) / samples)
+        sporadic_ratios.append(int(searched.sum()) / samples)
     buckets = tuple(float(u) for u in us_grid)
     return AcceptanceCurves(
         name=f"ablation: periodic vs sporadic-searched ({search}) simulation",

@@ -3,16 +3,13 @@
 For each total-system-utilization bucket, generate many tasksets from a
 profile, rescaled so ``US(Γ)`` hits the bucket exactly, then record the
 fraction accepted by each schedulability test and by simulation.  Tests
-run vectorized over the whole batch; simulation runs either on the whole
-batch as well (``sim_backend="vector"`` — the default, via
-:func:`repro.vector.sim_vec.simulate_batch`, in any
-:class:`~repro.sim.simulator.MigrationMode`) or one taskset at a time on
-a subsample, optionally across worker processes
-(``sim_backend="scalar"``).  Both backends produce bit-identical
-verdicts per configuration; tasksets whose event loop blows the
-``max_events`` budget are recorded as not-schedulable-within-budget and
-counted in :attr:`AcceptanceCurves.sim_budget_exceeded` instead of
-aborting the sweep.
+and simulation both run vectorized over the whole batch — simulation
+through :func:`repro.vector.sim_vec.simulate_batch`, in any
+:class:`~repro.sim.simulator.MigrationMode`.  Tasksets whose event loop
+blows the ``max_events`` budget are recorded as
+not-schedulable-within-budget and counted in
+:attr:`AcceptanceCurves.sim_budget_exceeded` instead of aborting the
+sweep.
 
 Bucket sizes are either flat (``samples_per_point`` tasksets each) or
 adaptive (``ci_target``): a pilot draw per bucket estimates each series'
@@ -33,10 +30,7 @@ import numpy as np
 from repro.fpga.device import Fpga
 from repro.fpga.placement import PlacementPolicy
 from repro.gen.profiles import GenerationProfile
-from repro.sched.edf_fkf import EdfFkf
-from repro.sched.edf_nf import EdfNf
 from repro.sim.simulator import MigrationMode
-from repro.util.parallel import parallel_map
 from repro.util.rngutil import rng_from_seed, spawn_rngs
 from repro.vector import xp
 from repro.vector.batch import TaskSetBatch, generate_batch
@@ -65,7 +59,8 @@ TEST_FUNCS = {
     ),
 }
 
-_SCHEDULERS = {"EDF-NF": EdfNf, "EDF-FkF": EdfFkf}
+#: Schedulers the batched simulator implements.
+_SCHEDULERS = ("EDF-NF", "EDF-FkF")
 
 
 @dataclass(frozen=True)
@@ -238,30 +233,6 @@ def binned_batch_at(
     )
 
 
-def _simulate_one(args) -> Tuple[bool, bool]:
-    """Worker: one taskset, one scheduler (picklable for process pools).
-
-    Returns ``(schedulable, budget_exceeded)``.  A ``SimulationError``
-    (event budget blown) is caught here so one pathological taskset
-    cannot abort a whole sweep — the set counts as not schedulable
-    within budget.
-    """
-    taskset, fpga, scheduler_name, mode, policy, horizon_factor, max_events = args
-    from repro.sim.simulator import SimulationError, default_horizon, simulate
-
-    scheduler = _SCHEDULERS[scheduler_name]()
-    horizon = default_horizon(taskset, factor=horizon_factor)
-    try:
-        result = simulate(
-            taskset, fpga, scheduler, horizon,
-            mode=mode, placement_policy=policy,
-            max_events=max_events,
-        )
-    except SimulationError:
-        return False, True
-    return result.schedulable, False
-
-
 def _ci_required_samples(counts: Dict[str, List[int]], ci_target: float) -> int:
     """Samples needed so every series' 95% CI half-width <= ``ci_target``.
 
@@ -288,7 +259,6 @@ def acceptance_experiment(
     tests: Sequence[str] = ("DP", "GN1", "GN2"),
     sim_schedulers: Sequence[str] = ("EDF-NF",),
     sim_samples_per_point: Optional[int] = None,
-    sim_backend: str = "vector",
     sim_array_backend: Optional[str] = None,
     sim_mode: MigrationMode = MigrationMode.FREE,
     sim_policy: PlacementPolicy = PlacementPolicy.FIRST_FIT,
@@ -296,7 +266,6 @@ def acceptance_experiment(
     sim_jitter: float = 0.5,
     horizon_factor: int = 20,
     max_events: int = 1_000_000,
-    workers: int = 1,
     sim_workers: Optional[int] = None,
     name: Optional[str] = None,
     sampling: str = "rescale",
@@ -309,27 +278,18 @@ def acceptance_experiment(
     ``sim_schedulers`` adds simulation curves (labelled ``sim:<name>``),
     simulated under ``sim_mode``/``sim_policy`` (the paper's FREE
     migration by default; RELOCATABLE/PINNED quantify the §7 placement
-    cost, honouring ``fpga``'s static regions on both backends).
+    cost, honouring ``fpga``'s static regions).  The batched simulator
+    (:func:`repro.vector.sim_vec.simulate_batch`) computes every sim
+    curve over the first ``sim_samples_per_point`` tasksets of each
+    bucket; ``None`` (the default) simulates the *whole* bucket, so the
+    sim curve sees every taskset the analytical curves see.
 
     ``sim_release`` selects the release pattern of the sim curves:
     ``"periodic"`` (the paper's synchronous pattern) or ``"sporadic"``
     (one jittered schedule per taskset, gaps
     ``T_i * (1 + U(0, sim_jitter))``, sampled from a per-bucket stream
-    derived from ``seed``).  Sporadic release patterns are generated and
-    replayed through the batched simulator, so they require
-    ``sim_backend="vector"``; every scheduler in a bucket sees the same
+    derived from ``seed``).  Every scheduler in a bucket sees the same
     sampled schedules (paired comparisons).
-
-    ``sim_backend`` selects how those curves are computed:
-
-    - ``"vector"`` (default): the batched simulator
-      (:func:`repro.vector.sim_vec.simulate_batch`) runs the *whole*
-      bucket — ``sim_samples_per_point`` defaults to
-      ``samples_per_point``, so the sim curve sees every taskset the
-      analytical curves see;
-    - ``"scalar"``: the per-taskset event simulator, subsampled to
-      ``sim_samples_per_point`` (default: min(samples, 200)) tasksets
-      per bucket; ``workers > 1`` parallelizes it over processes.
 
     ``sim_array_backend`` picks the :mod:`repro.vector.xp` array
     namespace the batched simulator computes on (``"numpy"`` or
@@ -338,16 +298,14 @@ def acceptance_experiment(
     sampler runs in numpy whatever the backend (its draw order is
     pinned to the scalar reference).
 
-    Both backends yield bit-identical verdicts per taskset.  Simulations
-    exceeding ``max_events`` are recorded as not schedulable and counted
-    in :attr:`AcceptanceCurves.sim_budget_exceeded` rather than aborting
-    the sweep.
+    Simulations exceeding ``max_events`` are recorded as not schedulable
+    and counted in :attr:`AcceptanceCurves.sim_budget_exceeded` rather
+    than aborting the sweep.
 
-    ``sim_workers`` shards each vector-sim bucket's batch dimension over
+    ``sim_workers`` shards each sim bucket's batch dimension over
     a process pool inside :func:`simulate_batch` (verdicts bit-identical
     to serial; ``None`` defers to the ``REPRO_SIM_WORKERS`` environment
-    variable, then 1).  It is independent of ``workers``, which
-    parallelizes over *tasksets* on the scalar backend.
+    variable, then 1).
 
     ``sampling`` selects how buckets are filled: ``"rescale"`` draws from
     the profile and rescales WCETs to the exact target (fast, exact
@@ -365,13 +323,11 @@ def acceptance_experiment(
     confidence-interval half-width falls below ``ci_target``, capped at
     ``samples_per_point``.  The per-bucket draw counts are recorded in
     :attr:`AcceptanceCurves.bucket_samples`.  Adaptive sizing needs every
-    series to cover the full bucket, so it requires the vector sim
-    backend (or no sim curves) and rejects an explicit sim subsample.
+    series to cover the full bucket, so it rejects an explicit sim
+    subsample.
     """
     if sampling not in ("rescale", "bin"):
         raise ValueError(f"unknown sampling mode {sampling!r}")
-    if sim_backend not in ("vector", "scalar"):
-        raise ValueError(f"unknown sim_backend {sim_backend!r}")
     # Resolve eagerly: a bad/uninstalled backend fails here, not after
     # the first bucket's taskset generation.
     xp.get_backend(sim_array_backend)
@@ -383,11 +339,6 @@ def acceptance_experiment(
         raise ValueError(f"unknown sim_release {sim_release!r}")
     if sim_jitter < 0:
         raise ValueError("sim_jitter must be >= 0")
-    if sim_release == "sporadic" and sim_schedulers and sim_backend != "vector":
-        raise ValueError(
-            "sim_release='sporadic' requires sim_backend='vector' (the "
-            "scalar backend has no batched schedule replay)"
-        )
     unknown = set(tests) - set(TEST_FUNCS)
     if unknown:
         raise ValueError(f"unknown tests: {sorted(unknown)}")
@@ -401,23 +352,17 @@ def acceptance_experiment(
     if ci_target is not None:
         if not (0 < ci_target < 0.5):
             raise ValueError("ci_target must be in (0, 0.5)")
-        if sim_schedulers:
-            if sim_backend != "vector":
-                raise ValueError(
-                    "ci_target sizing requires sim_backend='vector' "
-                    "(every series must cover the full bucket)"
-                )
-            if sim_samples_per_point is not None and sim_samples_per_point > 0:
-                raise ValueError(
-                    "ci_target sizing simulates full buckets; drop "
-                    "sim_samples_per_point (or set it to 0 to disable sim)"
-                )
+        if (
+            sim_schedulers
+            and sim_samples_per_point is not None
+            and sim_samples_per_point > 0
+        ):
+            raise ValueError(
+                "ci_target sizing simulates full buckets; drop "
+                "sim_samples_per_point (or set it to 0 to disable sim)"
+            )
     if sim_samples_per_point is None:
-        sim_n = (
-            samples_per_point
-            if sim_backend == "vector"
-            else min(samples_per_point, 200)
-        )
+        sim_n = samples_per_point
     else:
         sim_n = min(sim_samples_per_point, samples_per_point)
     capacity = fpga.capacity
@@ -469,49 +414,36 @@ def acceptance_experiment(
             if not sim_schedulers or sim_n <= 0:
                 return
             k = batch.count if ci_target is not None else min(sim_n, batch.count)
-            if sim_backend == "vector":
-                sub = TaskSetBatch(
-                    batch.wcet[:k], batch.period[:k],
-                    batch.deadline[:k], batch.area[:k],
+            sub = TaskSetBatch(
+                batch.wcet[:k], batch.period[:k],
+                batch.deadline[:k], batch.area[:k],
+            )
+            if release_rng is not None:
+                # Sample once per batch so every scheduler's curve sees
+                # the same sporadic patterns (paired).
+                release_kwargs = dict(
+                    release="sporadic",
+                    release_times=sample_release_times_batch(
+                        sub,
+                        default_horizon_batch(sub, factor=horizon_factor),
+                        release_rng,
+                        sim_jitter,
+                    ),
                 )
-                if release_rng is not None:
-                    # Sample once per batch so every scheduler's curve
-                    # sees the same sporadic patterns (paired).
-                    release_kwargs = dict(
-                        release="sporadic",
-                        release_times=sample_release_times_batch(
-                            sub,
-                            default_horizon_batch(sub, factor=horizon_factor),
-                            release_rng,
-                            sim_jitter,
-                        ),
-                    )
-                else:
-                    release_kwargs = {}
-                for sched in sim_schedulers:
-                    res = simulate_batch(
-                        sub, fpga, sched,
-                        mode=sim_mode, placement_policy=sim_policy,
-                        horizon_factor=horizon_factor, max_events=max_events,
-                        array_backend=sim_array_backend,
-                        sim_workers=sim_workers,
-                        **release_kwargs,
-                    )
-                    counts[f"sim:{sched}"][0] += int(res.schedulable.sum())
-                    counts[f"sim:{sched}"][1] += k
-                    budget_exceeded += int(res.budget_exceeded.sum())
             else:
-                tasksets = [batch.taskset(i) for i in range(k)]
-                for sched in sim_schedulers:
-                    args = [
-                        (ts, fpga, sched, sim_mode, sim_policy,
-                         horizon_factor, max_events)
-                        for ts in tasksets
-                    ]
-                    outcomes = parallel_map(_simulate_one, args, workers=workers)
-                    counts[f"sim:{sched}"][0] += sum(ok for ok, _ in outcomes)
-                    counts[f"sim:{sched}"][1] += len(outcomes)
-                    budget_exceeded += sum(ex for _, ex in outcomes)
+                release_kwargs = {}
+            for sched in sim_schedulers:
+                res = simulate_batch(
+                    sub, fpga, sched,
+                    mode=sim_mode, placement_policy=sim_policy,
+                    horizon_factor=horizon_factor, max_events=max_events,
+                    array_backend=sim_array_backend,
+                    sim_workers=sim_workers,
+                    **release_kwargs,
+                )
+                counts[f"sim:{sched}"][0] += int(res.schedulable.sum())
+                counts[f"sim:{sched}"][1] += k
+                budget_exceeded += int(res.budget_exceeded.sum())
 
         if ci_target is None:
             first_n = samples_per_point

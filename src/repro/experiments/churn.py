@@ -23,7 +23,7 @@ end-to-end incremental-parity audit (slower; used by the test-suite).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.core.composite import paper_portfolio
 from repro.core.interfaces import SchedulerKind
@@ -139,15 +139,7 @@ def _maybe_cross_check(
         raise AssertionError("incremental portfolio diverged from scalar")
 
 
-def churn_runner(
-    samples: int,
-    seed: int,
-    workers: int,
-    sim_backend: str = "vector",
-    sim_array_backend: Optional[str] = None,
-    ci_target: Optional[float] = None,
-    **_sim_kw,
-) -> AcceptanceCurves:
+def churn_runner(samples: int, seed: int, **_sim_kw) -> AcceptanceCurves:
     """Registry adapter: ``samples`` = churn events per bucket; the sim_*
     knobs don't apply (the churn stream is analytical-only)."""
     return churn_experiment(events=samples, seed=seed)

@@ -4,7 +4,7 @@ Examples::
 
     repro-experiments list
     repro-experiments tables
-    repro-experiments run fig3a --samples 10000 --workers 8 --format csv
+    repro-experiments run fig3a --samples 10000 --sim-workers 2 --format csv
     repro-experiments run ablation-alpha --out results/alpha.csv
 """
 
@@ -37,20 +37,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--samples", type=int, default=None,
                      help="tasksets per utilization bucket (default: per-experiment)")
     run.add_argument("--seed", type=int, default=2007)
-    run.add_argument("--workers", type=int, default=1,
-                     help="process pool size for scalar-backend simulations")
     run.add_argument("--sim-workers", type=int, default=None,
                      dest="sim_workers", metavar="W",
-                     help="shard each vector-sim batch over W processes "
+                     help="shard each sim batch over W processes "
                           "(verdicts bit-identical to serial). Unset, the "
                           "REPRO_SIM_WORKERS environment variable is "
                           "consulted, then 1")
-    run.add_argument("--sim-backend", choices=("vector", "scalar"),
-                     default="vector", dest="sim_backend",
-                     help="simulation backend: 'vector' runs the batched "
-                          "simulator (all migration modes) over full "
-                          "buckets, 'scalar' the per-taskset event loop "
-                          "on a subsample")
     run.add_argument("--array-backend",
                      choices=("numpy", "torch"),
                      default=None, dest="array_backend",
@@ -75,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="release pattern for the figure-style sim curves: "
                           "'periodic' is the paper's synchronous pattern, "
                           "'sporadic' draws one jittered schedule per "
-                          "taskset (vector backend only)")
+                          "taskset")
     run.add_argument("--sim-jitter", type=float, default=0.5,
                      dest="sim_jitter", metavar="FACTOR",
                      help="max inter-arrival jitter for --sim-release "
@@ -222,8 +214,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         array_xp.set_backend(args.array_backend)
     exp = get_experiment(args.experiment)
     samples = args.samples if args.samples is not None else exp.default_samples
-    curves = exp.runner(samples, args.seed, args.workers,
-                        sim_backend=args.sim_backend,
+    curves = exp.runner(samples, args.seed,
                         sim_array_backend=args.array_backend,
                         ci_target=args.ci_target,
                         sim_mode=MigrationMode(args.sim_mode),

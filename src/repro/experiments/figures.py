@@ -94,13 +94,11 @@ def run_figure(
     seed: int = 2007,
     sim_samples: Optional[int] = 100,
     sim_schedulers: Sequence[str] = ("EDF-NF",),
-    sim_backend: str = "vector",
     sim_array_backend: Optional[str] = None,
     sim_mode: MigrationMode = MigrationMode.FREE,
     sim_policy: PlacementPolicy = PlacementPolicy.FIRST_FIT,
     sim_release: str = "periodic",
     sim_jitter: float = 0.5,
-    workers: int = 1,
     sim_workers: Optional[int] = None,
     horizon_factor: int = 20,
     ci_target: Optional[float] = None,
@@ -108,10 +106,10 @@ def run_figure(
     """Regenerate one of the paper's figures as an acceptance-curve table.
 
     Paper-fidelity runs want ``samples >= 10_000`` (the paper's group
-    size); the default is sized for interactive use.  ``sim_samples=None``
-    simulates the full bucket on the (default) vector backend and a
-    200-set subsample on the scalar one; 0 disables the simulation curve
-    (and keeps the label out as well).
+    size); the default is sized for interactive use.  The sim curve runs
+    on the batched simulator over the first ``sim_samples`` tasksets of
+    each bucket; ``None`` simulates the full bucket, and 0 disables the
+    simulation curve (and keeps the label out as well).
 
     ``sim_mode``/``sim_policy`` re-simulate the figure's sim curve under
     the §7 placement-aware migration models, and ``sim_release``/
@@ -121,7 +119,7 @@ def run_figure(
     ``sim_array_backend`` selects the :mod:`repro.vector.xp` array
     namespace the batched simulator computes on (``None`` = process
     override, then ``REPRO_ARRAY_BACKEND``, then numpy), and
-    ``sim_workers`` shards each vector-sim batch over processes
+    ``sim_workers`` shards each sim batch over processes
     (``None`` = ``REPRO_SIM_WORKERS``, then 1; verdicts bit-identical
     to serial).
 
@@ -143,13 +141,11 @@ def run_figure(
         tests=("DP", "GN1", "GN2"),
         sim_schedulers=sim_schedulers if sim_enabled else (),
         sim_samples_per_point=sim_samples,
-        sim_backend=sim_backend,
         sim_array_backend=sim_array_backend,
         sim_mode=sim_mode,
         sim_policy=sim_policy,
         sim_release=sim_release,
         sim_jitter=sim_jitter,
-        workers=workers,
         sim_workers=sim_workers,
         horizon_factor=horizon_factor,
         name=spec.title,

@@ -23,11 +23,11 @@ class Experiment:
 
     experiment_id: str
     description: str
-    #: (samples, seed, workers, sim_backend="vector",
-    #: sim_array_backend=None, ci_target=None, sim_mode=...,
-    #: sim_policy=..., sim_release=..., sim_jitter=..., sim_workers=...,
-    #: sim_search=..., sim_search_rounds=..., sim_elite_frac=...)
-    #: -> AcceptanceCurves.  Runners that cannot honour a knob (e.g.
+    #: ``runner(samples, seed, **knobs) -> AcceptanceCurves``.  The
+    #: knobs are keyword-only: sim_array_backend, ci_target, sim_mode,
+    #: sim_policy, sim_release, sim_jitter, sim_workers, sim_search,
+    #: sim_search_rounds, sim_elite_frac.  Every sim curve runs on the
+    #: batched simulator.  Runners that cannot honour a knob (e.g.
     #: ci_target on the offset search, the sim_* sweeps on ablations
     #: that sweep those axes themselves, or sim_search on experiments
     #: without a pattern search) accept and ignore it.
@@ -39,8 +39,7 @@ def _figure_runner(figure_id: str):
     def run(
         samples: int,
         seed: int,
-        workers: int,
-        sim_backend: str = "vector",
+        *,
         sim_array_backend: Optional[str] = None,
         ci_target: Optional[float] = None,
         sim_mode: MigrationMode = MigrationMode.FREE,
@@ -50,21 +49,16 @@ def _figure_runner(figure_id: str):
         sim_workers: Optional[int] = None,
         **_sim_kw,  # sim_search etc.: no pattern search on figure curves
     ) -> AcceptanceCurves:
-        # The vector backend simulates the whole bucket; the scalar one
-        # keeps the historical 1-in-10 subsample to stay affordable.
-        sim_samples = None if sim_backend == "vector" else max(1, samples // 10)
         return run_figure(
             figure_id,
             samples=samples,
             seed=seed,
-            sim_samples=sim_samples,
-            sim_backend=sim_backend,
+            sim_samples=None,  # the whole bucket
             sim_array_backend=sim_array_backend,
             sim_mode=sim_mode,
             sim_policy=sim_policy,
             sim_release=sim_release,
             sim_jitter=sim_jitter,
-            workers=workers,
             sim_workers=sim_workers,
             ci_target=ci_target,
         )
@@ -85,8 +79,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "ablation-alpha": Experiment(
         "ablation-alpha",
         "DP with integer-area alpha vs Danne's real-area alpha",
-        lambda samples, seed, workers, sim_backend="vector", ci_target=None,
-        **_sim_kw:
+        lambda samples, seed, *, ci_target=None, **_sim_kw:
             ablations.alpha_ablation(
                 samples=samples, seed=seed, ci_target=ci_target
             ),
@@ -95,41 +88,37 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "ablation-nf-fkf": Experiment(
         "ablation-nf-fkf",
         "Simulated acceptance of EDF-NF vs EDF-FkF",
-        lambda samples, seed, workers, sim_backend="vector",
-        sim_array_backend=None, ci_target=None, **_sim_kw:
+        lambda samples, seed, *, sim_array_backend=None, ci_target=None,
+        **_sim_kw:
             ablations.nf_vs_fkf_ablation(
-                samples=samples, seed=seed, workers=workers,
-                sim_backend=sim_backend,
+                samples=samples, seed=seed,
                 sim_array_backend=sim_array_backend, ci_target=ci_target,
             ),
         default_samples=60,
     ),
-    # Every simulation-backed ablation runs on the batched vector
-    # simulator by default (the scalar event loop is kept behind
-    # sim_backend="scalar" for cross-checks) — including the
-    # release-pattern searches, which fan their pattern axis into the
-    # batch dimension and take the sim_search axis ("uniform" draws,
-    # "adaptive" = the repro.search cross-entropy importance sampler
-    # with sim_search_rounds / sim_elite_frac knobs).
+    # Every simulation-backed ablation runs on the batched simulator —
+    # including the release-pattern searches, which fan their pattern
+    # axis into the batch dimension and take the sim_search axis
+    # ("uniform" draws, "adaptive" = the repro.search cross-entropy
+    # importance sampler with sim_search_rounds / sim_elite_frac knobs).
     "ablation-placement": Experiment(
         "ablation-placement",
         "Free migration vs contiguous placement (fragmentation cost)",
-        lambda samples, seed, workers, sim_backend="vector",
-        sim_array_backend=None, ci_target=None, **_sim_kw:
+        lambda samples, seed, *, sim_array_backend=None, ci_target=None,
+        **_sim_kw:
             ablations.placement_ablation(
-                samples=samples, seed=seed, sim_backend=sim_backend,
-                array_backend=sim_array_backend,
+                samples=samples, seed=seed, array_backend=sim_array_backend,
             ),
         default_samples=400,
     ),
     "ablation-offsets": Experiment(
         "ablation-offsets",
         "Synchronous-release simulation vs offset-searched upper bound",
-        lambda samples, seed, workers, sim_backend="vector",
-        sim_array_backend=None, ci_target=None, sim_search="uniform",
-        sim_search_rounds=4, sim_elite_frac=0.25, **_sim_kw:
+        lambda samples, seed, *, sim_array_backend=None, ci_target=None,
+        sim_search="uniform", sim_search_rounds=4, sim_elite_frac=0.25,
+        **_sim_kw:
             ablations.offset_ablation(
-                samples=samples, seed=seed, sim_backend=sim_backend,
+                samples=samples, seed=seed,
                 array_backend=sim_array_backend, search=sim_search,
                 search_rounds=sim_search_rounds, elite_frac=sim_elite_frac,
             ),
@@ -144,14 +133,12 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "ablation-sporadic": Experiment(
         "ablation-sporadic",
         "Periodic-release simulation vs sporadic-searched upper bound",
-        lambda samples, seed, workers, sim_backend="vector",
-        sim_array_backend=None, ci_target=None, sim_jitter=0.5,
-        sim_search="uniform", sim_search_rounds=4, sim_elite_frac=0.25,
-        **_sim_kw:
+        lambda samples, seed, *, sim_array_backend=None, ci_target=None,
+        sim_jitter=0.5, sim_search="uniform", sim_search_rounds=4,
+        sim_elite_frac=0.25, **_sim_kw:
             ablations.sporadic_ablation(
-                samples=samples, seed=seed, sim_backend=sim_backend,
-                jitter=sim_jitter, array_backend=sim_array_backend,
-                search=sim_search, search_rounds=sim_search_rounds,
+                samples=samples, seed=seed, jitter=sim_jitter,
+                array_backend=sim_array_backend, search=sim_search, search_rounds=sim_search_rounds,
                 elite_frac=sim_elite_frac,
             ),
         default_samples=200,

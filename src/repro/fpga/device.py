@@ -34,6 +34,11 @@ class StaticRegion:
         return self.start + self.width
 
 
+#: Widest device the model accepts: every width up to ``2**53`` converts
+#: to float64 exactly, and the vectorized kernels compute in float64.
+MAX_WIDTH = 2**53
+
+
 @dataclass(frozen=True)
 class Fpga:
     """A 1D reconfigurable FPGA with ``width`` columns.
@@ -41,7 +46,8 @@ class Fpga:
     Parameters
     ----------
     width:
-        Total number of columns, the paper's ``A(H)``.
+        Total number of columns, the paper's ``A(H)``; at most
+        :data:`MAX_WIDTH`.
     static_regions:
         Optional pre-configured blocks (must be disjoint and in-range).
         The paper assumes none; they are provided for the §7 extension
@@ -56,6 +62,9 @@ class Fpga:
             raise TypeError(f"width must be an int, got {self.width!r}")
         if self.width < 1:
             raise ValueError(f"width must be >= 1, got {self.width}")
+        if self.width > MAX_WIDTH:
+            # No repr of the value: it may have hundreds of digits.
+            raise ValueError("width must be <= 2**53")
         regions = tuple(sorted(self.static_regions, key=lambda r: r.start))
         object.__setattr__(self, "static_regions", regions)
         last_end = 0

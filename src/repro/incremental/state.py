@@ -228,9 +228,13 @@ class AdmissionState:
         self, task: Task, scheduler: SchedulerKind = SchedulerKind.EDF_NF
     ) -> bool:
         """Trial-admit ``task``: keep it if the portfolio still accepts,
-        roll it back (and return ``False``) otherwise."""
+        roll it back (and return ``False``) otherwise.  A check that
+        raises rolls the task back too before the exception propagates."""
         self.add(task)
-        if self.portfolio_accepts(scheduler):
-            return True
-        self.remove(task.name)
-        return False
+        accepted = False
+        try:
+            accepted = self.portfolio_accepts(scheduler)
+        finally:
+            if not accepted:
+                self.remove(task.name)
+        return accepted

@@ -16,9 +16,9 @@ request of a batch on its own, in arrival order:
   certifier from the accepting member; a rejected ``add`` or any
   ``trial`` leaves the state and the certifier cache untouched.
 
-A request whose decision raises becomes an ``ok: false`` decision with
-an ``error``; its device is left as it was and the rest of the batch is
-decided normally.
+On both paths, a request whose decision raises becomes an ``ok: false``
+decision with an ``error``; its device is left as it was and the rest of
+the batch is decided normally.
 
 **Parity contract.**  For float64-parameter tasks (the protocol
 boundary coerces — JSON numbers are doubles) off exact knife edges,
@@ -114,8 +114,7 @@ class BatchEngine:
             try:
                 decision = self._decide(req)
             except Exception as exc:  # one bad request must not fail its batch
-                _log.exception("deciding %r failed", req)
-                decision = self._error(req, f"internal error: {exc!r}")
+                decision = self._internal_error(req, exc)
             self.metrics.observe_decision(decision)
             decisions.append(decision)
         self.metrics.observe_batch(len(requests))
@@ -185,41 +184,48 @@ class BatchEngine:
         """The reference path: each request straight through
         ``AdmissionState`` (trial-admit + rollback), no certifier, no
         kernels.  This is the decision sequence :meth:`process_batch` is
-        identical to."""
-        out = []
+        identical to, with the same fault isolation."""
+        decisions: List[Decision] = []
         for req in requests:
-            dev = self.devices.get(req.device)
-            if dev is None:
-                decision = self._error(req, "unknown device")
-            elif req.op == "remove":
-                if req.name not in dev.state:
-                    decision = self._error(req, "task not resident")
-                else:
-                    dev.state.remove(req.name)
-                    dev.cert_valid = False
-                    decision = Decision(
-                        op=req.op, device=req.device, name=req.name, ok=True,
-                        via=VIA_STATE,
-                    )
-            else:
-                task = req.task
-                assert task is not None
-                if task.name in dev.state:
-                    decision = self._error(req, "task name already resident")
-                else:
-                    dev.cert_valid = False
-                    ok = dev.state.admit(task)  # trial-admit with rollback
-                    if ok and req.op == "trial":
-                        dev.state.remove(task.name)  # verdict only
-                    decision = Decision(
-                        op=req.op, device=req.device, name=task.name, ok=ok,
-                        via=VIA_STATE,
-                    )
+            try:
+                decision = self._decide_serial(req)
+            except Exception as exc:
+                decision = self._internal_error(req, exc)
             self.metrics.observe_decision(decision)
-            out.append(decision)
-        return out
+            decisions.append(decision)
+        return decisions
+
+    def _decide_serial(self, req: Request) -> Decision:
+        dev = self.devices.get(req.device)
+        if dev is None:
+            return self._error(req, "unknown device")
+        if req.op == "remove":
+            if req.name not in dev.state:
+                return self._error(req, "task not resident")
+            dev.state.remove(req.name)
+            dev.cert_valid = False
+            return Decision(
+                op=req.op, device=req.device, name=req.name, ok=True,
+                via=VIA_STATE,
+            )
+        task = req.task
+        assert task is not None
+        if task.name in dev.state:
+            return self._error(req, "task name already resident")
+        dev.cert_valid = False
+        ok = dev.state.admit(task)  # trial-admit with rollback
+        if ok and req.op == "trial":
+            dev.state.remove(task.name)  # verdict only
+        return Decision(
+            op=req.op, device=req.device, name=task.name, ok=ok, via=VIA_STATE
+        )
 
     # -- helpers ---------------------------------------------------------------
+
+    @classmethod
+    def _internal_error(cls, req: Request, exc: Exception) -> Decision:
+        _log.exception("deciding %r failed", req)
+        return cls._error(req, f"internal error: {exc!r}")
 
     @staticmethod
     def _error(req: Request, message: str) -> Decision:

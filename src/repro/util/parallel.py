@@ -1,83 +1,48 @@
-"""Optional process-level parallelism for embarrassingly parallel sweeps.
+"""Optional process-level parallelism for embarrassingly parallel work.
 
-The acceptance-ratio experiments evaluate thousands of independent
-tasksets; :func:`parallel_map` fans them out over a process pool when
-``workers > 1`` and degrades to a plain ``map`` otherwise (keeping
-single-process determinism and debuggability — see the HPC guide's advice
-to keep the serial path primary).
+:func:`parallel_map` fans independent items out over a process pool when
+``workers > 1`` and degrades to a plain ``map`` otherwise, so the serial
+path stays primary: deterministic and easy to debug.  Its callers are
+the batched simulator's row shards (``sim_workers``) and the linter's
+per-file jobs.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, List, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-def default_workers() -> int:
-    """A conservative default worker count (leave one core free)."""
-    return max(1, (os.cpu_count() or 2) - 1)
+def default_chunksize(n_items: int, workers: int) -> int:
+    """Items per pickled work unit: ~4 chunks per worker.
 
-
-#: an item is "cheap" below this many cost units (see ``item_cost``) —
-#: cheap items are bundled so one pickled work unit carries at least
-#: this much work, expensive items travel alone.
-_MIN_CHUNK_COST = 64
-
-
-def default_chunksize(
-    n_items: int, workers: int, item_cost: Optional[int] = None
-) -> int:
-    """Items per pickled work unit.
-
-    Without ``item_cost``: ~4 chunks per worker.  ``chunksize=1`` pays
-    one pickle round-trip per item — ruinous for thousands of
-    sub-millisecond simulation jobs — so four chunks per worker
-    amortizes that overhead while still load-balancing uneven item
-    costs.
-
-    With ``item_cost`` (relative work per item, e.g. rows per sub-batch
-    for a sharded simulation): the chunksize is driven by *work*, not
-    item count.  An expensive item (>= ``_MIN_CHUNK_COST``) is already
-    worth a round-trip and ships alone — the count-based rule would
-    bundle a handful of sub-batches into one chunk and starve every
-    other worker.  Cheap items are bundled until a chunk reaches
-    ``_MIN_CHUNK_COST`` units, still capped at an even worker split.
+    ``chunksize=1`` pays one pickle round-trip per item — ruinous for
+    thousands of cheap items — so four chunks per worker amortizes that
+    overhead while still load-balancing uneven item costs.  With no more
+    items than workers (one simulator shard per worker) it is 1.
     """
     if n_items < 1 or workers < 1:
         return 1
-    if item_cost is None:
-        return max(1, n_items // (workers * 4))
-    if item_cost < 1:
-        raise ValueError(f"item_cost must be >= 1, got {item_cost!r}")
-    amortize = -(-_MIN_CHUNK_COST // item_cost)  # ceil
-    even_split = -(-n_items // workers)  # never idle a worker to bundle
-    return max(1, min(amortize, even_split))
+    return max(1, n_items // (workers * 4))
 
 
 def parallel_map(
     fn: Callable[[T], R],
     items: Sequence[T] | Iterable[T],
     workers: int = 1,
-    chunksize: Optional[int] = None,
-    item_cost: Optional[int] = None,
 ) -> List[R]:
     """Map ``fn`` over ``items``, optionally with a process pool.
 
     ``fn`` and the items must be picklable when ``workers > 1``.  Result
-    order always matches input order.  ``chunksize`` defaults to
-    :func:`default_chunksize`; pass an explicit value to override, or
-    ``item_cost`` (relative work per item) to let the default derive the
-    chunk from per-item cost rather than item count — sub-batch items
-    get ``chunksize=1`` instead of tiny-chunk bundling.
+    order always matches input order; chunks are sized by
+    :func:`default_chunksize`.
     """
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
-    if chunksize is None:
-        chunksize = default_chunksize(len(items), workers, item_cost)
+    chunksize = default_chunksize(len(items), workers)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, chunksize)))
+        return list(pool.map(fn, items, chunksize=chunksize))

@@ -763,12 +763,7 @@ def simulate_batch(
             if sporadic:
                 kw["release_times"] = release_times[lo:hi]
             shard_kwargs.append(kw)
-        shards = parallel_map(
-            _simulate_shard,
-            shard_kwargs,
-            workers=n_shards,
-            item_cost=max(1, B // n_shards),
-        )
+        shards = parallel_map(_simulate_shard, shard_kwargs, workers=n_shards)
         return SimBatchResult(
             schedulable=hnp.concatenate([r.schedulable for r in shards]),
             budget_exceeded=hnp.concatenate(

@@ -1,5 +1,9 @@
 """Tests for the repro-experiments command line."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.cli import build_parser, main
@@ -50,6 +54,23 @@ class TestParser:
             build_parser().parse_args(["run", "fig3a", "--sim-mode", "warp"])
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "fig3a", "--sim-release", "x"])
+
+    @pytest.mark.parametrize(
+        "flag", [["--sim-backend", "scalar"], ["--workers", "2"]],
+        ids=["sim-backend", "workers"],
+    )
+    def test_removed_engine_flags_rejected(self, flag, tmp_path):
+        """One simulation engine: neither entry point takes an engine
+        or a scalar-pool flag any more."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "fig3a", *flag])
+        script = Path(__file__).parent.parent / "scripts" / "regenerate_results.py"
+        result = subprocess.run(
+            [sys.executable, str(script), "--out", str(tmp_path), *flag],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 2
+        assert "unrecognized arguments" in result.stderr
 
 
 class TestCommands:

@@ -163,8 +163,6 @@ class TestAcceptanceExperiment:
         with pytest.raises(ValueError):
             self._run(sampling="magic")
         with pytest.raises(ValueError):
-            self._run(sim_backend="quantum")
-        with pytest.raises(ValueError):
             self._run(bin_tolerance=0.0)
 
     def test_series_lookup(self):
@@ -187,29 +185,17 @@ class TestAcceptanceExperiment:
         with pytest.raises(KeyError):
             series.at(0.5)
 
-    def test_vector_and_scalar_backends_agree(self):
-        """The tentpole contract: identical sim curves from both backends."""
-        v = self._run(sim_backend="vector", sim_samples_per_point=30)
-        s = self._run(sim_backend="scalar", sim_samples_per_point=30)
-        assert v["sim:EDF-NF"].ratios == s["sim:EDF-NF"].ratios
-        assert v.sim_budget_exceeded == s.sim_budget_exceeded == 0
-
     def test_vector_backend_simulates_full_batch(self):
-        """No 200-set subsample cap on the vector backend."""
+        """No subsample cap: ``sim_samples_per_point=None`` simulates the
+        whole bucket."""
         curves = self._run(samples_per_point=250, sim_samples_per_point=None)
         assert curves.sim_samples_per_point == 250
-        scalar = self._run(
-            samples_per_point=250, sim_samples_per_point=None,
-            sim_backend="scalar", sim_schedulers=(),
-        )
-        assert scalar.sim_samples_per_point == 200
 
     def test_event_budget_survives_sweep(self):
         """A blown max_events budget must not abort the experiment."""
-        for backend in ("vector", "scalar"):
-            curves = self._run(sim_backend=backend, max_events=3)
-            assert curves.sim_budget_exceeded == 30  # 3 buckets x 10 sims
-            assert all(r == 0.0 for r in curves["sim:EDF-NF"].ratios)
+        curves = self._run(max_events=3)
+        assert curves.sim_budget_exceeded == 30  # 3 buckets x 10 sims
+        assert all(r == 0.0 for r in curves["sim:EDF-NF"].ratios)
 
     def test_explicit_bin_tolerance(self):
         curves = acceptance_experiment(
@@ -277,14 +263,6 @@ class TestArrayBackendThreading:
             pytest.skip("torch installed here")
         with pytest.raises(xp_mod.BackendUnavailable):
             self._run(sim_array_backend="torch")
-
-    def test_host_backend_keeps_workers_quiet(self):
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            curves = self._run(workers=2, sim_backend="scalar")
-        assert curves["sim:EDF-NF"].ratios
 
 
 class TestFigures:
@@ -442,12 +420,10 @@ class TestCiTargetSizing:
         with pytest.raises(ValueError):
             self._run(ci_target=0.7)
         with pytest.raises(ValueError):
-            self._run(ci_target=0.05, sim_backend="scalar")
-        with pytest.raises(ValueError):
             self._run(ci_target=0.05, sim_samples_per_point=10)
-        # scalar backend is fine when no sim curves are requested
+        # an explicit sim subsample is fine when no sim curves are requested
         curves = self._run(
-            ci_target=0.1, sim_backend="scalar", sim_schedulers=()
+            ci_target=0.1, sim_samples_per_point=10, sim_schedulers=()
         )
         assert curves.bucket_samples is not None
 
@@ -492,23 +468,6 @@ class TestOffsetAblationSoundness:
         for a, b in zip(periodic, searched):
             assert b <= a
 
-    @pytest.mark.parametrize(
-        "ablation,kw",
-        [
-            ("offset_ablation", {"offset_samples": 3}),
-            ("sporadic_ablation", {"sporadic_samples": 3}),
-        ],
-    )
-    def test_vector_and_scalar_backends_agree(self, ablation, kw):
-        """Shared offset/schedule streams -> identical curves."""
-        from repro.experiments import ablations
-
-        fn = getattr(ablations, ablation)
-        v = fn(us_grid=(50.0, 80.0), samples=8, seed=5, sim_backend="vector", **kw)
-        s = fn(us_grid=(50.0, 80.0), samples=8, seed=5, sim_backend="scalar", **kw)
-        for label in v.labels:
-            assert v[label].ratios == s[label].ratios, label
-
     def test_zero_pattern_samples_degenerate_to_baseline(self):
         from repro.experiments.ablations import offset_ablation, sporadic_ablation
 
@@ -523,11 +482,7 @@ class TestOffsetAblationSoundness:
         from repro.experiments.ablations import offset_ablation, sporadic_ablation
 
         with pytest.raises(ValueError):
-            offset_ablation(samples=5, sim_backend="quantum")
-        with pytest.raises(ValueError):
             offset_ablation(samples=5, offset_samples=-1)
-        with pytest.raises(ValueError):
-            sporadic_ablation(samples=5, sim_backend="quantum")
         with pytest.raises(ValueError):
             sporadic_ablation(samples=5, sporadic_samples=-1)
 
@@ -578,12 +533,9 @@ class TestSimReleaseThreading:
             self._run(sim_release="bursty")
         with pytest.raises(ValueError):
             self._run(sim_jitter=-0.5)
-        with pytest.raises(ValueError):
-            self._run(sim_release="sporadic", sim_backend="scalar")
-        # scalar backend fine when no sim curves requested
+        # sporadic release with no sim curves requested is a no-op
         curves = self._run(
-            sim_release="sporadic", sim_backend="scalar",
-            sim_schedulers=(), tests=("DP",),
+            sim_release="sporadic", sim_schedulers=(), tests=("DP",),
         )
         assert curves.labels == ("DP",)
 
@@ -609,7 +561,7 @@ class TestSimReleaseThreading:
 
 
 class TestSimModeThreading:
-    """mode/policy reach the engine's sim curves on both backends."""
+    """mode/policy reach the engine's sim curves."""
 
     def _run(self, **kw):
         from repro.fpga.placement import PlacementPolicy
@@ -630,16 +582,11 @@ class TestSimModeThreading:
         defaults.update(kw)
         return acceptance_experiment(**defaults)
 
-    def test_vector_and_scalar_agree_in_placement_mode(self):
-        v = self._run(sim_backend="vector")
-        s = self._run(sim_backend="scalar")
-        assert v["sim:EDF-NF"].ratios == s["sim:EDF-NF"].ratios
-
     def test_placement_mode_is_no_more_accepting_than_free(self):
         from repro.sim.simulator import MigrationMode
 
-        placed = self._run(sim_backend="vector")
-        free = self._run(sim_backend="vector", sim_mode=MigrationMode.FREE)
+        placed = self._run()
+        free = self._run(sim_mode=MigrationMode.FREE)
         for p, f in zip(placed["sim:EDF-NF"].ratios, free["sim:EDF-NF"].ratios):
             assert p <= f + 1e-12
 

@@ -20,17 +20,24 @@ from repro.experiments.registry import EXPERIMENTS
 class TestRegistryRunnersExecute:
     @pytest.mark.parametrize("eid", ["fig3a", "fig3b", "fig4a"])
     def test_figure_runners(self, eid):
-        curves = EXPERIMENTS[eid].runner(30, 7, 1)
+        curves = EXPERIMENTS[eid].runner(30, 7)
         assert set(curves.labels) >= {"DP", "GN1", "GN2"}
         assert all(len(s.ratios) == len(s.utilizations) for s in curves.series)
 
+    def test_knobs_are_keyword_only(self):
+        """A stray positional (the old ``workers`` slot) fails loudly
+        instead of binding to a knob."""
+        for eid in EXPERIMENTS:
+            with pytest.raises(TypeError):
+                EXPERIMENTS[eid].runner(30, 7, 1)
+
     def test_fig4b_runner_binned(self):
-        curves = EXPERIMENTS["fig4b"].runner(30, 7, 1)
+        curves = EXPERIMENTS["fig4b"].runner(30, 7)
         gn1 = curves["GN1"].ratios
         assert any(not math.isnan(r) for r in gn1)
 
     def test_alpha_runner(self):
-        curves = EXPERIMENTS["ablation-alpha"].runner(40, 7, 1)
+        curves = EXPERIMENTS["ablation-alpha"].runner(40, 7)
         assert set(curves.labels) == {"DP", "DP-real"}
 
 
@@ -78,8 +85,7 @@ class TestAblationRunnersDirect:
 
         for eid in ("ablation-offsets", "ablation-sporadic"):
             curves = EXPERIMENTS[eid].runner(
-                4, 3, 1,
-                sim_backend="vector", ci_target=None,
+                4, 3, ci_target=None,
                 sim_mode=MigrationMode.FREE,
                 sim_policy=PlacementPolicy.FIRST_FIT,
                 sim_release="periodic", sim_jitter=0.5,
@@ -91,7 +97,7 @@ class TestAblationRunnersDirect:
         sampled pattern periodic, so the searched curve collapses onto
         the baseline."""
         curves = EXPERIMENTS["ablation-sporadic"].runner(
-            6, 3, 1, sim_jitter=0.0
+            6, 3, sim_jitter=0.0
         )
         assert curves["sim:periodic"].ratios == (
             curves["sim:sporadic-search"].ratios

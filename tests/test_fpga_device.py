@@ -27,6 +27,13 @@ class TestFpga:
         with pytest.raises(TypeError):
             Fpga(width=10.5)  # type: ignore[arg-type]
 
+    def test_rejects_width_beyond_exact_float64(self):
+        """The kernels compute in float64; 2**53 is the widest device
+        whose width (and every capacity below it) converts exactly."""
+        assert Fpga(width=2**53).capacity == 2**53
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            Fpga(width=2**53 + 1)
+
 
 class TestStaticRegions:
     def test_capacity_excludes_static(self):

@@ -48,7 +48,12 @@ from repro.search.drivers import (
 )
 from repro.sim.offsets import adaptive_offset_search, simulate_with_offsets
 from repro.sim.simulator import default_horizon, simulate
-from repro.sim.sporadic import adaptive_sporadic_search, simulate_sporadic
+from repro.sim.sporadic import (
+    adaptive_sporadic_search,
+    sample_release_schedule,
+    simulate_release_schedule,
+    simulate_sporadic,
+)
 from repro.util.rngutil import rng_from_seed, spawn_rngs
 from repro.vector.batch import TaskSetBatch
 from repro.vector.sim_vec import default_horizon_batch, simulate_batch
@@ -277,43 +282,71 @@ class TestSlackChannelBackends:
 
     def test_uniform_search_slack_parity(self):
         """Satellite cross-check: scalar and vector *searches* report the
-        identical best-effort min-slack on a shared-seed fixture."""
-        batch = feasible_batch_at(
-            paper_unconstrained(4), 50.0, 6, rng_from_seed(23)
-        )
-        out = uniform_offset_search_batch(
-            batch, FPGA, "EDF-NF", patterns=5,
-            rng=rng_from_seed(24), horizon_factor=5,
-        )
-        scalar_rng = rng_from_seed(24)
-        for i in range(batch.count):
-            ts = batch.taskset(i)
-            ref = simulate_with_offsets(
-                ts, FPGA, EdfNf(), default_horizon(ts, factor=5),
-                scalar_rng, samples=5, include_synchronous=False,
+        identical best-effort min-slack on a shared-seed fixture (US=50),
+        and identical verdicts in a bucket where patterns fail (US=80)."""
+        for us in (50.0, 80.0):
+            batch = feasible_batch_at(
+                paper_unconstrained(4), us, 6, rng_from_seed(23)
             )
-            # At US=50 every pattern survives: no early exit on either
-            # side, so the searches saw the same five patterns.
-            assert ref.schedulable and not out.found[i]
-            assert float(ref.min_slack) == float(out.min_slack[i])
+            out = uniform_offset_search_batch(
+                batch, FPGA, "EDF-NF", patterns=5,
+                rng=rng_from_seed(24), horizon_factor=5,
+            )
+            scalar_rng = rng_from_seed(24)
+            for i in range(batch.count):
+                ts = batch.taskset(i)
+                # simulate_with_offsets draws every pattern before it
+                # simulates, so a failing set leaves the stream aligned.
+                ref = simulate_with_offsets(
+                    ts, FPGA, EdfNf(), default_horizon(ts, factor=5),
+                    scalar_rng, samples=5, include_synchronous=False,
+                )
+                assert ref.schedulable == (not out.found[i])
+                if us == 50.0:
+                    # Every pattern survives: no early exit on either
+                    # side, so the searches saw the same five patterns.
+                    assert ref.schedulable
+                    assert float(ref.min_slack) == float(out.min_slack[i])
+            if us == 80.0:
+                assert out.found.any() and not out.found.all()
 
     def test_uniform_sporadic_search_slack_parity(self):
-        batch = feasible_batch_at(
-            paper_unconstrained(4), 50.0, 6, rng_from_seed(25)
-        )
-        out = uniform_sporadic_search_batch(
-            batch, FPGA, "EDF-NF", patterns=4,
-            rng=rng_from_seed(26), horizon_factor=5,
-        )
-        scalar_rng = rng_from_seed(26)
-        for i in range(batch.count):
-            ts = batch.taskset(i)
-            ref = simulate_sporadic(
-                ts, FPGA, EdfNf(), default_horizon(ts, factor=5),
-                scalar_rng, samples=4, include_periodic=False,
+        for us in (50.0, 80.0):
+            batch = feasible_batch_at(
+                paper_unconstrained(4), us, 6, rng_from_seed(25)
             )
-            assert ref.schedulable and not out.found[i]
-            assert float(ref.min_slack) == float(out.min_slack[i])
+            out = uniform_sporadic_search_batch(
+                batch, FPGA, "EDF-NF", patterns=4,
+                rng=rng_from_seed(26), horizon_factor=5,
+            )
+            scalar_rng = rng_from_seed(26)
+            for i in range(batch.count):
+                ts = batch.taskset(i)
+                horizon = default_horizon(ts, factor=5)
+                if us == 50.0:
+                    ref = simulate_sporadic(
+                        ts, FPGA, EdfNf(), horizon,
+                        scalar_rng, samples=4, include_periodic=False,
+                    )
+                    assert ref.schedulable and not out.found[i]
+                    assert float(ref.min_slack) == float(out.min_slack[i])
+                    continue
+                # simulate_sporadic stops drawing at its first failing
+                # pattern; draw all four so the shared stream stays
+                # aligned with the batched driver.
+                schedules = [
+                    sample_release_schedule(ts, horizon, scalar_rng)
+                    for _ in range(4)
+                ]
+                passes = all(
+                    simulate_release_schedule(
+                        ts, FPGA, EdfNf(), horizon, schedule
+                    ).schedulable
+                    for schedule in schedules
+                )
+                assert passes == (not out.found[i])
+            if us == 80.0:
+                assert out.found.any() and not out.found.all()
 
 
 @pytest.mark.usefixtures("array_backend")

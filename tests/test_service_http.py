@@ -137,7 +137,8 @@ def test_malformed_payload_is_400():
 def test_non_finite_numbers_are_400_and_service_keeps_serving():
     """No HTTP body can put a non-finite task into a device: the
     ``NaN``/``Infinity`` literals, overflowing exponents and integers
-    too large for a float are all rejected at the boundary."""
+    too large for a float are all rejected at the boundary, and so is a
+    device too wide for a float."""
 
     async def post_raw(host, port, body):
         reader, writer = await asyncio.open_connection(host, port)
@@ -160,6 +161,11 @@ def test_non_finite_numbers_are_400_and_service_keeps_serving():
         await call("POST", "/v1/devices", {"name": "d", "width": 64})
         for literal in probes:
             assert await post_raw(host, port, task % literal) == 400, literal
+        status, err = await call(
+            "POST", "/v1/devices", {"name": "huge", "width": 10**400}
+        )
+        assert status == 400 and "2**53" in err["error"]
+        assert not service.has_device("huge")
         status, info = await call("GET", "/v1/devices/d")
         assert status == 200 and info["resident"] == 0
         status, dec = await call("POST", "/v1/admit", {"device": "d", "task": TASK})

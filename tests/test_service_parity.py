@@ -21,6 +21,7 @@ import pytest
 
 from repro.core import SchedulerKind, paper_portfolio
 from repro.fpga.device import Fpga
+from repro.incremental.state import AdmissionState
 from repro.model.task import Task, TaskSet
 from repro.model.validation import TaskParameterError
 from repro.service import (
@@ -348,7 +349,8 @@ def test_exact_check_matches_from_scratch_portfolio(seed):
 def test_raising_request_is_isolated(monkeypatch):
     """A request whose exact check raises becomes an error decision; its
     device's state and certifier stay as they were, and every other
-    request in the batch is decided as if it had never been sent."""
+    request in the batch is decided as if it had never been sent.  The
+    serial oracle isolates a raising portfolio check the same way."""
     import repro.service.engine as engine_module
 
     real = engine_module.accept_masks
@@ -382,6 +384,29 @@ def test_raising_request_is_isolated(monkeypatch):
         cached = {k: v for k, v in vars(left.certifier).items() if k != "stats"}
         assert cached == {k: v for k, v in vars(right.certifier).items() if k != "stats"}
     assert engine.metrics.errors_total == reference.metrics.errors_total + 1
+
+    real_accepts = AdmissionState.portfolio_accepts
+
+    def flaky_accepts(self, *args, **kwargs):
+        if "boom" in self:
+            raise RuntimeError("portfolio fault")
+        return real_accepts(self, *args, **kwargs)
+
+    serial_reference = make_engine()
+    serial_expected = serial_reference.process_serial(stream)
+    monkeypatch.setattr(AdmissionState, "portfolio_accepts", flaky_accepts)
+    serial = make_engine()
+    got = serial.process_serial(stream[:60] + [boom] + stream[60:])
+
+    failed = got.pop(60)
+    assert (failed.ok, failed.name) == (False, "boom")
+    assert failed.error is not None and "portfolio fault" in failed.error
+    assert got == serial_expected
+    for name in DEVICES:
+        assert serial.device(name).state.tasks == (
+            serial_reference.device(name).state.tasks
+        )
+    assert serial.metrics.errors_total == serial_reference.metrics.errors_total + 1
 
 
 def test_non_finite_task_cannot_reach_either_path():

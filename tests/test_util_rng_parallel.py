@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.parallel import default_chunksize, default_workers, parallel_map
+from repro.util.parallel import default_chunksize, parallel_map
 from repro.util.rngutil import rng_from_seed, spawn_rngs
 
 
@@ -48,9 +48,6 @@ class TestParallelMap:
     def test_single_item_never_spawns(self):
         assert parallel_map(_square, [5], workers=8) == [25]
 
-    def test_default_workers_positive(self):
-        assert default_workers() >= 1
-
     def test_default_chunksize_amortizes_pickling(self):
         """Regression: chunksize used to default to 1, paying one pickle
         round-trip per item for thousands of tiny sim jobs."""
@@ -64,27 +61,3 @@ class TestParallelMap:
     def test_derived_chunksize_preserves_order(self):
         items = list(range(64))
         assert parallel_map(_square, items, workers=2) == [x * x for x in items]
-
-    def test_explicit_chunksize_preserves_order(self):
-        items = list(range(17))
-        got = parallel_map(_square, items, workers=2, chunksize=5)
-        assert got == [x * x for x in items]
-
-    def test_item_cost_sizes_chunks_by_work(self):
-        """Regression: sub-batch items (each worth hundreds of rows) were
-        bundled by the count-based rule, starving all but one worker."""
-        # expensive items ship alone, even when the count rule says bundle
-        assert default_chunksize(8, 4, item_cost=250) == 1
-        assert default_chunksize(8000, 4, item_cost=64) == 1
-        # cheap items still bundle until a chunk carries enough work
-        assert default_chunksize(8000, 4, item_cost=1) == 64
-        assert default_chunksize(64, 4, item_cost=8) == 8
-        # ...but never so much that a worker idles
-        assert default_chunksize(6, 2, item_cost=8) == 3
-        with pytest.raises(ValueError):
-            default_chunksize(8, 4, item_cost=0)
-
-    def test_item_cost_parallel_map_preserves_order(self):
-        items = list(range(16))
-        got = parallel_map(_square, items, workers=2, item_cost=100)
-        assert got == [x * x for x in items]
