@@ -17,8 +17,77 @@ from repro.experiments.registry import EXPERIMENTS, get_experiment
 from repro.experiments.report import as_csv, as_markdown, as_text, render, sparkline
 from repro.experiments.tables import run_tables, render_tables
 from repro.fpga.device import Fpga, StaticRegion
+from repro.fpga.placement import PlacementPolicy
 from repro.gen.profiles import paper_unconstrained, spatially_light_temporally_heavy
-from repro.util.rngutil import rng_from_seed
+from repro.sched.edf_nf import EdfNf
+from repro.sim.offsets import simulate_with_offsets
+from repro.sim.simulator import MigrationMode, default_horizon, simulate
+from repro.sim.sporadic import sample_release_schedule, simulate_release_schedule
+from repro.util.rngutil import rng_from_seed, spawn_rngs
+
+
+# Scalar reference curves: the per-taskset simulators of ``repro.sim``
+# replayed on the experiments' own bucket streams, one taskset at a time.
+
+
+def _scalar_sim_curve(
+    profile, fpga, us_grid, samples_per_point, sim_samples_per_point, seed,
+    horizon_factor, mode=MigrationMode.FREE, policy=PlacementPolicy.FIRST_FIT,
+):
+    """``acceptance_experiment``'s ``sim:EDF-NF`` ratios (rescale
+    sampling, flat buckets, periodic release) via :func:`simulate`."""
+    ratios = []
+    for rng, us in zip(spawn_rngs(seed, len(us_grid)), us_grid):
+        batch = feasible_batch_at(profile, float(us), samples_per_point, rng)
+        tasksets = batch.to_tasksets()[:sim_samples_per_point]
+        ok = sum(
+            simulate(
+                ts, fpga, EdfNf(), default_horizon(ts, factor=horizon_factor),
+                mode=mode, placement_policy=policy,
+            ).schedulable
+            for ts in tasksets
+        )
+        ratios.append(ok / len(tasksets))
+    return tuple(ratios)
+
+
+def _scalar_pattern_ablation(ablation, us_grid, samples, patterns, seed,
+                             horizon_factor=10):
+    """Baseline and uniform-searched ratios of ``offset_ablation`` /
+    ``sporadic_ablation`` (default profile and device) via the scalar
+    simulators, drawing every pattern of every taskset from the bucket's
+    shared taskset-major stream."""
+    profile, fpga = paper_unconstrained(10), Fpga(width=100)
+    base_ratios, searched_ratios = [], []
+    for i, (rng, us) in enumerate(zip(spawn_rngs(seed, len(us_grid)), us_grid)):
+        batch = feasible_batch_at(profile, float(us), samples, rng)
+        pattern_rng = rng_from_seed(seed * 1000 + i)
+        base_ok = searched_ok = 0
+        for ts in batch.to_tasksets():
+            horizon = default_horizon(ts, factor=horizon_factor)
+            base = simulate(ts, fpga, EdfNf(), horizon).schedulable
+            if ablation == "offset_ablation":
+                # simulate_with_offsets draws all its patterns up front.
+                searched = simulate_with_offsets(
+                    ts, fpga, EdfNf(), horizon, pattern_rng,
+                    samples=patterns, include_synchronous=False,
+                ).schedulable
+            else:
+                schedules = [
+                    sample_release_schedule(ts, horizon, pattern_rng)
+                    for _ in range(patterns)
+                ]
+                searched = all(
+                    simulate_release_schedule(
+                        ts, fpga, EdfNf(), horizon, schedule
+                    ).schedulable
+                    for schedule in schedules
+                )
+            base_ok += base
+            searched_ok += base and searched
+        base_ratios.append(base_ok / samples)
+        searched_ratios.append(searched_ok / samples)
+    return tuple(base_ratios), tuple(searched_ratios)
 
 
 class TestFeasibleBatchAt:
@@ -185,6 +254,16 @@ class TestAcceptanceExperiment:
         with pytest.raises(KeyError):
             series.at(0.5)
 
+    def test_vector_and_scalar_backends_agree(self):
+        """The batched sim curve equals the scalar reference simulator's."""
+        curves = self._run(sim_samples_per_point=30)
+        assert curves["sim:EDF-NF"].ratios == _scalar_sim_curve(
+            paper_unconstrained(4), Fpga(width=100), [20.0, 50.0, 80.0],
+            samples_per_point=60, sim_samples_per_point=30, seed=5,
+            horizon_factor=5,
+        )
+        assert curves.sim_budget_exceeded == 0
+
     def test_vector_backend_simulates_full_batch(self):
         """No subsample cap: ``sim_samples_per_point=None`` simulates the
         whole bucket."""
@@ -263,6 +342,16 @@ class TestArrayBackendThreading:
             pytest.skip("torch installed here")
         with pytest.raises(xp_mod.BackendUnavailable):
             self._run(sim_array_backend="torch")
+
+    def test_host_backend_keeps_workers_quiet(self):
+        """Sharding a host-backend sim over ``sim_workers`` warns about
+        nothing and leaves the curves unchanged."""
+        import warnings as _warnings
+
+        with _warnings.catch_warnings():
+            _warnings.simplefilter("error")
+            curves = self._run(sim_workers=2)
+        assert curves.series == self._run().series
 
 
 class TestFigures:
@@ -468,6 +557,27 @@ class TestOffsetAblationSoundness:
         for a, b in zip(periodic, searched):
             assert b <= a
 
+    @pytest.mark.parametrize(
+        "ablation,kw",
+        [
+            ("offset_ablation", {"offset_samples": 3}),
+            ("sporadic_ablation", {"sporadic_samples": 3}),
+        ],
+    )
+    def test_vector_and_scalar_backends_agree(self, ablation, kw):
+        """Shared offset/schedule streams -> the batched curves equal the
+        scalar reference simulators'."""
+        from repro.experiments import ablations
+
+        curves = getattr(ablations, ablation)(
+            us_grid=(50.0, 80.0), samples=8, seed=5, **kw
+        )
+        base, searched = _scalar_pattern_ablation(
+            ablation, (50.0, 80.0), samples=8, patterns=3, seed=5
+        )
+        assert curves.series[0].ratios == base
+        assert curves.series[1].ratios == searched
+
     def test_zero_pattern_samples_degenerate_to_baseline(self):
         from repro.experiments.ablations import offset_ablation, sporadic_ablation
 
@@ -540,9 +650,6 @@ class TestSimReleaseThreading:
         assert curves.labels == ("DP",)
 
     def test_run_figure_exposes_release_and_mode(self):
-        from repro.fpga.placement import PlacementPolicy
-        from repro.sim.simulator import MigrationMode
-
         sporadic = run_figure(
             "fig3a", samples=20, sim_samples=10, seed=3,
             sim_release="sporadic", horizon_factor=5,
@@ -564,9 +671,6 @@ class TestSimModeThreading:
     """mode/policy reach the engine's sim curves."""
 
     def _run(self, **kw):
-        from repro.fpga.placement import PlacementPolicy
-        from repro.sim.simulator import MigrationMode
-
         defaults = dict(
             profile=paper_unconstrained(4),
             fpga=Fpga(width=30, static_regions=(StaticRegion(12, 3),)),
@@ -582,9 +686,17 @@ class TestSimModeThreading:
         defaults.update(kw)
         return acceptance_experiment(**defaults)
 
-    def test_placement_mode_is_no_more_accepting_than_free(self):
-        from repro.sim.simulator import MigrationMode
+    def test_vector_and_scalar_agree_in_placement_mode(self):
+        curves = self._run()
+        assert curves["sim:EDF-NF"].ratios == _scalar_sim_curve(
+            paper_unconstrained(4),
+            Fpga(width=30, static_regions=(StaticRegion(12, 3),)),
+            [12.0, 20.0], samples_per_point=12, sim_samples_per_point=12,
+            seed=13, horizon_factor=4,
+            mode=MigrationMode.RELOCATABLE, policy=PlacementPolicy.BEST_FIT,
+        )
 
+    def test_placement_mode_is_no_more_accepting_than_free(self):
         placed = self._run()
         free = self._run(sim_mode=MigrationMode.FREE)
         for p, f in zip(placed["sim:EDF-NF"].ratios, free["sim:EDF-NF"].ratios):

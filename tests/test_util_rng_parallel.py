@@ -58,6 +58,12 @@ class TestParallelMap:
         assert default_chunksize(0, 4) == 1
         assert default_chunksize(100, 0) == 1
 
+    def test_one_item_per_worker_ships_alone(self):
+        """Simulator shards are one item per worker: each must be its
+        own work unit, or a worker idles."""
+        for n in range(1, 9):
+            assert default_chunksize(n, n) == 1
+
     def test_derived_chunksize_preserves_order(self):
         items = list(range(64))
         assert parallel_map(_square, items, workers=2) == [x * x for x in items]
