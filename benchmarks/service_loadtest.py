@@ -1,4 +1,4 @@
-"""Load-test harness for the admission service (PR 9).
+"""Load-test harness for the admission service.
 
 Two client disciplines over real loopback HTTP/1.1 sockets, plus the
 deterministic steady-state request stream both the bench and the
@@ -17,8 +17,10 @@ Streams are *steady-state churn*: admits and removals balanced around a
 resident-set target, the regime an online admission controller lives in
 (and where decision cost stays stationary instead of growing with every
 accepted task).  Everything is seeded — the exact request sequence is
-reproducible and replayable through ``BatchEngine.process_serial`` for
-the bit-identity check.
+reproducible and replayable through ``BatchEngine.process_serial`` (the
+service's one decision routine without the certifier, so every add and
+trial takes the exact ``AdmissionState`` check) for the bit-identity
+check.
 """
 
 import asyncio

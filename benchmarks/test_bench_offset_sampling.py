@@ -12,11 +12,9 @@ same offset stream) with *identical* curves while recording the
 speedup, so release-pattern regressions are caught per-PR.
 """
 
-import time
-
 import pytest
 
-from benchmarks.helpers import auc, print_curves
+from benchmarks.helpers import auc, interleaved_min, print_curves
 
 from repro.experiments.ablations import offset_ablation, sporadic_ablation
 from repro.experiments.acceptance import feasible_batch_at
@@ -105,22 +103,18 @@ def test_bench_offset_search_vector_vs_scalar(benchmark):
     Both sides draw the same offset assignments (taskset-major stream)
     and extend every pattern's horizon by its largest offset, so the
     curves must match exactly — the per-PR guard for the batched
-    release-pattern path.
+    release-pattern path.  Each side's time is the minimum of 3
+    interleaved runs.
     """
     samples, patterns = 20, 5
     benchmark.group = "offset-search-backend"
-    curves = benchmark.pedantic(
+    vector_time, scalar_time, curves, scalar = interleaved_min(
+        benchmark,
         lambda: offset_ablation(
             us_grid=GRID, samples=samples, offset_samples=patterns, seed=43,
         ),
-        rounds=1,
-        iterations=1,
+        lambda: _scalar_offset_ratios(samples, patterns, seed=43),
     )
-    vector_time = benchmark.stats.stats.mean
-
-    t0 = time.perf_counter()
-    scalar = _scalar_offset_ratios(samples, patterns, seed=43)
-    scalar_time = time.perf_counter() - t0
 
     for label in curves.labels:
         assert curves[label].ratios == scalar[label], label

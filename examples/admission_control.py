@@ -12,11 +12,11 @@ This demo is a thin client of the **admission service pipeline**
 (:mod:`repro.service`): concurrent requests coalesce in a micro-batching
 window, the :class:`~repro.core.sensitivity.DeltaCertifier` answers the
 provably-easy deltas in O(1), and each remaining request takes one exact
-DP → GN1 → GN2 check on the vectorized kernels — the same pipeline
+DP → GN1 → GN2 check through the device's
+:class:`repro.incremental.AdmissionState` — the same pipeline
 ``repro-service`` exposes over HTTP, driven here in-process through
 :class:`repro.service.AdmissionService`.  Decisions are bit-identical to
-deciding every request alone through
-:class:`repro.incremental.AdmissionState` — pass ``--from-scratch`` to
+deciding every request alone through that state — pass ``--from-scratch`` to
 replay the recorded request sequence through the per-request serial
 baseline *and* the from-scratch scalar portfolio, and assert all three
 decision sequences are identical.
@@ -86,9 +86,8 @@ async def drive_service(
 
 def replay_serial(recorded: List[Request]) -> List:
     """The per-request baseline: the same sequence, one request at a
-    time through ``AdmissionState.admit`` — no batching, no certifier,
-    no kernels."""
-    engine = BatchEngine(use_certifier=False)
+    time through ``AdmissionState.admit`` — no batching, no certifier."""
+    engine = BatchEngine()
     engine.add_device(DEVICE, ServiceFpga(width=WIDTH))
     return engine.process_serial(recorded)
 
@@ -146,12 +145,12 @@ def main() -> None:
     accepted = sum(1 for d in adds if d.ok)
     by_via = snapshot["by_via"]
     print(f"{'accepted':>9} {'rejected':>9} {'batches':>8} "
-          f"{'mean size':>10} {'O(1) certs':>11} {'kernel':>7}")
+          f"{'mean size':>10} {'O(1) certs':>11} {'state':>7}")
     print(f"{accepted:>9} {len(adds) - accepted:>9} "
           f"{snapshot['batches_total']:>8} "
           f"{snapshot['mean_batch_size']:>10.1f} "
           f"{snapshot['certifier']['hit_rate']:>10.0%} "
-          f"{by_via.get('kernel', 0):>7}")
+          f"{by_via.get('state', 0):>7}")
     histogram = ", ".join(
         f"{size}x{count}" for size, count in snapshot["batch_size_histogram"].items()
     )

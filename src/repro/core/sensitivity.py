@@ -21,7 +21,7 @@ from fractions import Fraction
 from numbers import Real
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.core.interfaces import SchedulerKind
+from repro.core.interfaces import SchedulerKind, TestResult
 from repro.fpga.device import Fpga
 from repro.model.task import Task, TaskSet
 
@@ -104,6 +104,15 @@ def acceptance_margin(
     return None if s is None else s - 1
 
 
+def portfolio_member(result: TestResult) -> str:
+    """The first member (``"DP"``, ``"GN1"`` or ``"GN2"``) that accepted
+    a §6 portfolio ``result``, or ``""`` when the portfolio rejected."""
+    if not result.accepted:
+        return ""
+    via = result.reason.removeprefix("accepted by member ")
+    return next((m for m in ("GN1", "GN2") if via.startswith(m)), "DP")
+
+
 class DeltaCertifier:
     """O(1) delta-certificates: "still portfolio-schedulable after this Δ?"
 
@@ -138,8 +147,9 @@ class DeltaCertifier:
 
     The certifier is deliberately **not** in ``AdmissionState``'s verdict
     path (which stays bit-identical to the scalar tests); callers opt in,
-    as ``examples/admission_control.py`` does, and should call
-    :meth:`refresh` after every exact verdict.
+    as the admission service (:mod:`repro.service.engine`) does, and
+    should call :meth:`refresh` after every exact verdict that changes
+    the resident set.
     """
 
     def __init__(self, rel_eps: float = 1e-9):
@@ -151,37 +161,28 @@ class DeltaCertifier:
 
     # -- cache maintenance -----------------------------------------------------
 
-    def refresh(self, state, scheduler: SchedulerKind = SchedulerKind.EDF_NF) -> None:
+    def refresh(self, state, scheduler: SchedulerKind = SchedulerKind.EDF_NF) -> str:
         """Rebuild the cache from ``state``'s current *exact* verdict
         (``state`` is an :class:`~repro.incremental.state.AdmissionState`;
-        O(N) on top of the verdict itself)."""
-        result = state.portfolio_result(scheduler)
-        via = result.reason.removeprefix("accepted by member ")
-        if result.accepted and via.startswith("GN1"):
-            member = "GN1"
-        elif result.accepted and via.startswith("GN2"):
-            member = "GN2"
-        elif result.accepted:
-            member = "DP"
-        else:
-            member = ""
-        self.seed(state, result.accepted, member)
+        O(N) on top of the verdict itself, which the state's analyzers
+        have usually cached already) and return the accepting member
+        (``""`` on rejection)."""
+        member = portfolio_member(state.portfolio_result(scheduler))
+        self.seed(state, bool(member), member)
+        return member
 
     def seed(self, state, accepted: bool, via: str) -> None:
-        """Rebuild the cache from an externally established verdict.
+        """Rebuild the cache from an established portfolio verdict.
 
-        The admission service (:mod:`repro.service`) learns the new
-        resident set's portfolio verdict from its exact vector-kernel
-        check; re-running the exact portfolio just to warm this cache
-        would pay for the verdict twice.  ``seed`` accepts the
-        verdict — ``accepted`` plus the first accepting member ``via`` in
-        the composite's DP → GN1 → GN2 order (``""`` on rejection) — and
-        rebuilds the O(N) arithmetic cache directly from ``state``'s
-        resident tasks.  Soundness is the caller's contract: the verdict
-        must be the true portfolio verdict of ``state``'s *current*
-        resident set, on the same float64 terms the certificates assume.
-        :meth:`refresh` is exactly ``seed`` fed from the exact
-        incremental verdict.
+        ``accepted`` plus the first accepting member ``via`` in the
+        composite's DP → GN1 → GN2 order (``""`` on rejection); the O(N)
+        arithmetic cache is rebuilt directly from ``state``'s resident
+        tasks.  Soundness is the caller's contract: the verdict must be
+        the true portfolio verdict of ``state``'s *current* resident set,
+        on the same float64 terms the certificates assume.
+        :meth:`refresh` — what the admission service calls after every
+        accepted exact ``add`` — is ``seed`` fed from the state's own
+        verdict, so it meets the contract by construction.
         """
         if via not in ("", "DP", "GN1", "GN2"):
             raise ValueError(f"via must be '', 'DP', 'GN1' or 'GN2', got {via!r}")

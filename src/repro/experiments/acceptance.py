@@ -347,6 +347,8 @@ def acceptance_experiment(
         raise ValueError(f"unknown schedulers: {sorted(unknown)}")
     if samples_per_point < 1:
         raise ValueError("samples_per_point must be >= 1")
+    if sim_samples_per_point is not None and sim_samples_per_point < 0:
+        raise ValueError("sim_samples_per_point must be >= 0 (None = full bucket)")
     if bin_tolerance is not None and bin_tolerance <= 0:
         raise ValueError("bin_tolerance must be > 0")
     if ci_target is not None:

@@ -13,13 +13,13 @@ interference sums on every decision; this package keeps them cached.
   ``O(N²)``/``O(N³)`` from scratch), while every verdict stays
   **bit-identical** to running the scalar tests on the equivalent
   :class:`~repro.model.task.TaskSet` — asserted at every step by the
-  churn-parity suite, not assumed.
+  churn-parity suite, not assumed.  Its ``admit`` / ``trial`` are the
+  admission service's exact check.
 * :class:`~repro.incremental.state.Delta` — one churn operation, as
   :meth:`~repro.incremental.state.AdmissionState.apply` takes it.
 * :func:`~repro.incremental.reverdict.accept_masks` — member verdicts of
-  candidate tasksets on the :mod:`repro.vector` kernels
-  (backend-neutral via :mod:`repro.vector.xp`), the admission service's
-  exact check.
+  candidate tasksets on the :mod:`repro.vector` kernels; no longer on
+  the service's path, kept importable for external tracers.
 
 The delta-certificate fast path ("still schedulable after this Δ"
 without any rerun) lives in :class:`repro.core.sensitivity.DeltaCertifier`.

@@ -32,11 +32,10 @@ def accept_masks(
     """One vectorized kernel call per member test over same-length
     ``tasksets`` against a ``capacity``-column device.
 
-    Its caller is the admission service's exact check
-    (:meth:`repro.service.engine.BatchEngine.process_batch`), which
-    passes one candidate resident set and one member at a time, in the
-    portfolio's DP → GN1 → GN2 order.  Returns ``{test: (B,) bool host
-    mask}`` for exactly the requested ``tests``.
+    The admission service no longer calls it (it checks through
+    :class:`~repro.incremental.state.AdmissionState`); it stays
+    importable because external tracers wrap it by name.  Returns
+    ``{test: (B,) bool host mask}`` for exactly the requested ``tests``.
     """
     unknown = [t for t in tests if t not in TESTS]
     if unknown:

@@ -89,7 +89,8 @@ class AdmissionState:
 
     @property
     def version(self) -> int:
-        """Monotone counter bumped by every effective churn operation."""
+        """Monotone counter bumped by every effective churn operation (a
+        rolled-back :meth:`admit` or any :meth:`trial` is none)."""
         return self._version
 
     @property
@@ -230,11 +231,28 @@ class AdmissionState:
         """Trial-admit ``task``: keep it if the portfolio still accepts,
         roll it back (and return ``False``) otherwise.  A check that
         raises rolls the task back too before the exception propagates."""
+        return self._check(task, scheduler, keep=True).accepted
+
+    def trial(
+        self, task: Task, scheduler: SchedulerKind = SchedulerKind.EDF_NF
+    ) -> TestResult:
+        """The :meth:`portfolio_result` of the residents plus ``task``,
+        without admitting it."""
+        return self._check(task, scheduler, keep=False)
+
+    def _check(self, task: Task, scheduler: SchedulerKind, *, keep: bool) -> TestResult:
+        """Add ``task`` and check the portfolio; keep the task only when
+        ``keep`` and the portfolio accepts.  A rolled-back task leaves the
+        state as it was, :attr:`version` included, also when the check
+        raises."""
+        version = self._version
         self.add(task)
-        accepted = False
+        kept = False
         try:
-            accepted = self.portfolio_accepts(scheduler)
+            result = self.portfolio_result(scheduler)
+            kept = keep and result.accepted
         finally:
-            if not accepted:
+            if not kept:
                 self.remove(task.name)
-        return accepted
+                self._version = version
+        return result

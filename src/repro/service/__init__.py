@@ -9,7 +9,9 @@ replay of the same per-device request order**.  The pieces:
   and JSON parsing.
 - :mod:`repro.service.engine` — the decision core: each request in
   arrival order, first the O(1) delta certifier, then (if it cannot
-  decide) one exact DP → GN1 → GN2 kernel check of the candidate set.
+  decide) one exact DP → GN1 → GN2 check through the device's
+  ``AdmissionState``.  The serial reference replay is the same routine
+  without the certifier.
 - :mod:`repro.service.batcher` — asyncio micro-batching (size- and
   latency-bounded window).
 - :mod:`repro.service.app` / :mod:`repro.service.http` — the service

@@ -5,6 +5,8 @@
 :class:`~repro.service.engine.BatchEngine` behind one
 :class:`~repro.service.batcher.MicroBatcher`, and one
 :class:`~repro.service.metrics.ServiceMetrics` they both report into.
+Every request is decided the one way the engine has: the device's
+certifier, then the exact check through its ``AdmissionState``.
 """
 
 from __future__ import annotations
@@ -21,18 +23,10 @@ from repro.service.protocol import Decision, Request, task_to_json
 class AdmissionService:
     """Front door over the micro-batched decision pipeline."""
 
-    def __init__(
-        self,
-        *,
-        config: Optional[BatchConfig] = None,
-        backend: Optional[str] = None,
-        use_certifier: bool = True,
-    ) -> None:
+    def __init__(self, *, config: Optional[BatchConfig] = None) -> None:
         self.config = config if config is not None else BatchConfig()
         self.metrics = ServiceMetrics()
-        self.engine = BatchEngine(
-            backend=backend, use_certifier=use_certifier, metrics=self.metrics
-        )
+        self.engine = BatchEngine(metrics=self.metrics)
         self.batcher = MicroBatcher(self.engine.process_batch, self.config, self.metrics)
         self._started = False
 

@@ -7,9 +7,8 @@ Example::
 
 The process serves until interrupted.  Every request goes through the
 micro-batching window, then the device's delta certifier, then, when
-the certifier cannot decide, one exact DP → GN1 → GN2 check.
-``--no-certifier`` disables the certifier, so every add and trial takes
-the exact check.
+the certifier cannot decide, one exact DP → GN1 → GN2 check through the
+device's ``AdmissionState``.
 """
 
 from __future__ import annotations
@@ -62,24 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=2.0,
         help="batching window latency bound, in milliseconds",
     )
-    parser.add_argument(
-        "--array-backend",
-        default=None,
-        help="array backend for the exact kernels (default: auto)",
-    )
-    parser.add_argument(
-        "--no-certifier",
-        action="store_true",
-        help="disable the O(1) delta-certificate fast path",
-    )
     return parser
 
 
 async def _serve(args: argparse.Namespace) -> None:
     service = AdmissionService(
-        config=BatchConfig(max_batch=args.max_batch, max_wait=args.max_wait_ms / 1000.0),
-        backend=args.array_backend,
-        use_certifier=not args.no_certifier,
+        config=BatchConfig(max_batch=args.max_batch, max_wait=args.max_wait_ms / 1000.0)
     )
     for name, width in args.device:
         service.create_device(name, width)

@@ -2,34 +2,37 @@
 
 One :class:`BatchEngine` owns every named device's
 :class:`~repro.incremental.state.AdmissionState` and decides each
-request of a batch on its own, in arrival order:
+request on its own, in arrival order, through one routine:
 
-- ``remove`` retires the task and keeps the device's
-  :class:`~repro.core.sensitivity.DeltaCertifier` cache when a DP/GN1
-  accept provably survives the departure.
-- ``add`` / ``trial`` ask the certifier first; the provably-easy
-  arrivals (inside the cached DP slack) resolve in O(1).  Otherwise the
-  candidate resident set is checked exactly, one vectorized kernel call
-  per portfolio member in the paper's §6 order DP → GN1 → GN2
-  (:func:`repro.incremental.reverdict.accept_masks`), stopping at the
-  first accept.  An accepted ``add`` is applied and re-seeds the
-  certifier from the accepting member; a rejected ``add`` or any
-  ``trial`` leaves the state and the certifier cache untouched.
+- ``remove`` retires the task.  :meth:`BatchEngine.process_batch` keeps
+  the device's :class:`~repro.core.sensitivity.DeltaCertifier` cache
+  when a DP/GN1 accept provably survives the departure.
+- ``add`` / ``trial``: :meth:`BatchEngine.process_batch` asks the
+  certifier first; the provably-easy arrivals (inside the cached DP
+  slack) resolve in O(1).  Otherwise the device's state decides
+  exactly: the §6 portfolio DP → GN1 → GN2 on the incremental analyzers
+  (``AdmissionState.admit`` for an add, ``AdmissionState.trial`` for a
+  trial), whose verdicts are bit-identical to the scalar
+  ``paper_portfolio()``.  An accepted ``add`` stays and re-seeds the
+  certifier from the verdict the analyzers just cached
+  (``DeltaCertifier.refresh``); a rejected ``add`` is rolled back and,
+  like any ``trial``, leaves the state and the certifier cache as they
+  were.
 
-On both paths, a request whose decision raises becomes an ``ok: false``
-decision with an ``error``; its device is left as it was and the rest of
-the batch is decided normally.
+:meth:`BatchEngine.process_serial` is the same routine without the
+certifier queries: every add and trial takes the exact check.  It is
+the reference replay the service is compared against.
 
-**Parity contract.**  For float64-parameter tasks (the protocol
-boundary coerces — JSON numbers are doubles) off exact knife edges,
-:meth:`BatchEngine.process_batch` over *any* partition of a request
-stream into batches yields decisions identical to
-:meth:`BatchEngine.process_serial` — the per-request reference that
-trial-admits through ``AdmissionState`` exactly like
-``state.admit(task)``.  Certificates are sound by construction; kernel
-verdicts equal the scalar portfolio because DP, GN1 and GN2 all apply to
-EDF-NF and the kernels replicate the scalar float64 operations.  The
-randomized suite in ``tests/test_service_parity.py`` asserts this.
+A request whose decision raises becomes an ``ok: false`` decision with
+an ``error``; its device is left as it was and the rest of the batch is
+decided normally.
+
+**Parity contract.**  :meth:`BatchEngine.process_batch` over *any*
+partition of a request stream into batches yields the verdicts of
+:meth:`BatchEngine.process_serial` by construction: both share the
+exact check, and a certificate answers only what monotonicity proves
+(with a relative guard band on float comparisons).  The randomized
+suite in ``tests/test_service_parity.py`` asserts it.
 """
 
 from __future__ import annotations
@@ -37,23 +40,11 @@ from __future__ import annotations
 import logging
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.sensitivity import DeltaCertifier
+from repro.core.sensitivity import DeltaCertifier, portfolio_member
 from repro.fpga.device import Fpga
-from repro.incremental.reverdict import accept_masks
 from repro.incremental.state import AdmissionState
-from repro.model.task import Task, TaskSet
 from repro.service.metrics import ServiceMetrics
-from repro.service.protocol import (
-    VIA_CERTIFIER,
-    VIA_KERNEL,
-    VIA_STATE,
-    Decision,
-    Request,
-)
-
-#: Portfolio member priority — must match ``CompositeTest`` order, which
-#: is what :meth:`DeltaCertifier.seed` expects ``via`` to encode.
-MEMBER_ORDER = ("DP", "GN1", "GN2")
+from repro.service.protocol import VIA_CERTIFIER, VIA_STATE, Decision, Request
 
 _log = logging.getLogger(__name__)
 
@@ -81,15 +72,7 @@ class DeviceEngine:
 class BatchEngine:
     """Per-request decision engine (and the serial reference path)."""
 
-    def __init__(
-        self,
-        *,
-        backend: Optional[str] = None,
-        use_certifier: bool = True,
-        metrics: Optional[ServiceMetrics] = None,
-    ) -> None:
-        self.backend = backend
-        self.use_certifier = use_certifier
+    def __init__(self, *, metrics: Optional[ServiceMetrics] = None) -> None:
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.devices: Dict[str, DeviceEngine] = {}
 
@@ -108,15 +91,9 @@ class BatchEngine:
     # -- decision pipeline -----------------------------------------------------
 
     def process_batch(self, requests: Sequence[Request]) -> List[Decision]:
-        """Decide ``requests`` one at a time, in arrival order."""
-        decisions: List[Decision] = []
-        for req in requests:
-            try:
-                decision = self._decide(req)
-            except Exception as exc:  # one bad request must not fail its batch
-                decision = self._internal_error(req, exc)
-            self.metrics.observe_decision(decision)
-            decisions.append(decision)
+        """Decide ``requests`` one at a time, in arrival order, asking
+        each device's certifier before its exact check."""
+        decisions = self._decide_all(requests, certify=True)
         self.metrics.observe_batch(len(requests))
         for dev in self.devices.values():
             certified, unknown = dev.drain_certifier_stats()
@@ -124,7 +101,23 @@ class BatchEngine:
                 self.metrics.observe_certifier(certified, unknown)
         return decisions
 
-    def _decide(self, req: Request) -> Decision:
+    def process_serial(self, requests: Sequence[Request]) -> List[Decision]:
+        """The reference path: :meth:`process_batch` without the
+        certifier, so every add and trial takes the exact check."""
+        return self._decide_all(requests, certify=False)
+
+    def _decide_all(self, requests: Sequence[Request], certify: bool) -> List[Decision]:
+        decisions: List[Decision] = []
+        for req in requests:
+            try:
+                decision = self._decide(req, certify)
+            except Exception as exc:  # one bad request must not fail its batch
+                decision = self._internal_error(req, exc)
+            self.metrics.observe_decision(decision)
+            decisions.append(decision)
+        return decisions
+
+    def _decide(self, req: Request, certify: bool) -> Decision:
         dev = self.devices.get(req.device)
         if dev is None:
             return self._error(req, "unknown device")
@@ -132,8 +125,10 @@ class BatchEngine:
         if req.op == "remove":
             if req.name not in state:
                 return self._error(req, "task not resident")
-            if dev.cert_valid and dev.certifier.certify_remove(req.name) is None:
-                dev.cert_valid = False
+            dev.cert_valid = (
+                certify and dev.cert_valid
+                and dev.certifier.certify_remove(req.name) is not None
+            )
             state.remove(req.name)
             return Decision(
                 op=req.op, device=req.device, name=req.name, ok=True, via=VIA_STATE
@@ -142,82 +137,28 @@ class BatchEngine:
         assert task is not None
         if task.name in state:
             return self._error(req, "task name already resident")
-        if self.use_certifier and dev.cert_valid:
-            certify = (
+        if certify and dev.cert_valid:
+            check = (
                 dev.certifier.certify_add if req.op == "add" else dev.certifier.certify_trial
             )
-            if certify(task) is not None:
+            if check(task) is not None:
                 if req.op == "add":
                     state.add(task)
                 return Decision(
                     op=req.op, device=req.device, name=task.name, ok=True,
                     via=VIA_CERTIFIER, member="DP",
                 )
-        member = self._exact(dev, task)
-        if member and req.op == "add":
-            dev.cert_valid = False  # stale until the seed below succeeds
-            state.add(task)
-            if self.use_certifier:
-                dev.certifier.seed(state, True, member)
-                dev.cert_valid = True
+        if req.op == "trial":
+            member = portfolio_member(state.trial(task))
+        elif state.admit(task):
+            dev.cert_valid = False  # stale until the refresh below succeeds
+            member = dev.certifier.refresh(state)
+            dev.cert_valid = True
+        else:
+            member = ""
         return Decision(
             op=req.op, device=req.device, name=task.name, ok=bool(member),
-            via=VIA_KERNEL, member=member,
-        )
-
-    def _exact(self, dev: DeviceEngine, task: Task) -> str:
-        """The first portfolio member accepting the residents plus
-        ``task``, or ``""`` when all reject."""
-        candidate = [TaskSet([*dev.state.tasks, task])]
-        for member in MEMBER_ORDER:
-            self.metrics.kernel_calls_total += 1
-            mask = accept_masks(
-                candidate, dev.fpga.capacity, tests=(member,), backend=self.backend
-            )[member]
-            if bool(mask[0]):
-                return member
-        return ""
-
-    # -- per-request serial baseline (and parity reference) --------------------
-
-    def process_serial(self, requests: Sequence[Request]) -> List[Decision]:
-        """The reference path: each request straight through
-        ``AdmissionState`` (trial-admit + rollback), no certifier, no
-        kernels.  This is the decision sequence :meth:`process_batch` is
-        identical to, with the same fault isolation."""
-        decisions: List[Decision] = []
-        for req in requests:
-            try:
-                decision = self._decide_serial(req)
-            except Exception as exc:
-                decision = self._internal_error(req, exc)
-            self.metrics.observe_decision(decision)
-            decisions.append(decision)
-        return decisions
-
-    def _decide_serial(self, req: Request) -> Decision:
-        dev = self.devices.get(req.device)
-        if dev is None:
-            return self._error(req, "unknown device")
-        if req.op == "remove":
-            if req.name not in dev.state:
-                return self._error(req, "task not resident")
-            dev.state.remove(req.name)
-            dev.cert_valid = False
-            return Decision(
-                op=req.op, device=req.device, name=req.name, ok=True,
-                via=VIA_STATE,
-            )
-        task = req.task
-        assert task is not None
-        if task.name in dev.state:
-            return self._error(req, "task name already resident")
-        dev.cert_valid = False
-        ok = dev.state.admit(task)  # trial-admit with rollback
-        if ok and req.op == "trial":
-            dev.state.remove(task.name)  # verdict only
-        return Decision(
-            op=req.op, device=req.device, name=task.name, ok=ok, via=VIA_STATE
+            via=VIA_STATE, member=member,
         )
 
     # -- helpers ---------------------------------------------------------------

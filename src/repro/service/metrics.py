@@ -37,7 +37,6 @@ class ServiceMetrics:
         self.by_via: Counter = Counter()
         self.batches_total = 0
         self.batch_sizes: Counter = Counter()  # size -> count (histogram)
-        self.kernel_calls_total = 0
         self.certifier_certified = 0
         self.certifier_unknown = 0
         self.requests_in_flight = 0
@@ -101,7 +100,6 @@ class ServiceMetrics:
                 str(size): count for size, count in sorted(self.batch_sizes.items())
             },
             "mean_batch_size": self.mean_batch_size,
-            "kernel_calls_total": self.kernel_calls_total,
             "certifier": {
                 "certified": self.certifier_certified,
                 "unknown": self.certifier_unknown,

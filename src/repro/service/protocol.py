@@ -7,9 +7,8 @@ so a thin client — ``examples/admission_control.py`` — can drive the
 exact production decision core without any HTTP in the way.
 
 Task parameters are coerced to ``float`` at the protocol boundary: JSON
-numbers are IEEE doubles, and the exact vector-kernel checks compute
-in float64, so the service's parity contract (decisions bit-identical
-to a serial :class:`~repro.incremental.state.AdmissionState` replay) is
+numbers are IEEE doubles, so the service's decisions (bit-identical to
+a serial :class:`~repro.incremental.state.AdmissionState` replay) are
 stated — and tested — over float64-parameter tasks.  Exact-rational
 knife edges are a library-level concern (:mod:`repro.core`), not a wire
 one: they cannot arrive through JSON.
@@ -28,8 +27,7 @@ OPS = ("add", "remove", "trial")
 
 #: How a decision was reached (`Decision.via`).
 VIA_CERTIFIER = "certifier"  #: O(1) DeltaCertifier certificate
-VIA_KERNEL = "kernel"        #: exact vectorized portfolio check
-VIA_STATE = "state"          #: unconditional state op / serial exact path
+VIA_STATE = "state"          #: remove, or the exact AdmissionState check
 
 
 class ProtocolError(ValueError):
@@ -72,10 +70,11 @@ class Decision:
 
     ``ok`` is the admission verdict (``add``/``trial``) or operation
     success (``remove``); ``via`` records which path produced it and
-    ``member`` the first accepting portfolio member (kernel-path accepts
-    only).  ``error`` is set — and ``ok`` False — for requests that are
-    well-formed but inapplicable (unknown device, duplicate task name,
-    removing an absent task) and for requests whose decision raised.
+    ``member`` the first accepting portfolio member (every accepted
+    ``add``/``trial``).  ``error`` is set — and ``ok`` False — for
+    requests that are well-formed but inapplicable (unknown device,
+    duplicate task name, removing an absent task) and for requests whose
+    decision raised.
     """
 
     op: str

@@ -122,13 +122,22 @@ def simulate_sporadic(
     """Simulate several sporadic patterns; return the first failure or the
     last success (mirrors :func:`repro.sim.offsets.simulate_with_offsets`,
     including the best-effort ``min_slack`` over every simulated pattern
-    and the trivially-schedulable empty-taskset guard)."""
+    and the trivially-schedulable empty-taskset guard).
+
+    All ``samples`` schedules are drawn before any is simulated, so an
+    early failure leaves ``rng`` where a full search would: a stream
+    shared across tasksets stays aligned with
+    :func:`repro.search.uniform_sporadic_search_batch`."""
     if samples < 0:
         raise ValueError("samples must be >= 0")
     if len(taskset) == 0:
         # No tasks, no releases: one empty run certifies every pattern
         # (simulate_release_schedule would reject the empty schedule).
         return simulate(taskset, fpga, scheduler, horizon, **simulate_kwargs)
+    schedules = [
+        sample_release_schedule(taskset, horizon, rng, max_jitter_factor)
+        for _ in range(samples)
+    ]
     best_slack: Real = float("inf")
     result: Optional[SimulationResult] = None
     if include_periodic:
@@ -136,8 +145,7 @@ def simulate_sporadic(
         best_slack = result.min_slack
         if not result.schedulable:
             return result
-    for _ in range(samples):
-        schedule = sample_release_schedule(taskset, horizon, rng, max_jitter_factor)
+    for schedule in schedules:
         result = simulate_release_schedule(
             taskset, fpga, scheduler, horizon, schedule, **simulate_kwargs
         )

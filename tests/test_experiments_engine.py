@@ -233,6 +233,8 @@ class TestAcceptanceExperiment:
             self._run(sampling="magic")
         with pytest.raises(ValueError):
             self._run(bin_tolerance=0.0)
+        with pytest.raises(ValueError, match="sim_samples_per_point"):
+            self._run(sim_samples_per_point=-5)
 
     def test_series_lookup(self):
         curves = self._run(sim_schedulers=())

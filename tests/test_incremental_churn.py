@@ -181,6 +181,24 @@ class TestKnifeEdges:
         assert "wide" not in state and len(state) == 1
         _assert_parity(state, fpga10)
 
+    def test_trial_and_rejected_admit_leave_state_unchanged(self, fpga10):
+        """``trial`` returns the candidate set's portfolio verdict and,
+        like a rejected ``admit``, leaves tasks and version as they were."""
+        state = AdmissionState(fpga10)
+        state.add(Task(wcet=1, period=4, area=2, name="ok"))
+        before = (state.tasks, state.version)
+        portfolio = paper_portfolio(SchedulerKind.EDF_NF)
+        for task in (
+            Task(wcet=1, period=8, area=3, name="fits"),
+            Task(wcet=1, period=4, area=11, name="wide"),
+        ):
+            expected = portfolio(TaskSet([*state.tasks, task]), fpga10)
+            assert state.trial(task) == expected
+            assert (state.tasks, state.version) == before
+        assert not state.admit(Task(wcet=1, period=4, area=11, name="wide"))
+        assert (state.tasks, state.version) == before
+        _assert_parity(state, fpga10)
+
 
 class TestPaperTablesChurn:
     """Churn across the paper's exact knife-edge tasksets (Tables 1-3)."""

@@ -48,12 +48,7 @@ from repro.search.drivers import (
 )
 from repro.sim.offsets import adaptive_offset_search, simulate_with_offsets
 from repro.sim.simulator import default_horizon, simulate
-from repro.sim.sporadic import (
-    adaptive_sporadic_search,
-    sample_release_schedule,
-    simulate_release_schedule,
-    simulate_sporadic,
-)
+from repro.sim.sporadic import adaptive_sporadic_search, simulate_sporadic
 from repro.util.rngutil import rng_from_seed, spawn_rngs
 from repro.vector.batch import TaskSetBatch
 from repro.vector.sim_vec import default_horizon_batch, simulate_batch
@@ -315,36 +310,28 @@ class TestSlackChannelBackends:
             batch = feasible_batch_at(
                 paper_unconstrained(4), us, 6, rng_from_seed(25)
             )
+            batch_rng = rng_from_seed(26)
             out = uniform_sporadic_search_batch(
                 batch, FPGA, "EDF-NF", patterns=4,
-                rng=rng_from_seed(26), horizon_factor=5,
+                rng=batch_rng, horizon_factor=5,
             )
             scalar_rng = rng_from_seed(26)
             for i in range(batch.count):
                 ts = batch.taskset(i)
-                horizon = default_horizon(ts, factor=5)
-                if us == 50.0:
-                    ref = simulate_sporadic(
-                        ts, FPGA, EdfNf(), horizon,
-                        scalar_rng, samples=4, include_periodic=False,
-                    )
-                    assert ref.schedulable and not out.found[i]
-                    assert float(ref.min_slack) == float(out.min_slack[i])
-                    continue
-                # simulate_sporadic stops drawing at its first failing
-                # pattern; draw all four so the shared stream stays
-                # aligned with the batched driver.
-                schedules = [
-                    sample_release_schedule(ts, horizon, scalar_rng)
-                    for _ in range(4)
-                ]
-                passes = all(
-                    simulate_release_schedule(
-                        ts, FPGA, EdfNf(), horizon, schedule
-                    ).schedulable
-                    for schedule in schedules
+                # simulate_sporadic draws every schedule before it
+                # simulates, so a failing set leaves the stream aligned.
+                ref = simulate_sporadic(
+                    ts, FPGA, EdfNf(), default_horizon(ts, factor=5),
+                    scalar_rng, samples=4, include_periodic=False,
                 )
-                assert passes == (not out.found[i])
+                assert ref.schedulable == (not out.found[i])
+                if us == 50.0:
+                    # Every pattern survives: no early exit on either
+                    # side, so the searches saw the same four patterns.
+                    assert ref.schedulable
+                    assert float(ref.min_slack) == float(out.min_slack[i])
+            # Both sides consumed the shared stream alike.
+            assert scalar_rng.random() == batch_rng.random()
             if us == 80.0:
                 assert out.found.any() and not out.found.all()
 

@@ -9,7 +9,10 @@ server side.
 import asyncio
 import json
 
+import pytest
+
 from repro.service import AdmissionService, BatchConfig, HttpServer
+from repro.service.cli import build_parser
 
 TASK = {"name": "a", "wcet": 1.0, "period": 10.0, "area": 2}
 
@@ -74,7 +77,8 @@ def test_health_devices_and_decisions():
         assert status == 200 and [d["name"] for d in listing["devices"]] == ["d"]
 
         status, dec = await call("POST", "/v1/admit", {"device": "d", "task": TASK})
-        assert status == 200 and dec["ok"] and dec["via"] in ("kernel", "certifier")
+        assert status == 200 and dec["ok"]
+        assert (dec["via"], dec["member"]) == ("state", "DP")  # exact check, empty device
         status, dec = await call(
             "POST", "/v1/trial", {"device": "d", "task": dict(TASK, name="b")}
         )
@@ -238,3 +242,16 @@ def test_service_routes_every_device():
         assert snap["devices"] == 6
 
     with_service(scenario)
+
+
+@pytest.mark.parametrize(
+    "flag", [["--array-backend", "numpy"], ["--no-certifier"]],
+    ids=["array-backend", "no-certifier"],
+)
+def test_removed_service_flags_rejected(flag, capsys):
+    """One exact path: ``repro-service`` takes neither a kernel-backend
+    nor a certifier switch any more."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["--device", "d=64", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

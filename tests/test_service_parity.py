@@ -4,14 +4,13 @@ The service's central contract: for float64-parameter tasks (everything
 that can arrive through the JSON protocol), the decisions of
 :meth:`BatchEngine.process_batch` over *any* partition of a request
 stream into batches are identical to :meth:`BatchEngine.process_serial`
-— one request at a time, straight through ``AdmissionState.admit`` with
-rollback — and the final resident sets agree.  Randomized interleaved
-admit/remove/trial streams exercise the certifier fast path and the
-exact DP → GN1 → GN2 check, on roomy devices and on near-capacity ones
-where many candidates reach GN2; dedicated tests pin the exact check
-against the from-scratch portfolio, rollback-on-reject, trial
-non-mutation, error semantics, per-request fault isolation and the
-certifier-vs-exact agreement.
+— the same routine without the certifier — and the final resident sets
+agree.  Both share the exact check through ``AdmissionState``, so the
+randomized interleaved admit/remove/trial streams check the certifier's
+soundness, on roomy devices and on near-capacity ones where many
+candidates reach GN2; dedicated tests pin the exact check against the
+from-scratch scalar portfolio, rollback-on-reject, trial non-mutation,
+error semantics and per-request fault isolation.
 """
 
 import asyncio
@@ -20,7 +19,9 @@ import random
 import pytest
 
 from repro.core import SchedulerKind, paper_portfolio
+from repro.core.sensitivity import portfolio_member
 from repro.fpga.device import Fpga
+from repro.incremental.reverdict import accept_masks
 from repro.incremental.state import AdmissionState
 from repro.model.task import Task, TaskSet
 from repro.model.validation import TaskParameterError
@@ -34,7 +35,7 @@ from repro.service import (
     parse_request,
     parse_task,
 )
-from repro.service.protocol import VIA_CERTIFIER, VIA_KERNEL, VIA_STATE
+from repro.service.protocol import VIA_CERTIFIER, VIA_STATE
 
 DEVICES = ("fpga0", "fpga1", "fpga2")
 
@@ -99,8 +100,8 @@ def gen_stream(rng: random.Random, n: int, devices=DEVICES, draw=draw_task):
     return requests
 
 
-def make_engine(width=64, use_certifier=True, devices=DEVICES) -> BatchEngine:
-    engine = BatchEngine(use_certifier=use_certifier)
+def make_engine(width=64, devices=DEVICES) -> BatchEngine:
+    engine = BatchEngine()
     for name in devices:
         engine.add_device(name, Fpga(width=width))
     return engine
@@ -108,8 +109,8 @@ def make_engine(width=64, use_certifier=True, devices=DEVICES) -> BatchEngine:
 
 def decision_key(decision):
     """The parity-relevant projection: everything except ``via``/``member``
-    (the batched pipeline may decide via certifier or kernel where the
-    serial reference says ``state`` — the *verdict* must not differ)."""
+    (the batched pipeline may decide via the certifier where the serial
+    reference says ``state`` — the *verdict* must not differ)."""
     return (decision.op, decision.device, decision.name, decision.ok, decision.error)
 
 
@@ -141,36 +142,38 @@ def partition(rng: random.Random, stream, batching):
     return [stream[k : k + size] for k in range(0, len(stream), size)]
 
 
-#: (seed, use_certifier, shape, batching).
+ROUTINES = ("process_batch", "process_serial")
+
+#: (seed, routine, shape, batching).
 REPLAY_CASES = [
-    (seed, cert, "wide", "random") for cert in (True, False) for seed in range(6)
+    (seed, routine, "wide", "random") for routine in ROUTINES for seed in range(6)
 ] + [
-    (seed, cert, "tight", batching)
+    (seed, routine, "tight", batching)
     for batching in (1, 2, "giant")
-    for cert in (True, False)
+    for routine in ROUTINES
     for seed in range(3)
 ]
 
 
 def _replay_id(case):
-    seed, cert, shape, batching = case
-    return f"{cert}-{seed}" if shape == "wide" else f"tight-{batching}-{cert}-{seed}"
+    seed, routine, shape, batching = case
+    return f"{routine}-{seed}" if shape == "wide" else f"tight-{batching}-{routine}-{seed}"
 
 
 @pytest.mark.parametrize(
-    "seed,use_certifier,shape,batching", REPLAY_CASES, ids=map(_replay_id, REPLAY_CASES)
+    "seed,routine,shape,batching", REPLAY_CASES, ids=map(_replay_id, REPLAY_CASES)
 )
-def test_batched_decisions_match_serial_replay(seed, use_certifier, shape, batching):
+def test_batched_decisions_match_serial_replay(seed, routine, shape, batching):
     rng = random.Random(seed)
     width, draw = SHAPES[shape]
     stream = gen_stream(rng, 300, draw=draw)
     serial = make_engine(width=width)
     reference = serial.process_serial(stream)
 
-    batched = make_engine(width=width, use_certifier=use_certifier)
+    batched = make_engine(width=width)
     got = []
     for chunk in partition(rng, stream, batching):
-        got.extend(batched.process_batch(chunk))
+        got.extend(getattr(batched, routine)(chunk))
 
     assert len(got) == len(reference)
     for ref, dec in zip(reference, got):
@@ -263,8 +266,8 @@ def test_error_semantics():
 
 
 def test_certifier_and_exact_paths_agree():
-    """Certified decisions must match what the exact kernels (and the
-    serial reference) would have said."""
+    """Certified decisions must match what the exact check (the serial
+    reference) would have said."""
     rng = random.Random(5)
     stream = []
     for i in range(220):
@@ -281,13 +284,13 @@ def test_certifier_and_exact_paths_agree():
             )
         )
     with_cert = make_engine(width=128, devices=("d",))
-    without = make_engine(width=128, use_certifier=False, devices=("d",))
+    without = make_engine(width=128, devices=("d",))
     serial = make_engine(width=128, devices=("d",))
     reference = serial.process_serial(stream)
     got_cert, got_exact = [], []
     for k in range(0, len(stream), 16):
         got_cert.extend(with_cert.process_batch(stream[k : k + 16]))
-        got_exact.extend(without.process_batch(stream[k : k + 16]))
+        got_exact.extend(without.process_serial(stream[k : k + 16]))
     assert [decision_key(d) for d in got_cert] == [decision_key(d) for d in reference]
     assert [decision_key(d) for d in got_exact] == [decision_key(d) for d in reference]
     # the fast path actually engaged, and only ever on the accept side
@@ -304,40 +307,32 @@ def test_via_taxonomy():
     add = engine.process_batch(
         [Request(op="add", device="d", task=Task(wcet=1.0, period=10.0, area=2, name="a"))]
     )[0]
-    assert add.via == VIA_KERNEL and add.member in ("DP", "GN1", "GN2")
+    assert add.via == VIA_STATE and add.member in ("DP", "GN1", "GN2")
     rem = engine.process_batch([Request(op="remove", device="d", name="a")])[0]
     assert rem.via == VIA_STATE
 
 
-def portfolio_member(result) -> str:
-    """The first accepting member named by a portfolio ``TestResult``."""
-    if not result.accepted:
-        return ""
-    via = result.reason.removeprefix("accepted by member ")
-    return next((m for m in ("GN1", "GN2") if via.startswith(m)), "DP")
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_exact_check_matches_from_scratch_portfolio(seed):
-    """With the certifier off every add/trial takes the exact check; its
+    """Without the certifier every add/trial takes the exact check; its
     ``ok`` and ``member`` equal the scalar portfolio run from scratch on
     the candidate resident set."""
     rng = random.Random(seed)
     fpga = Fpga(width=12)
     portfolio = paper_portfolio(SchedulerKind.EDF_NF)
-    engine = make_engine(width=12, use_certifier=False, devices=("d",))
+    engine = make_engine(width=12, devices=("d",))
     state = engine.device("d").state
     members = set()
     for i in range(80):
         if len(state) > 6 and rng.random() < 0.3:
             victim = rng.choice(state.tasks).name
-            engine.process_batch([Request(op="remove", device="d", name=victim)])
+            engine.process_serial([Request(op="remove", device="d", name=victim)])
             continue
         task = draw_tight_task(rng, i)
         expected = portfolio(TaskSet([*state.tasks, task]), fpga)
         op = rng.choice(("add", "trial"))
-        (decision,) = engine.process_batch([Request(op=op, device="d", task=task)])
-        assert decision.via == VIA_KERNEL
+        (decision,) = engine.process_serial([Request(op=op, device="d", task=task)])
+        assert decision.via == VIA_STATE
         assert (decision.ok, decision.member) == (
             expected.accepted,
             portfolio_member(expected),
@@ -346,67 +341,60 @@ def test_exact_check_matches_from_scratch_portfolio(seed):
     assert {"DP", ""} <= members  # both accepts and rejects were checked
 
 
+@pytest.mark.parametrize("seed", range(2))
+def test_accept_masks_member_matches_scalar_portfolio(seed):
+    """The one-row vector kernels, asked in DP → GN1 → GN2 order, name
+    the member the scalar portfolio accepts by (or none)."""
+    rng = random.Random(seed)
+    fpga = Fpga(width=12)
+    portfolio = paper_portfolio(SchedulerKind.EDF_NF)
+    members = set()
+    for n in range(1, 13):
+        candidate = [TaskSet([draw_tight_task(rng, i) for i in range(n)])]
+        masks = accept_masks(candidate, fpga.capacity)
+        member = next((m for m in ("DP", "GN1", "GN2") if masks[m][0]), "")
+        assert member == portfolio_member(portfolio(candidate[0], fpga))
+        members.add(member)
+    assert {"DP", ""} <= members
+
+
 def test_raising_request_is_isolated(monkeypatch):
     """A request whose exact check raises becomes an error decision; its
     device's state and certifier stay as they were, and every other
-    request in the batch is decided as if it had never been sent.  The
-    serial oracle isolates a raising portfolio check the same way."""
-    import repro.service.engine as engine_module
+    request in the batch is decided as if it had never been sent.  Both
+    routines isolate the fault the same way."""
+    real = AdmissionState.portfolio_result
 
-    real = engine_module.accept_masks
-
-    def flaky(tasksets, *args, **kwargs):
-        if any(t.name == "boom" for ts in tasksets for t in ts):
-            raise RuntimeError("kernel fault")
-        return real(tasksets, *args, **kwargs)
+    def flaky(self, *args, **kwargs):
+        if "boom" in self:
+            raise RuntimeError("portfolio fault")
+        return real(self, *args, **kwargs)
 
     stream = gen_stream(random.Random(8), 120)
     # Too heavy to certify, so the request reaches the exact check.
     boom = Request(
         op="add", device="fpga1", task=Task(wcet=9.0, period=10.0, area=30, name="boom")
     )
-    reference = make_engine()
-    expected = reference.process_batch(stream)
+    for routine in ROUTINES:
+        reference = make_engine()
+        expected = getattr(reference, routine)(stream)
+        with monkeypatch.context() as patch:
+            patch.setattr(AdmissionState, "portfolio_result", flaky)
+            engine = make_engine()
+            got = getattr(engine, routine)(stream[:60] + [boom] + stream[60:])
 
-    monkeypatch.setattr(engine_module, "accept_masks", flaky)
-    engine = make_engine()
-    got = engine.process_batch(stream[:60] + [boom] + stream[60:])
-
-    failed = got.pop(60)
-    assert (failed.ok, failed.name) == (False, "boom")
-    assert failed.error is not None and "kernel fault" in failed.error
-    assert got == expected
-    for name in DEVICES:
-        left, right = engine.device(name), reference.device(name)
-        assert left.state.tasks == right.state.tasks
-        assert left.state.version == right.state.version
-        assert left.cert_valid == right.cert_valid
-        cached = {k: v for k, v in vars(left.certifier).items() if k != "stats"}
-        assert cached == {k: v for k, v in vars(right.certifier).items() if k != "stats"}
-    assert engine.metrics.errors_total == reference.metrics.errors_total + 1
-
-    real_accepts = AdmissionState.portfolio_accepts
-
-    def flaky_accepts(self, *args, **kwargs):
-        if "boom" in self:
-            raise RuntimeError("portfolio fault")
-        return real_accepts(self, *args, **kwargs)
-
-    serial_reference = make_engine()
-    serial_expected = serial_reference.process_serial(stream)
-    monkeypatch.setattr(AdmissionState, "portfolio_accepts", flaky_accepts)
-    serial = make_engine()
-    got = serial.process_serial(stream[:60] + [boom] + stream[60:])
-
-    failed = got.pop(60)
-    assert (failed.ok, failed.name) == (False, "boom")
-    assert failed.error is not None and "portfolio fault" in failed.error
-    assert got == serial_expected
-    for name in DEVICES:
-        assert serial.device(name).state.tasks == (
-            serial_reference.device(name).state.tasks
-        )
-    assert serial.metrics.errors_total == serial_reference.metrics.errors_total + 1
+        failed = got.pop(60)
+        assert (failed.ok, failed.name) == (False, "boom")
+        assert failed.error is not None and "portfolio fault" in failed.error
+        assert got == expected
+        for name in DEVICES:
+            left, right = engine.device(name), reference.device(name)
+            assert left.state.tasks == right.state.tasks
+            assert left.state.version == right.state.version
+            assert left.cert_valid == right.cert_valid
+            cached = {k: v for k, v in vars(left.certifier).items() if k != "stats"}
+            assert cached == {k: v for k, v in vars(right.certifier).items() if k != "stats"}
+        assert engine.metrics.errors_total == reference.metrics.errors_total + 1
 
 
 def test_non_finite_task_cannot_reach_either_path():
