@@ -58,12 +58,6 @@ def main() -> None:
     parser.add_argument("--sim-samples", type=int, default=None,
                         help="simulated tasksets per bucket (default: the "
                              "full bucket)")
-    parser.add_argument("--array-backend",
-                        choices=("numpy", "torch"),
-                        default=None, dest="array_backend",
-                        help="array namespace for the vectorized kernels "
-                             "(default: REPRO_ARRAY_BACKEND env var, then "
-                             "numpy); torch is an optional install")
     parser.add_argument("--ci-target", type=float, default=None,
                         dest="ci_target",
                         help="adaptive bucket sizing: per-bucket draws stop "
@@ -89,12 +83,6 @@ def main() -> None:
     parser.add_argument("--out", type=Path, default=Path("results"))
     args = parser.parse_args()
 
-    if args.array_backend is not None:
-        # Process-wide so the analytical curves follow the selection too.
-        from repro.vector import xp as array_xp
-
-        array_xp.set_backend(args.array_backend)
-
     args.out.mkdir(parents=True, exist_ok=True)
     blocks = []
 
@@ -104,7 +92,6 @@ def main() -> None:
             fid,
             samples=args.samples,
             sim_samples=args.sim_samples,
-            sim_array_backend=args.array_backend,
             seed=args.seed,
             sim_workers=args.sim_workers,
             ci_target=args.ci_target,
@@ -121,19 +108,16 @@ def main() -> None:
     # Placement curves run on the vectorized array free-list, so full
     # paper-scale buckets are affordable.
     blocks.append(as_text(placement_ablation(samples=max(50, args.samples // 4),
-                                             seed=41,
-                                             array_backend=args.array_backend)))
+                                             seed=41)))
     # The release-pattern searches fan their pattern axis into the batch
     # dimension, so full buckets are affordable here too.
     blocks.append(as_text(offset_ablation(samples=max(50, args.samples // 10),
                                           seed=43,
-                                          array_backend=args.array_backend,
                                           search=args.sim_search,
                                           search_rounds=args.search_rounds,
                                           elite_frac=args.elite_frac)))
     blocks.append(as_text(sporadic_ablation(samples=max(50, args.samples // 10),
                                             seed=47,
-                                            array_backend=args.array_backend,
                                             search=args.sim_search,
                                             search_rounds=args.search_rounds,
                                             elite_frac=args.elite_frac)))

@@ -107,7 +107,6 @@ def nf_vs_fkf_ablation(
     us_grid: Sequence[float] = tuple(range(20, 100, 10)),
     samples: int = 60,
     seed: int = 37,
-    sim_array_backend: Optional[str] = None,
     ci_target: Optional[float] = None,
 ) -> AcceptanceCurves:
     """Simulated acceptance of the two global EDF variants."""
@@ -121,7 +120,6 @@ def nf_vs_fkf_ablation(
         tests=(),
         sim_schedulers=("EDF-NF", "EDF-FkF"),
         sim_samples_per_point=None if ci_target is not None else samples,
-        sim_array_backend=sim_array_backend,
         name="ablation: EDF-NF vs EDF-FkF (simulation)",
         ci_target=ci_target,
     )
@@ -134,7 +132,6 @@ def placement_ablation(
     seed: int = 41,
     policies: Sequence[PlacementPolicy] = (PlacementPolicy.FIRST_FIT,),
     horizon_factor: int = 10,
-    array_backend: Optional[str] = None,
     fpga: Optional[Fpga] = None,
 ) -> AcceptanceCurves:
     """Simulated acceptance: free migration vs contiguous placement modes.
@@ -147,9 +144,7 @@ def placement_ablation(
     Every mode/policy curve shares the same per-bucket batches, so the
     gaps are paired comparisons.  Each curve runs through the batched
     simulator's array free-list, which makes full paper-scale buckets
-    affordable.  ``array_backend`` selects the :mod:`repro.vector.xp`
-    namespace the batched simulator computes on (``None`` = ambient
-    precedence).
+    affordable.
     """
     profile = profile or paper_unconstrained(10)
     fpga = fpga or Fpga(width=100)
@@ -167,7 +162,6 @@ def placement_ablation(
                 batch, fpga, "EDF-NF",
                 mode=mode, placement_policy=policy,
                 horizon_factor=horizon_factor,
-                array_backend=array_backend,
             )
             ratios[label].append(res.acceptance_ratio)
     buckets = tuple(float(u) for u in us_grid)
@@ -190,7 +184,6 @@ def offset_ablation(
     offset_samples: int = 10,
     seed: int = 43,
     horizon_factor: int = 10,
-    array_backend: Optional[str] = None,
     search: str = "uniform",
     search_rounds: int = 4,
     elite_frac: float = 0.25,
@@ -236,8 +229,7 @@ def offset_ablation(
         offset_rng = rng_from_seed(seed * 1000 + i)
         pattern_rngs = spawn_rngs(seed * 1000 + i, batch.count)
         sync = simulate_batch(
-            batch, fpga, "EDF-NF", horizon_factor=horizon_factor,
-            array_backend=array_backend,
+            batch, fpga, "EDF-NF", horizon_factor=horizon_factor
         ).schedulable
         searched = sync.copy()
         if offset_samples:
@@ -246,7 +238,6 @@ def offset_ablation(
                     batch, fpga, "EDF-NF",
                     patterns=offset_samples, rng=offset_rng,
                     horizon_factor=horizon_factor,
-                    array_backend=array_backend,
                 )
                 searched &= ~outcome.found
             else:
@@ -260,7 +251,6 @@ def offset_ablation(
                         budget=offset_samples,
                         rngs=[pattern_rngs[b] for b in live],
                         config=config, horizon_factor=horizon_factor,
-                        array_backend=array_backend,
                     )
                     searched[live] &= ~outcome.found
         sync_ratios.append(int(sync.sum()) / samples)
@@ -286,7 +276,6 @@ def sporadic_ablation(
     jitter: float = 0.5,
     seed: int = 47,
     horizon_factor: int = 10,
-    array_backend: Optional[str] = None,
     search: str = "uniform",
     search_rounds: int = 4,
     elite_frac: float = 0.25,
@@ -323,8 +312,7 @@ def sporadic_ablation(
         pattern_rng = rng_from_seed(seed * 1000 + i)
         pattern_rngs = spawn_rngs(seed * 1000 + i, batch.count)
         periodic = simulate_batch(
-            batch, fpga, "EDF-NF", horizon_factor=horizon_factor,
-            array_backend=array_backend,
+            batch, fpga, "EDF-NF", horizon_factor=horizon_factor
         ).schedulable
         searched = periodic.copy()
         if sporadic_samples:
@@ -334,7 +322,6 @@ def sporadic_ablation(
                     patterns=sporadic_samples, rng=pattern_rng,
                     max_jitter_factor=jitter,
                     horizon_factor=horizon_factor,
-                    array_backend=array_backend,
                 )
                 searched &= ~outcome.found
             else:
@@ -347,7 +334,6 @@ def sporadic_ablation(
                         rngs=[pattern_rngs[b] for b in live],
                         max_jitter_factor=jitter, config=config,
                         horizon_factor=horizon_factor,
-                        array_backend=array_backend,
                     )
                     searched[live] &= ~outcome.found
         periodic_ratios.append(int(periodic.sum()) / samples)

@@ -32,7 +32,6 @@ from repro.fpga.placement import PlacementPolicy
 from repro.gen.profiles import GenerationProfile
 from repro.sim.simulator import MigrationMode
 from repro.util.rngutil import rng_from_seed, spawn_rngs
-from repro.vector import xp
 from repro.vector.batch import TaskSetBatch, generate_batch
 from repro.vector.dp_vec import dp_accepts
 from repro.vector.gn1_vec import gn1_accepts
@@ -259,7 +258,6 @@ def acceptance_experiment(
     tests: Sequence[str] = ("DP", "GN1", "GN2"),
     sim_schedulers: Sequence[str] = ("EDF-NF",),
     sim_samples_per_point: Optional[int] = None,
-    sim_array_backend: Optional[str] = None,
     sim_mode: MigrationMode = MigrationMode.FREE,
     sim_policy: PlacementPolicy = PlacementPolicy.FIRST_FIT,
     sim_release: str = "periodic",
@@ -291,13 +289,6 @@ def acceptance_experiment(
     derived from ``seed``).  Every scheduler in a bucket sees the same
     sampled schedules (paired comparisons).
 
-    ``sim_array_backend`` picks the :mod:`repro.vector.xp` array
-    namespace the batched simulator computes on (``"numpy"`` or
-    ``"torch"``); ``None`` follows the process override /
-    ``REPRO_ARRAY_BACKEND`` / numpy precedence.  The seeded sporadic
-    sampler runs in numpy whatever the backend (its draw order is
-    pinned to the scalar reference).
-
     Simulations exceeding ``max_events`` are recorded as not schedulable
     and counted in :attr:`AcceptanceCurves.sim_budget_exceeded` rather
     than aborting the sweep.
@@ -328,9 +319,6 @@ def acceptance_experiment(
     """
     if sampling not in ("rescale", "bin"):
         raise ValueError(f"unknown sampling mode {sampling!r}")
-    # Resolve eagerly: a bad/uninstalled backend fails here, not after
-    # the first bucket's taskset generation.
-    xp.get_backend(sim_array_backend)
     if not isinstance(sim_mode, MigrationMode):
         raise ValueError(f"sim_mode must be a MigrationMode, got {sim_mode!r}")
     if not isinstance(sim_policy, PlacementPolicy):
@@ -439,7 +427,6 @@ def acceptance_experiment(
                     sub, fpga, sched,
                     mode=sim_mode, placement_policy=sim_policy,
                     horizon_factor=horizon_factor, max_events=max_events,
-                    array_backend=sim_array_backend,
                     sim_workers=sim_workers,
                     **release_kwargs,
                 )

@@ -43,14 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "(verdicts bit-identical to serial). Unset, the "
                           "REPRO_SIM_WORKERS environment variable is "
                           "consulted, then 1")
-    run.add_argument("--array-backend",
-                     choices=("numpy", "torch"),
-                     default=None, dest="array_backend",
-                     help="array namespace for the vectorized kernels "
-                          "(repro.vector.xp): numpy is the default; torch "
-                          "is an optional install resolved lazily. "
-                          "Unset, the REPRO_ARRAY_BACKEND environment "
-                          "variable is consulted, then numpy")
     run.add_argument("--sim-mode", choices=("free", "relocatable", "pinned"),
                      default="free", dest="sim_mode",
                      help="migration model for the figure-style sim curves: "
@@ -205,17 +197,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     from repro.fpga.placement import PlacementPolicy
     from repro.sim.simulator import MigrationMode
 
-    if args.array_backend is not None:
-        # Process-wide so the analytical kernels (DP/GN1/GN2 curves)
-        # follow the selection too; the explicit sim_array_backend kwarg
-        # below covers the simulator even without the override.
-        from repro.vector import xp as array_xp
-
-        array_xp.set_backend(args.array_backend)
     exp = get_experiment(args.experiment)
     samples = args.samples if args.samples is not None else exp.default_samples
     curves = exp.runner(samples, args.seed,
-                        sim_array_backend=args.array_backend,
                         ci_target=args.ci_target,
                         sim_mode=MigrationMode(args.sim_mode),
                         sim_policy=PlacementPolicy(args.sim_policy),

@@ -94,7 +94,6 @@ def run_figure(
     seed: int = 2007,
     sim_samples: Optional[int] = 100,
     sim_schedulers: Sequence[str] = ("EDF-NF",),
-    sim_array_backend: Optional[str] = None,
     sim_mode: MigrationMode = MigrationMode.FREE,
     sim_policy: PlacementPolicy = PlacementPolicy.FIRST_FIT,
     sim_release: str = "periodic",
@@ -116,12 +115,8 @@ def run_figure(
     ``sim_jitter`` under sporadic release patterns — so any figure-style
     curve can be regenerated for the non-paper workload families too
     (see :func:`~repro.experiments.acceptance.acceptance_experiment`).
-    ``sim_array_backend`` selects the :mod:`repro.vector.xp` array
-    namespace the batched simulator computes on (``None`` = process
-    override, then ``REPRO_ARRAY_BACKEND``, then numpy), and
-    ``sim_workers`` shards each sim batch over processes
-    (``None`` = ``REPRO_SIM_WORKERS``, then 1; verdicts bit-identical
-    to serial).
+    ``sim_workers`` shards each sim batch over processes (``None`` =
+    ``REPRO_SIM_WORKERS``, then 1; verdicts bit-identical to serial).
 
     ``ci_target`` switches bucket sizing from flat ``samples`` to
     adaptive: each bucket draws only as many tasksets as its series need
@@ -141,7 +136,6 @@ def run_figure(
         tests=("DP", "GN1", "GN2"),
         sim_schedulers=sim_schedulers if sim_enabled else (),
         sim_samples_per_point=sim_samples,
-        sim_array_backend=sim_array_backend,
         sim_mode=sim_mode,
         sim_policy=sim_policy,
         sim_release=sim_release,

@@ -24,8 +24,8 @@ class Experiment:
     experiment_id: str
     description: str
     #: ``runner(samples, seed, **knobs) -> AcceptanceCurves``.  The
-    #: knobs are keyword-only: sim_array_backend, ci_target, sim_mode,
-    #: sim_policy, sim_release, sim_jitter, sim_workers, sim_search,
+    #: knobs are keyword-only: ci_target, sim_mode, sim_policy,
+    #: sim_release, sim_jitter, sim_workers, sim_search,
     #: sim_search_rounds, sim_elite_frac.  Every sim curve runs on the
     #: batched simulator.  Runners that cannot honour a knob (e.g.
     #: ci_target on the offset search, the sim_* sweeps on ablations
@@ -40,7 +40,6 @@ def _figure_runner(figure_id: str):
         samples: int,
         seed: int,
         *,
-        sim_array_backend: Optional[str] = None,
         ci_target: Optional[float] = None,
         sim_mode: MigrationMode = MigrationMode.FREE,
         sim_policy: PlacementPolicy = PlacementPolicy.FIRST_FIT,
@@ -54,7 +53,6 @@ def _figure_runner(figure_id: str):
             samples=samples,
             seed=seed,
             sim_samples=None,  # the whole bucket
-            sim_array_backend=sim_array_backend,
             sim_mode=sim_mode,
             sim_policy=sim_policy,
             sim_release=sim_release,
@@ -88,11 +86,9 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "ablation-nf-fkf": Experiment(
         "ablation-nf-fkf",
         "Simulated acceptance of EDF-NF vs EDF-FkF",
-        lambda samples, seed, *, sim_array_backend=None, ci_target=None,
-        **_sim_kw:
+        lambda samples, seed, *, ci_target=None, **_sim_kw:
             ablations.nf_vs_fkf_ablation(
-                samples=samples, seed=seed,
-                sim_array_backend=sim_array_backend, ci_target=ci_target,
+                samples=samples, seed=seed, ci_target=ci_target
             ),
         default_samples=60,
     ),
@@ -104,22 +100,17 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "ablation-placement": Experiment(
         "ablation-placement",
         "Free migration vs contiguous placement (fragmentation cost)",
-        lambda samples, seed, *, sim_array_backend=None, ci_target=None,
-        **_sim_kw:
-            ablations.placement_ablation(
-                samples=samples, seed=seed, array_backend=sim_array_backend,
-            ),
+        lambda samples, seed, **_sim_kw:
+            ablations.placement_ablation(samples=samples, seed=seed),
         default_samples=400,
     ),
     "ablation-offsets": Experiment(
         "ablation-offsets",
         "Synchronous-release simulation vs offset-searched upper bound",
-        lambda samples, seed, *, sim_array_backend=None, ci_target=None,
-        sim_search="uniform", sim_search_rounds=4, sim_elite_frac=0.25,
-        **_sim_kw:
+        lambda samples, seed, *, sim_search="uniform", sim_search_rounds=4,
+        sim_elite_frac=0.25, **_sim_kw:
             ablations.offset_ablation(
-                samples=samples, seed=seed,
-                array_backend=sim_array_backend, search=sim_search,
+                samples=samples, seed=seed, search=sim_search,
                 search_rounds=sim_search_rounds, elite_frac=sim_elite_frac,
             ),
         default_samples=200,
@@ -133,12 +124,11 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "ablation-sporadic": Experiment(
         "ablation-sporadic",
         "Periodic-release simulation vs sporadic-searched upper bound",
-        lambda samples, seed, *, sim_array_backend=None, ci_target=None,
-        sim_jitter=0.5, sim_search="uniform", sim_search_rounds=4,
-        sim_elite_frac=0.25, **_sim_kw:
+        lambda samples, seed, *, sim_jitter=0.5, sim_search="uniform",
+        sim_search_rounds=4, sim_elite_frac=0.25, **_sim_kw:
             ablations.sporadic_ablation(
                 samples=samples, seed=seed, jitter=sim_jitter,
-                array_backend=sim_array_backend, search=sim_search, search_rounds=sim_search_rounds,
+                search=sim_search, search_rounds=sim_search_rounds,
                 elite_frac=sim_elite_frac,
             ),
         default_samples=200,

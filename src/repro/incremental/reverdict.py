@@ -9,7 +9,7 @@ knife edges fall below float resolution.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.model.task import TaskSet
 from repro.vector.batch import TaskSetBatch
@@ -27,7 +27,6 @@ def accept_masks(
     capacity: int,
     *,
     tests: Sequence[str] = ("DP", "GN1", "GN2"),
-    backend: Optional[str] = None,
 ) -> Dict[str, "hnp.ndarray"]:
     """One vectorized kernel call per member test over same-length
     ``tasksets`` against a ``capacity``-column device.
@@ -43,9 +42,9 @@ def accept_masks(
     batch = TaskSetBatch.from_tasksets(tasksets)
     masks: Dict[str, "hnp.ndarray"] = {}
     if "DP" in tests:
-        masks["DP"] = dp_accepts(batch, capacity, backend=backend)
+        masks["DP"] = dp_accepts(batch, capacity)
     if "GN1" in tests:
-        masks["GN1"] = gn1_accepts(batch, capacity, backend=backend)
+        masks["GN1"] = gn1_accepts(batch, capacity)
     if "GN2" in tests:
-        masks["GN2"] = gn2_accepts(batch, capacity, backend=backend)
+        masks["GN2"] = gn2_accepts(batch, capacity)
     return masks

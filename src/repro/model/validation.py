@@ -12,8 +12,10 @@ import math
 from numbers import Rational, Real
 from typing import TYPE_CHECKING
 
+from repro.model.task import Task
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.model.task import Task, TaskSet
+    from repro.model.task import TaskSet
 
 
 class ModelError(ValueError):
@@ -41,7 +43,7 @@ def _require_real(value: object, name: str, task_name: str) -> None:
         )
 
 
-def validate_task(task: "Task") -> None:
+def validate_task(task: Task) -> None:
     """Raise :class:`TaskParameterError` unless ``task`` is well formed.
 
     Requirements (paper §2):
@@ -75,14 +77,17 @@ def validate_task(task: "Task") -> None:
 def validate_taskset(taskset: "TaskSet") -> None:
     """Raise :class:`TaskSetError` unless ``taskset`` is well formed.
 
-    Tasks are validated individually; additionally task names must be
-    unique so simulator traces and per-task test reports are unambiguous.
+    Every element must be a :class:`~repro.model.task.Task` (whose
+    parameters :func:`validate_task` checked when it was built, so they
+    are not re-validated here), and task names must be unique so
+    simulator traces and per-task test reports are unambiguous.
     """
     if len(taskset) == 0:
         raise TaskSetError("taskset must contain at least one task")
     seen: set[str] = set()
     for task in taskset:
-        validate_task(task)
+        if not isinstance(task, Task):
+            raise TaskSetError(f"taskset elements must be Task, got {task!r}")
         if task.name in seen:
             raise TaskSetError(f"duplicate task name {task.name!r}")
         seen.add(task.name)

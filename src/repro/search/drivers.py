@@ -4,9 +4,8 @@ The four entry points — uniform/adaptive x offsets/sporadic — fan the
 pattern axis into the batch dimension of
 :func:`repro.vector.sim_vec.simulate_batch` (rows repeated
 consecutively, one pattern per repeat) and score with its ``min_slack``
-channel, so they run on every :mod:`repro.vector.xp` backend.  Sampling
-stays host-side (per-row numpy generators) for scalar-twin parity; the
-pattern mappings live in :mod:`repro.search.patterns`.
+channel.  Sampling uses per-row numpy generators for scalar-twin
+parity; the pattern mappings live in :mod:`repro.search.patterns`.
 
 This module imports :mod:`repro.vector` and therefore loads lazily via
 the package ``__getattr__`` (the scalar twins sit *underneath*
@@ -15,7 +14,7 @@ the package ``__getattr__`` (the scalar twins sit *underneath*
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -73,7 +72,6 @@ def uniform_offset_search_batch(
     rng: np.random.Generator,
     horizon_factor: int = 20,
     max_events: int = 1_000_000,
-    array_backend: Optional[str] = None,
 ) -> SearchOutcome:
     """Legacy uniform offset search as one batched sweep.
 
@@ -99,7 +97,6 @@ def uniform_offset_search_batch(
         offsets=offs.reshape(-1, n),
         horizon_factor=horizon_factor,
         max_events=max_events,
-        array_backend=array_backend,
     )
     ok = res.schedulable.reshape(b, patterns)
     return SearchOutcome(
@@ -120,7 +117,6 @@ def adaptive_offset_search_batch(
     config: SearchConfig = SearchConfig(),
     horizon_factor: int = 20,
     max_events: int = 1_000_000,
-    array_backend: Optional[str] = None,
 ) -> SearchOutcome:
     """Cross-entropy offset search over a batch (one proposal per row).
 
@@ -144,7 +140,6 @@ def adaptive_offset_search_batch(
             offsets=offs.reshape(-1, n),
             horizon_factor=horizon_factor,
             max_events=max_events,
-            array_backend=array_backend,
         )
         return (
             res.min_slack.reshape(live_count, patterns),
@@ -166,7 +161,6 @@ def uniform_sporadic_search_batch(
     max_jitter_factor: float = 0.5,
     horizon_factor: int = 20,
     max_events: int = 1_000_000,
-    array_backend: Optional[str] = None,
 ) -> SearchOutcome:
     """Legacy uniform sporadic search as one batched sweep.
 
@@ -190,7 +184,6 @@ def uniform_sporadic_search_batch(
         rng=rng,
         horizon_factor=horizon_factor,
         max_events=max_events,
-        array_backend=array_backend,
     )
     ok = res.schedulable.reshape(b, patterns)
     return SearchOutcome(
@@ -212,7 +205,6 @@ def adaptive_sporadic_search_batch(
     config: SearchConfig = SearchConfig(),
     horizon_factor: int = 20,
     max_events: int = 1_000_000,
-    array_backend: Optional[str] = None,
 ) -> SearchOutcome:
     """Cross-entropy sporadic search over a batch (one proposal per row).
 
@@ -228,10 +220,7 @@ def adaptive_sporadic_search_batch(
         raise ValueError("max_jitter_factor must be >= 0")
     host = _host_batch(batch)
     # default_horizon_batch handles N == 0 itself (trivial zero windows).
-    hz = np.asarray(
-        xp.asnumpy(default_horizon_batch(host, factor=horizon_factor)),
-        dtype=np.float64,
-    )
+    hz = default_horizon_batch(host, factor=horizon_factor)
 
     def score(live: np.ndarray, u: np.ndarray):
         live_count, patterns, n = u.shape
@@ -248,7 +237,6 @@ def adaptive_sporadic_search_batch(
             release_times=times,
             horizon=hz_fan,
             max_events=max_events,
-            array_backend=array_backend,
         )
         return (
             res.min_slack.reshape(live_count, patterns),

@@ -21,10 +21,9 @@ lowest-slack (closest-to-miss) patterns of each row refit that row's
 per-task mean and std, with ``sigma_floor`` preventing premature
 point-mass collapse.
 
-All sampling is host-side numpy (like every seeded sampler in this
-codebase — draw order pinned so the scalar twins replay identical
-patterns); only the *simulation* of the sampled patterns is
-backend-vectorized.
+All sampling is numpy (like every seeded sampler in this codebase —
+draw order pinned so the scalar twins replay identical patterns); the
+sampled patterns are simulated batched.
 """
 
 from __future__ import annotations

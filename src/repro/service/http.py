@@ -159,10 +159,11 @@ class HttpServer:
                 raise _HttpError(400, f"malformed header line: {line!r}")
             headers[key.strip().lower()] = value.strip()
         length_text = headers.get("content-length", "0")
-        try:
-            length = int(length_text)
-        except ValueError:
-            raise _HttpError(400, f"bad content-length: {length_text!r}") from None
+        # RFC 9110 ``1*DIGIT``: int() would also take a sign, underscores
+        # and non-ASCII digits, and a negative length crashes readexactly.
+        if not (length_text.isascii() and length_text.isdigit()):
+            raise _HttpError(400, f"bad content-length: {length_text!r}")
+        length = int(length_text)
         if length > MAX_BODY_BYTES:
             raise _HttpError(413, "request body too large")
         body = await reader.readexactly(length) if length else b""

@@ -19,32 +19,19 @@ acceptance engine's ``sim:`` curves, the placement ablation *and* the
 offset/sporadic pattern searches all run over full buckets instead of a
 subsample (patterns fanned into the batch axis).
 
-Array backends
---------------
+Array namespace
+---------------
 
-No kernel in this package imports numpy directly: every one computes
-through the pluggable namespace of :mod:`repro.vector.xp`, which
-resolves to **numpy** (the eager default, always installed) or
-**torch** on CPU tensors — the latter lazily, behind an optional import
-that is never required at import time (requesting it uninstalled raises
-:class:`repro.vector.xp.BackendUnavailable`).  Selection precedence:
-
-1. explicit kwarg (``simulate_batch(..., array_backend="torch")``,
-   ``dp_accepts(..., backend=...)``, the engine's ``sim_array_backend``);
-2. process-wide override (:func:`repro.vector.xp.set_backend` — the CLI
-   ``--array-backend`` flag installs this);
-3. the ``REPRO_ARRAY_BACKEND`` environment variable;
-4. ``numpy``.
-
-Parity guarantee: with the numpy backend the kernels perform exactly
-the operations they performed before the backends existed, so verdicts
-stay **bit-identical** to the scalar references; torch runs the same
-float64 operand order and holds the same contract (exercised in CI
-when torch is installed).  Always numpy regardless of backend: the
-seeded samplers (:func:`sample_offsets_batch`,
-:func:`sample_release_times_batch` — their draw order is pinned to the
-scalar reference), batch generation (:func:`generate_batch`),
-validation, and every returned verdict array.
+Everything computes on numpy.  No kernel in this package imports numpy
+directly: each takes it from :mod:`repro.vector.xp`, the one module that
+names the array library, which also holds the boundary transfer
+(``asnumpy``) and the placement bitmap helpers.  Inputs are pinned to
+float64 at each batch boundary and the kernels perform the same float
+operations in the same order as the scalar references, so verdicts are
+**bit-identical** to them.  The seeded samplers
+(:func:`sample_offsets_batch`, :func:`sample_release_times_batch`) and
+batch generation (:func:`generate_batch`) draw in the scalar
+reference's order.
 
 The scalar implementations in :mod:`repro.core` and
 :mod:`repro.sim.simulator` remain the reference — the test-suite

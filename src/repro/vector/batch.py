@@ -5,24 +5,17 @@ A :class:`TaskSetBatch` holds ``B`` tasksets of ``N`` tasks each as four
 cache-friendly one: each bound touches whole columns of parameters).
 Conversion to/from the object model is provided for cross-validation and
 for feeding individual sets to the simulator.
-
-The arrays may belong to any :mod:`repro.vector.xp` backend: generation
-and object-model conversion use numpy (the rngs are numpy generators),
-but every aggregate dispatches on the arrays' own namespace
-(:func:`repro.vector.xp.namespace_of`), so a batch converted with
-:meth:`TaskSetBatch.with_backend` keeps its math on that backend.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Union
+from typing import List, Sequence
 
 from repro.gen.profiles import GenerationProfile
 from repro.gen.random_tasksets import _MIN_FACTOR
 from repro.model.task import Task, TaskSet
-from repro.vector import xp
-from repro.vector.xp import host as hnp
+from repro.vector.xp import host as np
 
 
 def sequential_sum(arr, axis: int = -1):
@@ -32,12 +25,10 @@ def sequential_sum(arr, axis: int = -1):
     re-associates floating-point adds and can flip strict-inequality
     verdicts at knife-edge tasksets relative to the scalar reference
     (which accumulates left-to-right).  The vectorized tests use this so
-    their verdicts are bit-identical to :mod:`repro.core`.  The
-    accumulation runs in the array's own namespace.
+    their verdicts are bit-identical to :mod:`repro.core`.
     """
-    ns = xp.namespace_of(arr)
-    arr = ns.moveaxis(arr, axis, -1)
-    out = ns.copy(arr[..., 0])
+    arr = np.moveaxis(arr, axis, -1)
+    out = arr[..., 0].copy()
     for j in range(1, arr.shape[-1]):
         out += arr[..., j]
     return out
@@ -47,10 +38,10 @@ def sequential_sum(arr, axis: int = -1):
 class TaskSetBatch:
     """``B`` tasksets x ``N`` tasks in struct-of-arrays form."""
 
-    wcet: "hnp.ndarray"  # (B, N) float64
-    period: "hnp.ndarray"  # (B, N) float64
-    deadline: "hnp.ndarray"  # (B, N) float64
-    area: "hnp.ndarray"  # (B, N) float64 (integral values)
+    wcet: "np.ndarray"  # (B, N) float64
+    period: "np.ndarray"  # (B, N) float64
+    deadline: "np.ndarray"  # (B, N) float64
+    area: "np.ndarray"  # (B, N) float64 (integral values)
 
     def __post_init__(self) -> None:
         shape = self.wcet.shape
@@ -92,11 +83,11 @@ class TaskSetBatch:
 
     @property
     def max_area(self):
-        return xp.namespace_of(self.area).max(self.area, axis=1)
+        return np.max(self.area, axis=1)
 
     @property
     def min_area(self):
-        return xp.namespace_of(self.area).min(self.area, axis=1)
+        return np.min(self.area, axis=1)
 
     # -- conversions -------------------------------------------------------------
 
@@ -109,10 +100,10 @@ class TaskSetBatch:
         if any(len(ts) != n for ts in tasksets):
             raise ValueError("all tasksets in a batch must have the same size")
         b = len(tasksets)
-        wcet = hnp.empty((b, n))
-        period = hnp.empty((b, n))
-        deadline = hnp.empty((b, n))
-        area = hnp.empty((b, n))
+        wcet = np.empty((b, n))
+        period = np.empty((b, n))
+        deadline = np.empty((b, n))
+        area = np.empty((b, n))
         for bi, ts in enumerate(tasksets):
             for ni, t in enumerate(ts):
                 wcet[bi, ni] = float(t.wcet)
@@ -150,40 +141,13 @@ class TaskSetBatch:
             self.wcet[sl], self.period[sl], self.deadline[sl], self.area[sl]
         )
 
-    def with_backend(
-        self, backend: Union[None, str, "xp.ArrayBackend"] = None
-    ) -> "TaskSetBatch":
-        """The same batch with arrays on the given array backend.
-
-        ``backend`` follows the :func:`repro.vector.xp.get_backend`
-        precedence (``None`` means the active selection).  This is the
-        one conversion point for batch data; dtypes are preserved.
-        """
-        ns = xp.get_backend(backend)
-        return TaskSetBatch(
-            ns.asarray(xp.asnumpy(self.wcet)),
-            ns.asarray(xp.asnumpy(self.period)),
-            ns.asarray(xp.asnumpy(self.deadline)),
-            ns.asarray(xp.asnumpy(self.area)),
-        )
-
-    def to_host(self) -> "TaskSetBatch":
-        """The same batch with host (numpy) arrays."""
-        return TaskSetBatch(
-            xp.asnumpy(self.wcet),
-            xp.asnumpy(self.period),
-            xp.asnumpy(self.deadline),
-            xp.asnumpy(self.area),
-        )
-
     def scaled_to_system_utilization(self, targets) -> "TaskSetBatch":
         """Rescale every set's WCETs to hit per-set ``US`` targets.
 
         Vectorized analogue of
         :meth:`repro.model.task.TaskSet.scaled_to_system_utilization`.
         """
-        ns = xp.namespace_of(self.wcet)
-        targets = ns.asarray(targets, dtype=ns.float64)
+        targets = np.asarray(targets, dtype=np.float64)
         if tuple(targets.shape) != (self.count,):
             raise ValueError(f"targets must have shape ({self.count},)")
         factor = targets / self.system_utilization
@@ -195,37 +159,34 @@ class TaskSetBatch:
     def feasible_mask(self):
         """Per-set mask: every task has ``C <= min(D, T)`` (``(B,)`` bool)."""
         ok = (self.wcet <= self.deadline) & (self.wcet <= self.period)
-        return xp.namespace_of(self.wcet).all(ok, axis=1)
+        return np.all(ok, axis=1)
 
 
 def generate_batch(
-    profile: GenerationProfile, count: int, rng: "hnp.random.Generator"
+    profile: GenerationProfile, count: int, rng: "np.random.Generator"
 ) -> TaskSetBatch:
     """Draw ``count`` tasksets from ``profile`` directly into arrays.
 
     Identical distributions to
     :func:`repro.gen.random_tasksets.generate_taskset`, but one vectorized
-    draw instead of ``count * N`` Python-object constructions.  Always
-    host-side (the generator is a numpy one and the draw order is pinned
-    to the scalar reference); convert the result with
-    :meth:`TaskSetBatch.with_backend` when another backend is wanted.
+    draw instead of ``count * N`` Python-object constructions.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     n = profile.n_tasks
     if profile.integer_periods:
-        lo = int(hnp.ceil(profile.period_min))
-        hi = int(hnp.floor(profile.period_max))
+        lo = int(np.ceil(profile.period_min))
+        hi = int(np.floor(profile.period_max))
         if lo > hi:
             raise ValueError("no integers in period range")
-        period = rng.integers(lo, hi + 1, size=(count, n)).astype(hnp.float64)
+        period = rng.integers(lo, hi + 1, size=(count, n)).astype(np.float64)
     else:
         period = rng.uniform(profile.period_min, profile.period_max, size=(count, n))
-    factor = hnp.maximum(
+    factor = np.maximum(
         rng.uniform(profile.util_min, profile.util_max, size=(count, n)), _MIN_FACTOR
     )
     area = rng.integers(profile.area_min, profile.area_max + 1, size=(count, n)).astype(
-        hnp.float64
+        np.float64
     )
     wcet = period * factor
     return TaskSetBatch(wcet=wcet, period=period, deadline=period.copy(), area=area)

@@ -1,42 +1,36 @@
 """Vectorized DP (Theorem 1) over a :class:`TaskSetBatch`.
 
-Backend-neutral: the kernel resolves an array namespace through
-:mod:`repro.vector.xp` (explicit ``backend`` kwarg > process override >
-``REPRO_ARRAY_BACKEND`` > numpy), pins every input to float64 at the
-batch boundary (float32 inputs would silently change knife-edge
-verdicts), and returns *host* numpy verdict masks regardless of where
-the arithmetic ran.
+The kernel pins every input to float64 at the batch boundary (float32
+inputs would silently change knife-edge verdicts) and returns numpy
+verdict masks.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.vector import xp
 from repro.vector.batch import TaskSetBatch, sequential_sum
-from repro.vector.xp import host as hnp
+from repro.vector.xp import host as np
 
 
-def _pinned(batch: TaskSetBatch, ns) -> Tuple:
-    """The batch's arrays on ``ns``, pinned to float64 (exact upcast)."""
+def _pinned(batch: TaskSetBatch) -> Tuple:
+    """The batch's arrays pinned to float64 (exact upcast)."""
     return (
-        ns.asarray(batch.wcet, dtype=ns.float64),
-        ns.asarray(batch.period, dtype=ns.float64),
-        ns.asarray(batch.deadline, dtype=ns.float64),
-        ns.asarray(batch.area, dtype=ns.float64),
+        np.asarray(batch.wcet, dtype=np.float64),
+        np.asarray(batch.period, dtype=np.float64),
+        np.asarray(batch.deadline, dtype=np.float64),
+        np.asarray(batch.area, dtype=np.float64),
     )
 
 
-def necessary_mask(
-    batch: TaskSetBatch, capacity: int, *, backend: Optional[str] = None
-) -> "hnp.ndarray":
+def necessary_mask(batch: TaskSetBatch, capacity: int) -> "np.ndarray":
     """Vectorized :func:`repro.core.interfaces.necessary_conditions`."""
-    ns = xp.get_backend(backend)
-    wcet, period, deadline, area = _pinned(batch, ns)
+    wcet, period, deadline, area = _pinned(batch)
     per_task = (area <= capacity) & (wcet <= deadline) & (wcet <= period)
     us_total = sequential_sum(wcet * area / period, axis=1)
-    ok = ns.all(per_task, axis=1) & (us_total <= capacity)
-    return ns.asnumpy(ok)
+    ok = np.all(per_task, axis=1) & (us_total <= capacity)
+    return xp.asnumpy(ok)
 
 
 def dp_accepts(
@@ -44,19 +38,17 @@ def dp_accepts(
     capacity: int,
     *,
     integer_areas: bool = True,
-    backend: Optional[str] = None,
-) -> "hnp.ndarray":
-    """Per-set DP verdicts, shape ``(B,)`` bool (host numpy).
+) -> "np.ndarray":
+    """Per-set DP verdicts, shape ``(B,)`` bool.
 
     ``integer_areas=False`` evaluates Danne & Platzner's original
     real-area bound (``Abnd = A(H) - Amax``) for the α ablation.
     """
-    ns = xp.get_backend(backend)
-    wcet, period, _, area = _pinned(batch, ns)
+    wcet, period, _, area = _pinned(batch)
     us_total = sequential_sum(wcet * area / period, axis=1)  # (B,)
     ut = wcet / period  # (B, N)
     us_i = ut * area  # (B, N)
-    abnd = capacity - ns.max(area, axis=1) + (1 if integer_areas else 0)  # (B,)
+    abnd = capacity - np.max(area, axis=1) + (1 if integer_areas else 0)  # (B,)
     rhs = abnd[:, None] * (1.0 - ut) + us_i  # (B, N)
-    ok = ns.all(us_total[:, None] <= rhs, axis=1)
-    return ns.asnumpy(ok) & necessary_mask(batch, capacity, backend=backend)
+    ok = np.all(us_total[:, None] <= rhs, axis=1)
+    return xp.asnumpy(ok) & necessary_mask(batch, capacity)

@@ -5,36 +5,32 @@ The λ search is materialized as a 4-D tensor ``(B, N_k, L, N_i)`` with
 the valid ones).  That is ``2 N^3`` floats per taskset, so batches are
 processed in chunks to bound peak memory (``chunk`` parameter).
 
-Backend-neutral: arithmetic runs on the namespace resolved through
-:mod:`repro.vector.xp` (inputs pinned to float64 at the boundary),
-verdicts return as host numpy bools.
+Inputs are pinned to float64 at the boundary; verdicts return as numpy
+bools.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.vector import xp
 from repro.vector.batch import TaskSetBatch, sequential_sum
 from repro.vector.dp_vec import _pinned, necessary_mask
-from repro.vector.xp import host as hnp
+from repro.vector.xp import host as np
 
 
 def _gn2_chunk(
     batch: TaskSetBatch,
     capacity: int,
     strict_condition2: bool,
-    ns,
-) -> "hnp.ndarray":
-    c, t, d, a = _pinned(batch, ns)
+) -> "np.ndarray":
+    c, t, d, a = _pinned(batch)
     util = c / t  # (B, N)
     dens = c / d  # (B, N)
 
     # Candidate λ values: all utilizations, plus densities where D > T.
-    lam = ns.concatenate([util, dens], axis=1)  # (B, L)
+    lam = np.concatenate([util, dens], axis=1)  # (B, L)
     dens_valid = (d > t)  # (B, N)
-    lam_valid = ns.concatenate(
-        [ns.ones_like(util, dtype=ns.bool_), dens_valid], axis=1
+    lam_valid = np.concatenate(
+        [np.ones_like(util, dtype=np.bool_), dens_valid], axis=1
     )
 
     lam4 = lam[:, None, :, None]  # (B, 1, L, 1)
@@ -46,32 +42,32 @@ def _gn2_chunk(
     d_k = d[:, :, None, None]  # (B, N, 1, 1)
 
     # Lemma 7 β cases (corrected case 2 = u_i; see DESIGN.md §4.3).
-    case1 = ns.maximum(u_i, u_i * (1.0 - d_i / d_k) + c_i / d_k)
+    case1 = np.maximum(u_i, u_i * (1.0 - d_i / d_k) + c_i / d_k)
     case3 = u_i + (c_i - lam4 * d_i) / d_k
-    beta = ns.where(
-        u_i <= lam4, case1, ns.where(lam4 >= dens_i, u_i, case3)
+    beta = np.where(
+        u_i <= lam4, case1, np.where(lam4 >= dens_i, u_i, case3)
     )  # (B, N, L, N)
 
     t_over_d = t / d  # (B, N)
-    lam_scale = ns.maximum(t_over_d, 1.0)[:, :, None]  # (B, N, 1)
+    lam_scale = np.maximum(t_over_d, 1.0)[:, :, None]  # (B, N, 1)
     lam_k = lam[:, None, :] * lam_scale  # (B, N, L)
     one_minus = 1.0 - lam_k
 
     lhs1 = sequential_sum(
-        a_i * ns.minimum(beta, one_minus[:, :, :, None]), axis=3
+        a_i * np.minimum(beta, one_minus[:, :, :, None]), axis=3
     )  # (B, N, L)
-    lhs2 = sequential_sum(a_i * ns.minimum(beta, 1.0), axis=3)
+    lhs2 = sequential_sum(a_i * np.minimum(beta, 1.0), axis=3)
 
-    abnd = (capacity - ns.max(a, axis=1) + 1.0)[:, None, None]  # (B, 1, 1)
-    amin = ns.min(a, axis=1)[:, None, None]
+    abnd = (capacity - np.max(a, axis=1) + 1.0)[:, None, None]  # (B, 1, 1)
+    amin = np.min(a, axis=1)[:, None, None]
     cond1 = lhs1 < abnd * one_minus
     rhs2 = (abnd - amin) * one_minus + amin
     cond2 = (lhs2 < rhs2) if strict_condition2 else (lhs2 <= rhs2)
 
     # λ must be a declared candidate and >= C_k/T_k.
     valid = lam_valid[:, None, :] & (lam[:, None, :] >= util[:, :, None])  # (B, N, L)
-    witnessed = ns.any((cond1 | cond2) & valid, axis=2)  # (B, N)
-    return ns.asnumpy(ns.all(witnessed, axis=1))
+    witnessed = np.any((cond1 | cond2) & valid, axis=2)  # (B, N)
+    return xp.asnumpy(np.all(witnessed, axis=1))
 
 
 def gn2_accepts(
@@ -80,17 +76,15 @@ def gn2_accepts(
     *,
     strict_condition2: bool = True,
     chunk: int = 512,
-    backend: Optional[str] = None,
-) -> "hnp.ndarray":
+) -> "np.ndarray":
     """Per-set GN2 verdicts, shape ``(B,)`` bool (chunked evaluation)."""
     if chunk < 1:
         raise ValueError("chunk must be >= 1")
-    ns = xp.get_backend(backend)
     parts = []
     for start in range(0, batch.count, chunk):
         sl = slice(start, min(start + chunk, batch.count))
         sub = TaskSetBatch(
             batch.wcet[sl], batch.period[sl], batch.deadline[sl], batch.area[sl]
         )
-        parts.append(_gn2_chunk(sub, capacity, strict_condition2, ns))
-    return hnp.concatenate(parts) & necessary_mask(batch, capacity, backend=backend)
+        parts.append(_gn2_chunk(sub, capacity, strict_condition2))
+    return np.concatenate(parts) & necessary_mask(batch, capacity)

@@ -24,18 +24,11 @@ All geometry is integer arithmetic, so agreement with the scalar path is
 bit-exact by construction — and property-tested against ``FreeList`` and
 ``choose_interval`` under random place/free sequences in
 ``tests/test_fpga_intervals.py``.
-
-Backend-neutral: every kernel dispatches on the bitmap array's own
-:mod:`repro.vector.xp` namespace (or an explicit ``ns``), so the same
-code runs on numpy uint64 words or torch int64 words (torch has no
-uint64 arithmetic; the int64 reinterpretation is bit-identical for
-``& | ~`` and equality under two's complement — see
-:meth:`repro.vector.xp.ArrayBackend.bitmap_from_host`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from repro.fpga.device import Fpga
 from repro.fpga.intervals import (
@@ -47,26 +40,25 @@ from repro.fpga.intervals import (
 )
 from repro.fpga.placement import PlacementPolicy
 from repro.vector import xp
+from repro.vector.xp import host as np
 
 
-def range_masks(starts, ends, n_words: int, ns=None):
+def range_masks(starts, ends, n_words: int):
     """Per-row word masks with bits ``[start, end)`` set.
 
     ``starts``/``ends`` are ``(R,)`` int arrays (``0 <= start <= end <=
-    64 * n_words``); returns ``(R, n_words)`` words in the backend's
-    bitmap dtype.
+    64 * n_words``); returns ``(R, n_words)`` words as uint64.
     """
-    ns = ns if ns is not None else xp.namespace_of(starts)
-    base = ns.arange(n_words, dtype=ns.int64) * WORD_BITS
+    base = np.arange(n_words, dtype=np.int64) * WORD_BITS
     # Manual min/max instead of np.clip: this sits on the simulator's
     # per-decision hot path and clip's dtype plumbing costs ~5x the ufuncs.
-    lo = ns.minimum(ns.maximum(starts[:, None] - base, 0), WORD_BITS)
-    hi = ns.minimum(ns.maximum(ends[:, None] - base, 0), WORD_BITS)
-    low_bits = ns.low_bits()
+    lo = np.minimum(np.maximum(starts[:, None] - base, 0), WORD_BITS)
+    hi = np.minimum(np.maximum(ends[:, None] - base, 0), WORD_BITS)
+    low_bits = xp.low_bits()
     return low_bits[hi] & ~low_bits[lo]
 
 
-def span_free(words, starts, widths, width: int, n_words: int, ns=None):
+def span_free(words, starts, widths, width: int, n_words: int):
     """Per-row "is ``[start, start+width)`` entirely free" on word bitmaps.
 
     The single implementation behind :meth:`BatchFreeList.is_free` and
@@ -75,35 +67,26 @@ def span_free(words, starts, widths, width: int, n_words: int, ns=None):
     edge report ``False``; their (clamped, garbage) masks are vetoed by
     the validity term, so no sanitizing pass is needed.
     """
-    ns = ns if ns is not None else xp.namespace_of(words)
     valid = (starts >= 0) & (widths > 0) & (starts + widths <= width)
-    masks = range_masks(starts, starts + widths, n_words, ns=ns)
-    return ns.all((words & masks) == masks, axis=1) & valid
+    masks = range_masks(starts, starts + widths, n_words)
+    return np.all((words & masks) == masks, axis=1) & valid
 
 
-def clear_spans(words, rows, starts, widths, n_words: int, ns=None):
+def clear_spans(words, rows, starts, widths, n_words: int):
     """Occupy (clear) ``[start, start+width)`` in each given row of ``words``."""
-    ns = ns if ns is not None else xp.namespace_of(words)
-    masks = range_masks(starts, starts + widths, n_words, ns=ns)
+    masks = range_masks(starts, starts + widths, n_words)
     words[rows] &= ~masks
     return words
 
 
-def set_spans(words, rows, starts, widths, n_words: int, ns=None):
+def set_spans(words, rows, starts, widths, n_words: int):
     """Release (set) ``[start, start+width)`` in each given row of ``words``."""
-    ns = ns if ns is not None else xp.namespace_of(words)
-    masks = range_masks(starts, starts + widths, n_words, ns=ns)
+    masks = range_masks(starts, starts + widths, n_words)
     words[rows] |= masks
     return words
 
 
-def unpack_words(words, width: int, ns=None):
-    """Unpack ``(R, n_words)`` bitmap words to ``(R, width)`` uint8 0/1."""
-    ns = ns if ns is not None else xp.namespace_of(words)
-    return ns.unpack_bitmap(words, width)
-
-
-def hole_ends_and_lengths(free, ns=None):
+def hole_ends_and_lengths(free):
     """Maximal-hole geometry of ``(R, W)`` uint8 0/1 free maps.
 
     Returns ``(start_of, hole_len)``: ``start_of[r, c]`` is the start of
@@ -118,21 +101,20 @@ def hole_ends_and_lengths(free, ns=None):
     ``maximum.accumulate``), which profiles several times faster than
     the reversed-suffix-min formulation on float/int64.
     """
-    ns = ns if ns is not None else xp.namespace_of(free)
     W = int(free.shape[1])
-    idx1 = ns.col_index(W)  # column index + 1, so 0 can mean "no occupied yet"
-    zero = ns.zeros((), dtype=idx1.dtype)
+    idx1 = xp.col_index(W)  # column index + 1, so 0 can mean "no occupied yet"
+    zero = np.zeros((), dtype=idx1.dtype)
     # start_of[c]: (last occupied column <= c) + 1 == start of the free
     # run ending at c (free cols), or c + 1 (occupied cols).
-    start_of = ns.maximum_accumulate(ns.where(free, zero, idx1), axis=1)
-    ends = ns.copy(free)
+    start_of = np.maximum.accumulate(np.where(free, zero, idx1), axis=1)
+    ends = free.copy()
     ends[:, :-1] &= free[:, 1:] ^ 1
     # Hole ending at c has width c - start + 1 == idx1 - start_of.
-    hole_len = ns.where(ends, idx1 - start_of, zero)
+    hole_len = np.where(ends, idx1 - start_of, zero)
     return start_of, hole_len
 
 
-def choose_batch(words, widths, device_width: int, policy: PlacementPolicy, ns=None):
+def choose_batch(words, widths, device_width: int, policy: PlacementPolicy):
     """Vectorized :func:`repro.fpga.placement.choose_interval` over rows.
 
     ``words`` is ``(R, n_words)`` bitmap words, ``widths`` ``(R,)``
@@ -140,41 +122,40 @@ def choose_batch(words, widths, device_width: int, policy: PlacementPolicy, ns=N
     hole is wide enough.  Tie-breaks are bit-identical to the scalar
     chooser.
     """
-    ns = ns if ns is not None else xp.namespace_of(words)
-    free = unpack_words(words, device_width, ns=ns)
-    start_of, hole_len = hole_ends_and_lengths(free, ns=ns)
+    free = xp.unpack_bitmap(words, device_width)
+    start_of, hole_len = hole_ends_and_lengths(free)
     W = device_width
     # Clamp before narrowing: a request wider than the device can never
     # fit (hole_len <= W < W + 1), and the raw width could wrap in the
     # narrow hole_len dtype (e.g. 300 -> 44 in uint8) and falsely place.
-    need = ns.astype(ns.minimum(widths, W + 1)[:, None], hole_len.dtype)
+    need = np.minimum(widths, W + 1)[:, None].astype(hole_len.dtype)
     fits = hole_len >= need
-    rows = ns.arange(words.shape[0])
+    rows = np.arange(words.shape[0])
     if policy is PlacementPolicy.FIRST_FIT:
         # Leftmost fitting hole == leftmost fitting hole end.
-        pick = ns.argmax(fits, axis=1)
+        pick = np.argmax(fits, axis=1)
     elif policy is PlacementPolicy.BEST_FIT:
         # min (length, start): encode as length * (W + 1) + start.
-        key = ns.where(
+        key = np.where(
             fits,
-            ns.astype(hole_len, ns.int32) * (W + 1) + start_of,
-            ns.full((), (W + 1) * (W + 1), dtype=ns.int32),
+            hole_len.astype(np.int32) * (W + 1) + start_of,
+            np.full((), (W + 1) * (W + 1), dtype=np.int32),
         )
-        pick = ns.argmin(key, axis=1)
+        pick = np.argmin(key, axis=1)
     elif policy is PlacementPolicy.WORST_FIT:
         # max (length, -start): encode as length * (W + 1) + (W - start).
-        key = ns.where(
+        key = np.where(
             fits,
-            ns.astype(hole_len, ns.int32) * (W + 1) + (W - start_of),
-            ns.full((), -1, dtype=ns.int32),
+            hole_len.astype(np.int32) * (W + 1) + (W - start_of),
+            np.full((), -1, dtype=np.int32),
         )
-        pick = ns.argmax(key, axis=1)
+        pick = np.argmax(key, axis=1)
     else:  # pragma: no cover
         raise AssertionError(f"unhandled policy {policy!r}")
     # fits[rows, pick] doubles as the "any hole fits" flag (cheaper than
     # a separate any-reduction).
-    return ns.where(
-        fits[rows, pick], ns.astype(start_of[rows, pick], ns.int64), -1
+    return np.where(
+        fits[rows, pick], start_of[rows, pick].astype(np.int64), -1
     )
 
 
@@ -185,26 +166,16 @@ class BatchFreeList:
     rows; :meth:`reset` rewinds every row to the device's pristine free
     spans (the simulator re-places the running set from scratch at each
     decision point, mirroring the scalar path's fresh ``FreeList``).
-    ``backend`` selects the :mod:`repro.vector.xp` namespace the bitmap
-    words live on (``None`` = the active selection).
     """
 
-    def __init__(
-        self,
-        fpga: Fpga,
-        count: int,
-        backend: Union[None, str, "xp.ArrayBackend"] = None,
-    ):
+    def __init__(self, fpga: Fpga, count: int):
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
         self.fpga = fpga
         self.width = fpga.width
         self.n_words = word_count(fpga.width)
-        self.ns = xp.get_backend(backend)
-        self.device_words = self.ns.bitmap_from_host(
-            spans_to_words(fpga.free_spans(), fpga.width)
-        )
-        self.words = self.ns.tile(self.device_words, (count, 1))
+        self.device_words = spans_to_words(fpga.free_spans(), fpga.width)
+        self.words = np.tile(self.device_words, (count, 1))
 
     @property
     def count(self) -> int:
@@ -214,7 +185,7 @@ class BatchFreeList:
         """Free every row (optionally resizing to ``count`` rows)."""
         n = self.count if count is None else count
         if count is not None and self.words.shape[0] != count:
-            self.words = self.ns.tile(self.device_words, (n, 1))
+            self.words = np.tile(self.device_words, (n, 1))
         else:
             self.words[:] = self.device_words
 
@@ -222,29 +193,27 @@ class BatchFreeList:
 
     def free_spans_of(self, row: int) -> List[Interval]:
         """Row ``row``'s sorted maximal free intervals (for tests/tools)."""
-        return words_to_spans(self.ns.asnumpy(self.words[row]), self.width)
+        return words_to_spans(xp.asnumpy(self.words[row]), self.width)
 
     def total_free(self):
         """Free columns per row, ``(B,)`` int64."""
-        unpacked = unpack_words(self.words, self.width, ns=self.ns)
-        return self.ns.sum(self.ns.astype(unpacked, self.ns.int64), axis=1)
+        unpacked = xp.unpack_bitmap(self.words, self.width)
+        return np.sum(unpacked.astype(np.int64), axis=1)
 
     def largest_hole(self):
         """Widest hole per row, ``(B,)`` int64."""
-        free = unpack_words(self.words, self.width, ns=self.ns)
-        _, hole_len = hole_ends_and_lengths(free, ns=self.ns)
-        return self.ns.astype(self.ns.max(hole_len, axis=1), self.ns.int64)
+        free = xp.unpack_bitmap(self.words, self.width)
+        _, hole_len = hole_ends_and_lengths(free)
+        return np.max(hole_len, axis=1).astype(np.int64)
 
     def is_free(self, starts, widths):
         """Per-row ``FreeList.is_free(start, width)`` — ``(B,)`` bool.
 
         Rows with ``start < 0`` (no recorded position) report ``False``.
         """
-        starts = self.ns.asarray(starts, dtype=self.ns.int64)
-        widths = self.ns.asarray(widths, dtype=self.ns.int64)
-        return span_free(
-            self.words, starts, widths, self.width, self.n_words, ns=self.ns
-        )
+        starts = np.asarray(starts, dtype=np.int64)
+        widths = np.asarray(widths, dtype=np.int64)
+        return span_free(self.words, starts, widths, self.width, self.n_words)
 
     def choose(self, widths, policy: PlacementPolicy, rows=None):
         """Vectorized ``choose_interval`` (``-1`` where no hole fits).
@@ -252,20 +221,20 @@ class BatchFreeList:
         With ``rows`` given, only that subset is evaluated (and the
         result aligns with ``rows``); otherwise all rows.
         """
-        widths = self.ns.asarray(widths, dtype=self.ns.int64)
+        widths = np.asarray(widths, dtype=np.int64)
         words = self.words if rows is None else self.words[rows]
-        return choose_batch(words, widths, self.width, policy, ns=self.ns)
+        return choose_batch(words, widths, self.width, policy)
 
     # -- mutations -------------------------------------------------------
 
     def occupy(self, rows, starts, widths) -> None:
         """Clear (allocate) ``[start, start+width)`` in each given row."""
-        starts = self.ns.asarray(starts, dtype=self.ns.int64)
-        widths = self.ns.asarray(widths, dtype=self.ns.int64)
-        clear_spans(self.words, rows, starts, widths, self.n_words, ns=self.ns)
+        starts = np.asarray(starts, dtype=np.int64)
+        widths = np.asarray(widths, dtype=np.int64)
+        clear_spans(self.words, rows, starts, widths, self.n_words)
 
     def vacate(self, rows, starts, widths) -> None:
         """Set (release) ``[start, start+width)`` in each given row."""
-        starts = self.ns.asarray(starts, dtype=self.ns.int64)
-        widths = self.ns.asarray(widths, dtype=self.ns.int64)
-        set_spans(self.words, rows, starts, widths, self.n_words, ns=self.ns)
+        starts = np.asarray(starts, dtype=np.int64)
+        widths = np.asarray(widths, dtype=np.int64)
+        set_spans(self.words, rows, starts, widths, self.n_words)

@@ -63,12 +63,8 @@ event (rows are not synchronized to a global clock).  Decided rows are
 compacted out, so the per-step cost tracks the number of still-undecided
 sets.
 
-Array backends: the state arrays live on the namespace resolved through
-:mod:`repro.vector.xp` (``array_backend`` kwarg > process override >
-``REPRO_ARRAY_BACKEND`` env var > numpy).  Validation, samplers and the
-returned :class:`SimBatchResult` use plain numpy; inputs are converted
-to the backend once per batch, pinned to float64 (float32 state would
-silently change knife-edge verdicts), and results converted back once.
+Inputs are pinned to float64 once per batch (float32 state would
+silently change knife-edge verdicts).
 
 Bit-exactness discipline: the float operations (release accumulation,
 ``now + remaining`` completion times, ``remaining - dt`` advances, area
@@ -77,7 +73,7 @@ as the scalar reference, and all placement geometry is integer
 arithmetic on the shared interval representation
 (:mod:`repro.fpga.intervals`), so verdicts are bit-identical to
 ``simulate(batch.taskset(i), offsets=...)`` /
-``simulate_release_schedule(...)`` on every backend — the same contract
+``simulate_release_schedule(...)`` — the same contract
 :func:`repro.vector.batch.sequential_sum` gives the analytical tests.
 The EDF tie-break replicates the scalar queue exactly, including the
 *lexicographic* task-name ordering of ``batch.taskset`` names (``tau10``
@@ -103,7 +99,7 @@ from repro.util.parallel import parallel_map
 from repro.vector import xp
 from repro.vector.batch import TaskSetBatch
 from repro.vector.placement_vec import choose_batch, clear_spans, span_free
-from repro.vector.xp import host as hnp
+from repro.vector.xp import host as np
 
 #: scheduler name -> skip_blocked (EDF-NF skips a job that does not fit,
 #: EDF-FkF stops at the first one — see repro.sched.base.Scheduler).
@@ -146,10 +142,9 @@ class SimBatchResult:
     of budget are additionally flagged in ``budget_exceeded`` (the
     scalar simulator raises ``SimulationError`` there — the batch runner
     records the row as not-schedulable-within-budget and keeps going).
-    All fields are host numpy arrays whichever array backend ran the
-    simulation.  ``mode``/``policy`` record the migration model the
-    batch ran under (``policy`` is ``None`` in FREE mode, where
-    placement is moot); ``release`` records the release pattern
+    All fields are numpy arrays.  ``mode``/``policy`` record the
+    migration model the batch ran under (``policy`` is ``None`` in FREE
+    mode, where placement is moot); ``release`` records the release pattern
     (``"periodic"`` covers both synchronous and offset runs,
     ``"sporadic"`` the jittered schedules).
 
@@ -160,7 +155,7 @@ class SimBatchResult:
     missed.  It is the scoring channel of the adaptive release-pattern
     search (:mod:`repro.search`) and matches the scalar
     :attr:`repro.sim.simulator.SimulationResult.min_slack` bit-exactly
-    (same operands, same order) on both backends.
+    (same operands, same order).
 
     ``kernel_passes``/``event_steps`` instrument the fused stepper:
     ``event_steps`` counts inner event-loop iterations actually executed
@@ -170,11 +165,11 @@ class SimBatchResult:
     fusion factor.  Sharded runs sum the counters over their shards.
     """
 
-    schedulable: "hnp.ndarray"  # (B,) bool
-    budget_exceeded: "hnp.ndarray"  # (B,) bool
-    events: "hnp.ndarray"  # (B,) int64 — event-loop iterations per row
-    horizon: "hnp.ndarray"  # (B,) float64
-    min_slack: "hnp.ndarray"  # (B,) float64 — see below
+    schedulable: "np.ndarray"  # (B,) bool
+    budget_exceeded: "np.ndarray"  # (B,) bool
+    events: "np.ndarray"  # (B,) int64 — event-loop iterations per row
+    horizon: "np.ndarray"  # (B,) float64
+    min_slack: "np.ndarray"  # (B,) float64 — see below
     mode: MigrationMode = MigrationMode.FREE
     policy: Optional[PlacementPolicy] = None
     release: str = "periodic"
@@ -219,7 +214,7 @@ def _resolve_skip_blocked(scheduler: Union[str, Scheduler]) -> bool:
     raise TypeError(f"scheduler must be a name or Scheduler, got {scheduler!r}")
 
 
-def _name_ranks(n_tasks: int, sporadic: bool = False) -> "hnp.ndarray":
+def _name_ranks(n_tasks: int, sporadic: bool = False) -> "np.ndarray":
     """Rank of each task index under the scalar tie-break.
 
     ``batch.taskset`` names tasks ``tau1 .. tauN`` and the scalar EDF
@@ -237,7 +232,7 @@ def _name_ranks(n_tasks: int, sporadic: bool = False) -> "hnp.ndarray":
     """
     suffix = "@" if sporadic else ""
     order = sorted(range(n_tasks), key=lambda i: f"tau{i + 1}{suffix}")
-    ranks = hnp.empty(n_tasks, dtype=hnp.int64)
+    ranks = np.empty(n_tasks, dtype=np.int64)
     for pos, i in enumerate(order):
         ranks[i] = pos
     return ranks
@@ -256,38 +251,35 @@ def default_horizon_batch(
     a task first released at ``O_i`` sees ``floor((H - O_i) / T_i)`` jobs
     before ``H``, so an unextended window would simulate *fewer* jobs
     than the synchronous run and silently weaken the upper bound the
-    offset search claims to refine.  Runs in the batch arrays' own
-    namespace (host batches yield host horizons).
+    offset search claims to refine.
     """
     if factor < 1:
         raise ValueError("factor must be >= 1")
-    ns = xp.namespace_of(batch.deadline)
     if batch.n_tasks == 0:
         # Mirror of the scalar empty-taskset guard in
         # :func:`repro.sim.offsets.simulate_with_offsets`: an empty row
         # releases no jobs, so any window (trivially 0) verifies it —
         # the max() reductions below would raise on the empty task axis.
-        return ns.zeros((batch.count,), dtype=ns.float64)
-    deadline = ns.asarray(batch.deadline, dtype=ns.float64)  # pin: float32
-    period = ns.asarray(batch.period, dtype=ns.float64)  # inputs upcast exactly
-    base = ns.max(deadline, axis=1) + factor * ns.max(period, axis=1)
+        return np.zeros((batch.count,), dtype=np.float64)
+    deadline = np.asarray(batch.deadline, dtype=np.float64)  # pin: float32
+    period = np.asarray(batch.period, dtype=np.float64)  # inputs upcast exactly
+    base = np.max(deadline, axis=1) + factor * np.max(period, axis=1)
     if offsets is None:
         return base
-    off = ns.broadcast_to(
-        ns.asarray(offsets, dtype=ns.float64), (batch.count, batch.n_tasks)
+    off = np.broadcast_to(
+        np.asarray(offsets, dtype=np.float64), (batch.count, batch.n_tasks)
     )
-    return base + ns.max(off, axis=1)
+    return base + np.max(off, axis=1)
 
 
-def sample_offsets_batch(batch: TaskSetBatch, rng) -> "hnp.ndarray":
+def sample_offsets_batch(batch: TaskSetBatch, rng) -> "np.ndarray":
     """One random offset assignment per row: uniform in ``[0, T_i)``.
 
     Draw-for-draw identical to calling
     :func:`repro.sim.offsets.sample_offsets` on each ``batch.taskset(i)``
     in row order with the same generator (one C-order ``uniform`` fill
     consumes the stream exactly like the scalar per-task draws).
-    Deliberately host-side: the numpy generator pins the draw order to
-    the scalar reference whichever array backend simulates the result.
+    The numpy generator pins the draw order to the scalar reference.
     """
     # repro-lint: disable=RL003 -- documented host-side seeded sampler; draw order pinned to the scalar reference (ROADMAP "Array backends")
     return rng.uniform(0.0, xp.asnumpy(batch.period))
@@ -298,23 +290,20 @@ def sample_release_times_batch(
     horizon,
     rng,
     max_jitter_factor: float = 0.5,
-) -> "hnp.ndarray":
+) -> "np.ndarray":
     """One legal sporadic release schedule per row, as a padded array.
 
     Returns ``(B, N, K+1)`` release times — ascending, first release 0,
     every gap ``T_i * (1 + U(0, max_jitter_factor))``, all ``< horizon``
     — right-padded with ``+inf`` (at least one sentinel column, so a
-    pointer one past a task's last release always reads ``inf``); the
-    padding is pinned float64 so no backend re-derives the dtype from
-    promotion rules.
+    pointer one past a task's last release always reads ``inf``), as
+    float64.
 
     The draw discipline is row-major, task-order, one gap at a time
     *including the final overshooting draw*, so the sampled values are
     bit-identical to calling
     :func:`repro.sim.sporadic.sample_release_schedule` on each
     ``batch.taskset(i)`` in row order with the same shared generator.
-    (Sampling stays on the host for exactly that scalar parity — only
-    the simulation itself is backend-vectorized.)
 
     Per cell the per-draw Python loop is replaced by *certified block
     draws*: gaps are bounded by ``T * (1 + jitter)``, so up to
@@ -330,10 +319,10 @@ def sample_release_times_batch(
     if max_jitter_factor < 0:
         raise ValueError("max_jitter_factor must be >= 0")
     period_h = xp.asnumpy(batch.period)
-    hz = hnp.broadcast_to(
-        hnp.asarray(xp.asnumpy(horizon), dtype=hnp.float64), (batch.count,)
+    hz = np.broadcast_to(
+        np.asarray(xp.asnumpy(horizon), dtype=np.float64), (batch.count,)
     )
-    if hnp.any(hz <= 0):
+    if np.any(hz <= 0):
         raise ValueError("horizon must be > 0")
     B, N = batch.count, batch.n_tasks
     # Certification safety margin: block releases are bounded by
@@ -342,12 +331,12 @@ def sample_release_times_batch(
     _MARGIN = 1.0 - 1e-9
     gap_max = 1.0 + max_jitter_factor
     cells: list = []  # per-(b, n) release arrays, cell order
-    lengths = hnp.zeros((B, N), dtype=hnp.int64)
+    lengths = np.zeros((B, N), dtype=np.int64)
     for b in range(B):
         horizon_b = float(hz[b])
         for n in range(N):
             period = float(period_h[b, n])
-            parts = [hnp.zeros(1)]  # first release at t = 0
+            parts = [np.zeros(1)]  # first release at t = 0
             last = 0.0
             count = 1
             while True:
@@ -361,7 +350,7 @@ def sample_release_times_batch(
                 # cumsum accumulates strictly left-to-right, so seeding
                 # it with ``last`` reproduces the scalar's sequential
                 # ``releases[-1] + gap`` adds bit-for-bit.
-                block = hnp.cumsum(hnp.concatenate([hnp.asarray([last]), gaps]))[1:]
+                block = np.cumsum(np.concatenate([np.asarray([last]), gaps]))[1:]
                 if block[-1] >= horizon_b:  # pragma: no cover - certified
                     raise RuntimeError(
                         "internal error: certified sporadic block "
@@ -376,22 +365,22 @@ def sample_release_times_batch(
                 nxt = last + gap
                 if nxt >= horizon_b:
                     break  # the overshooting draw is consumed, like the scalar
-                parts.append(hnp.asarray([nxt]))
+                parts.append(np.asarray([nxt]))
                 last = nxt
                 count += 1
-            cells.append(parts[0] if count == 1 else hnp.concatenate(parts))
+            cells.append(parts[0] if count == 1 else np.concatenate(parts))
             lengths[b, n] = count
     longest = int(lengths.max()) if cells else 0
-    out = hnp.full((B, N, longest + 1), hnp.inf, dtype=hnp.float64)
+    out = np.full((B, N, longest + 1), np.inf, dtype=np.float64)
     if cells:
         # Vectorized inf-padding scatter: one boolean mask assignment in
         # cell order instead of a per-cell Python slice loop.
-        mask = hnp.arange(longest + 1) < lengths[:, :, None]
-        out[mask] = hnp.concatenate(cells)
+        mask = np.arange(longest + 1) < lengths[:, :, None]
+        out[mask] = np.concatenate(cells)
     return out
 
 
-def _nf_running_greedy(ns, area_s, capacity):
+def _nf_running_greedy(area_s, capacity):
     """EDF-NF FREE-mode selection.
 
     The scalar rule verbatim: walk priority positions left to right,
@@ -400,18 +389,17 @@ def _nf_running_greedy(ns, area_s, capacity):
     slot, so every row's accumulation matches the scalar adds exactly.
     """
     M, N = area_s.shape
-    run_s = ns.empty((M, N), dtype=ns.bool_)
-    used = ns.zeros((M,), dtype=ns.float64)
+    run_s = np.empty((M, N), dtype=np.bool_)
+    used = np.zeros((M,), dtype=np.float64)
     for j in range(N):
         a_j = area_s[:, j]
         take = used + a_j <= capacity
-        used += ns.where(take, a_j, 0.0)
+        used += np.where(take, a_j, 0.0)
         run_s[:, j] = take
     return run_s
 
 
 def _select_placement(
-    ns,
     order,
     area_m,
     area_i,
@@ -433,56 +421,54 @@ def _select_placement(
     """
     M, N = order.shape
     n_words = int(device_words.shape[0])
-    words = ns.tile(device_words, (M, 1))
-    running = ns.zeros((M, N), dtype=ns.bool_)
-    stopped = ns.zeros((M,), dtype=ns.bool_) if not skip_blocked else None
+    words = np.tile(device_words, (M, 1))
+    running = np.zeros((M, N), dtype=np.bool_)
+    stopped = np.zeros((M,), dtype=np.bool_) if not skip_blocked else None
     # Per row, active jobs sort ahead of inactive slots, so priority
     # position j holds an active job iff the row has > j active jobs.
     # Each step compresses to the rows that still have a candidate —
     # late priority positions involve few rows, and all per-step work
     # scales with that count.
-    n_act = ns.sum(ns.isfinite(area_m), axis=1)
-    for j in range(int(ns.max(n_act)) if M else 0):
+    n_act = np.sum(np.isfinite(area_m), axis=1)
+    for j in range(int(np.max(n_act)) if M else 0):
         act = n_act > j
         if stopped is not None:
             act = act & ~stopped
-        ar = ns.nonzero(act)[0]
+        ar = np.nonzero(act)[0]
         if ar.shape[0] == 0:
             break
         slot = order[ar, j]
         w = area_i[ar, slot]
         wsub = words[ar]
-        placed_at = ns.full((int(ar.shape[0]),), -1, dtype=ns.int64)
+        placed_at = np.full((int(ar.shape[0]),), -1, dtype=np.int64)
         if pin is not None:
             p = pin[ar, slot]
             # A pinned job may only resume on its recorded columns — no
             # fallback; rows without a pin fall through to prev/choose.
-            ok = span_free(wsub, p, w, device_width, n_words, ns=ns)
+            ok = span_free(wsub, p, w, device_width, n_words)
             placed_at[ok] = p[ok]
             rest = p < 0
-            prev = ns.where(rest, pos[ar, slot], -1)
+            prev = np.where(rest, pos[ar, slot], -1)
         else:
             rest = None
             prev = pos[ar, slot]
-        okp = span_free(wsub, prev, w, device_width, n_words, ns=ns)
+        okp = span_free(wsub, prev, w, device_width, n_words)
         placed_at[okp] = prev[okp]
         need = placed_at < 0
         if rest is not None:
             need = need & rest
-        nr = ns.nonzero(need)[0]
+        nr = np.nonzero(need)[0]
         if nr.shape[0]:
-            placed_at[nr] = choose_batch(
-                wsub[nr], w[nr], device_width, policy, ns=ns
-            )
+            placed_at[nr] = choose_batch(wsub[nr], w[nr], device_width, policy)
         placed = placed_at >= 0
-        pr = ns.nonzero(placed)[0]
+        pr = np.nonzero(placed)[0]
         if pr.shape[0]:
             rp, sp, st, wp = ar[pr], slot[pr], placed_at[pr], w[pr]
-            clear_spans(words, rp, st, wp, n_words, ns=ns)
+            clear_spans(words, rp, st, wp, n_words)
             running[rp, sp] = True
             pos[rp, sp] = st
             if pin is not None:
-                fresh = ns.nonzero(p[pr] < 0)[0]
+                fresh = np.nonzero(p[pr] < 0)[0]
                 if fresh.shape[0]:
                     pin[rp[fresh], sp[fresh]] = st[fresh]
         if stopped is not None:
@@ -506,7 +492,6 @@ def simulate_batch(
     release_times=None,
     max_events: int = 1_000_000,
     eps: float = TIME_EPS,
-    array_backend: Optional[str] = None,
     fuse: int = 8,
     sim_workers: Optional[int] = None,
 ) -> SimBatchResult:
@@ -525,12 +510,6 @@ def simulate_batch(
     each row's window by its largest offset (the horizon-extension rule:
     otherwise offset tasks would see fewer simulated jobs than the
     synchronous run).
-
-    ``array_backend`` selects the :mod:`repro.vector.xp` namespace the
-    state arrays live on (``None`` follows the process override /
-    ``REPRO_ARRAY_BACKEND`` / numpy precedence).  Inputs are validated
-    in numpy, converted once to the backend pinned to float64, and the
-    verdicts come back as numpy arrays.
 
     Release patterns:
 
@@ -565,7 +544,7 @@ def simulate_batch(
       compaction happen once per pass instead of once per event.
       ``fuse=1`` degenerates to the classic one-event-per-pass loop.
       Verdicts, ``events`` and ``min_slack`` are bit-identical for
-      every ``fuse`` on every backend.
+      every ``fuse``.
     * ``sim_workers`` shards the batch dimension into contiguous
       sub-batches simulated by a process pool
       (:func:`repro.util.parallel.parallel_map`).  Resolution follows
@@ -576,7 +555,6 @@ def simulate_batch(
       sharded results are bit-identical to the serial path whatever the
       worker count.
     """
-    ns = xp.get_backend(array_backend)
     skip_blocked = _resolve_skip_blocked(scheduler)
     if not isinstance(fuse, int) or fuse < 1:
         raise ValueError(f"fuse must be an integer >= 1, got {fuse!r}")
@@ -600,15 +578,14 @@ def simulate_batch(
     if jitter < 0:
         raise ValueError("jitter must be >= 0")
     use_placement = mode is not MigrationMode.FREE
-    hb = batch.to_host()
-    # Pin the whole host view to float64 up front (exact upcast): the
+    # Pin the whole batch to float64 up front (exact upcast): the
     # horizon derivation, validation comparisons and sporadic sampler
-    # must not run in a float32 input's precision on any backend.
+    # must not run in a float32 input's precision.
     host_batch = TaskSetBatch(
-        hnp.asarray(hb.wcet, dtype=hnp.float64),
-        hnp.asarray(hb.period, dtype=hnp.float64),
-        hnp.asarray(hb.deadline, dtype=hnp.float64),
-        hnp.asarray(hb.area, dtype=hnp.float64),
+        np.asarray(batch.wcet, dtype=np.float64),
+        np.asarray(batch.period, dtype=np.float64),
+        np.asarray(batch.deadline, dtype=np.float64),
+        np.asarray(batch.area, dtype=np.float64),
     )
     B, N = host_batch.count, host_batch.n_tasks
     if N == 0:
@@ -625,38 +602,38 @@ def simulate_batch(
         device = Fpga(width=int(capacity))
     else:
         device = None
-    if hnp.any(host_batch.period <= eps):
+    if np.any(host_batch.period <= eps):
         raise ValueError("simulate_batch requires periods > eps")
-    if hnp.any(host_batch.deadline > host_batch.period):
+    if np.any(host_batch.deadline > host_batch.period):
         raise ValueError(
             "simulate_batch requires constrained deadlines (D <= T); "
             "use the scalar simulator for unconstrained sets"
         )
-    if hnp.any(host_batch.wcet <= eps) or hnp.any(host_batch.area <= 0):
+    if np.any(host_batch.wcet <= eps) or np.any(host_batch.area <= 0):
         # wcet <= eps would let a zero-work job linger past its deadline
         # alongside a successor of the same task — a two-jobs-per-task
         # state the one-slot-per-task layout cannot represent.
         raise ValueError("simulate_batch requires wcet > eps and areas > 0")
-    if use_placement and hnp.any(host_batch.area != hnp.floor(host_batch.area)):
+    if use_placement and np.any(host_batch.area != np.floor(host_batch.area)):
         # Mirrors the scalar simulator's all_integral_area requirement.
         raise ValueError("placement-aware modes require integral task areas")
 
     if offsets is None:
         off = None
     else:
-        off = hnp.broadcast_to(
-            hnp.asarray(xp.asnumpy(offsets), dtype=hnp.float64), (B, N)
+        off = np.broadcast_to(
+            np.asarray(xp.asnumpy(offsets), dtype=np.float64), (B, N)
         ).copy()
-        if not hnp.all(hnp.isfinite(off)) or hnp.any(off < 0):
+        if not np.all(np.isfinite(off)) or np.any(off < 0):
             raise ValueError("offsets must be finite and >= 0")
 
     if horizon is None:
         hz = default_horizon_batch(host_batch, factor=horizon_factor, offsets=off)
     else:
-        hz = hnp.broadcast_to(
-            hnp.asarray(xp.asnumpy(horizon), dtype=hnp.float64), (B,)
+        hz = np.broadcast_to(
+            np.asarray(xp.asnumpy(horizon), dtype=np.float64), (B,)
         ).copy()
-        if hnp.any(hz <= 0):
+        if np.any(hz <= 0):
             raise ValueError("horizon must be > 0")
     if max_events < 1:
         raise ValueError("max_events must be >= 1")
@@ -665,8 +642,8 @@ def simulate_batch(
         if release_times is None:
             release_times = sample_release_times_batch(host_batch, hz, rng, jitter)
         else:
-            release_times = hnp.asarray(
-                xp.asnumpy(release_times), dtype=hnp.float64
+            release_times = np.asarray(
+                xp.asnumpy(release_times), dtype=np.float64
             )
             if (
                 release_times.ndim != 3
@@ -677,18 +654,18 @@ def simulate_batch(
                     f"release_times must have shape (B, N, K), got "
                     f"{release_times.shape}"
                 )
-            if hnp.any(release_times < 0) or hnp.any(hnp.isnan(release_times)):
+            if np.any(release_times < 0) or np.any(np.isnan(release_times)):
                 raise ValueError("release times must be >= 0")
             # Element-wise comparisons (not diff): inf padding minus inf
             # padding would warn, `inf < inf` is just False.
-            if hnp.any(release_times[:, :, 1:] < release_times[:, :, :-1]):
+            if np.any(release_times[:, :, 1:] < release_times[:, :, :-1]):
                 raise ValueError("release times must be ascending per task")
             # One-slot-per-task layout: job k+1 may only release once job
             # k's deadline has passed (gap >= D), else the replay would
             # silently clobber a live job that the scalar
             # simulate_release_schedule still tracks.  The internal
             # sampler satisfies this by construction (gaps >= T >= D).
-            if hnp.any(
+            if np.any(
                 release_times[:, :, 1:]
                 < release_times[:, :, :-1] + host_batch.deadline[:, :, None]
             ):
@@ -699,32 +676,32 @@ def simulate_batch(
             # Releases at/after the horizon never fire (the scalar loop's
             # strict `release < horizon` filter); one trailing inf column
             # keeps the advanced pointer a valid index.
-            release_times = hnp.concatenate(
+            release_times = np.concatenate(
                 [
-                    hnp.where(
+                    np.where(
                         release_times < hz[:, None, None],
                         release_times,
-                        hnp.inf,
+                        np.inf,
                     ),
-                    hnp.full((B, N, 1), hnp.inf, dtype=hnp.float64),
+                    np.full((B, N, 1), np.inf, dtype=np.float64),
                 ],
                 axis=2,
             )
 
     result_policy = placement_policy if use_placement else None
 
-    # -- final per-row outcome (host; scattered into as rows decide) ----------
-    out_ok = hnp.ones(B, dtype=bool)
-    out_exceeded = hnp.zeros(B, dtype=bool)
-    out_events = hnp.zeros(B, dtype=hnp.int64)
-    out_slack = hnp.full(B, hnp.inf, dtype=hnp.float64)
+    # -- final per-row outcome (scattered into as rows decide) ---------------
+    out_ok = np.ones(B, dtype=bool)
+    out_exceeded = np.zeros(B, dtype=bool)
+    out_events = np.zeros(B, dtype=np.int64)
+    out_slack = np.full(B, np.inf, dtype=np.float64)
 
     if B == 0:
         return SimBatchResult(
             schedulable=out_ok,
             budget_exceeded=out_exceeded,
             events=out_events,
-            horizon=hnp.zeros(0, dtype=hnp.float64),
+            horizon=np.zeros(0, dtype=np.float64),
             min_slack=out_slack,
             mode=mode,
             policy=result_policy,
@@ -754,7 +731,6 @@ def simulate_batch(
                 jitter=jitter,
                 max_events=max_events,
                 eps=eps,
-                array_backend=ns.name,
                 fuse=fuse,
                 sim_workers=1,
             )
@@ -765,13 +741,13 @@ def simulate_batch(
             shard_kwargs.append(kw)
         shards = parallel_map(_simulate_shard, shard_kwargs, workers=n_shards)
         return SimBatchResult(
-            schedulable=hnp.concatenate([r.schedulable for r in shards]),
-            budget_exceeded=hnp.concatenate(
+            schedulable=np.concatenate([r.schedulable for r in shards]),
+            budget_exceeded=np.concatenate(
                 [r.budget_exceeded for r in shards]
             ),
-            events=hnp.concatenate([r.events for r in shards]),
-            horizon=hnp.concatenate([r.horizon for r in shards]),
-            min_slack=hnp.concatenate([r.min_slack for r in shards]),
+            events=np.concatenate([r.events for r in shards]),
+            horizon=np.concatenate([r.horizon for r in shards]),
+            min_slack=np.concatenate([r.min_slack for r in shards]),
             mode=mode,
             policy=result_policy,
             release=release,
@@ -786,20 +762,13 @@ def simulate_batch(
     # *stable* 2-key lexsort (release, deadline) reproduces the scalar
     # queue's full (deadline, release, name) tie-break for free.  The
     # sporadic rank follows the scalar pseudo-task names instead.
-    # Everything below this point lives on the selected array backend
-    # (float64-pinned); `idx` and the out_* arrays stay numpy so the
-    # per-decision scatters index plain arrays.
-    perm = hnp.argsort(_name_ranks(N, sporadic=sporadic), kind="stable")
-    idx = hnp.arange(B)
+    perm = np.argsort(_name_ranks(N, sporadic=sporadic), kind="stable")
+    idx = np.arange(B)
 
-    def ns_f64(a: "hnp.ndarray"):
-        return ns.asarray(hnp.asarray(a[:, perm], dtype=hnp.float64))
-
-    wcet = ns_f64(host_batch.wcet)
-    period = ns_f64(host_batch.period)
-    deadline = ns_f64(host_batch.deadline)
-    area = ns_f64(host_batch.area)
-    hz = ns.asarray(hz)
+    wcet = host_batch.wcet[:, perm]
+    period = host_batch.period[:, perm]
+    deadline = host_batch.deadline[:, perm]
+    area = host_batch.area[:, perm]
 
     INF = float("inf")
     # Inactivity is encoded as +inf: an inactive slot has abs_dl == inf
@@ -808,68 +777,66 @@ def simulate_batch(
     # inactive; the pre-loop release pass below (the scalar
     # release_due(0)) activates whatever is due at t=0 — everything
     # under synchronous release, nothing with a positive offset.
-    remaining = ns.copy(wcet)
-    rel = ns.zeros((B, N), dtype=ns.float64)
-    abs_dl = ns.full((B, N), INF, dtype=ns.float64)
-    area_m = ns.full((B, N), INF, dtype=ns.float64)
+    remaining = wcet.copy()
+    rel = np.zeros((B, N), dtype=np.float64)
+    abs_dl = np.full((B, N), INF, dtype=np.float64)
+    area_m = np.full((B, N), INF, dtype=np.float64)
     # next_rel slots are +inf once the next release would land at/after
     # the horizon (the scalar loop just keeps filtering them out).
     if sporadic:
-        release_times = ns.asarray(release_times[:, perm, :])
-        rel_ptr = ns.zeros((B, N), dtype=ns.int64)
-        next_rel = ns.copy(release_times[:, :, 0])
+        release_times = release_times[:, perm, :]
+        rel_ptr = np.zeros((B, N), dtype=np.int64)
+        next_rel = release_times[:, :, 0].copy()
         next_rel[next_rel >= hz[:, None]] = INF
     else:
         rel_ptr = None
         first = (
-            ns.zeros((B, N), dtype=ns.float64)
+            np.zeros((B, N), dtype=np.float64)
             if off is None
-            else ns.asarray(off[:, perm])
+            else off[:, perm]
         )
-        next_rel = ns.where(first < hz[:, None], first, INF)
-    now = ns.zeros((B,), dtype=ns.float64)
+        next_rel = np.where(first < hz[:, None], first, INF)
+    now = np.zeros((B,), dtype=np.float64)
     # Per-row running minimum of the near-miss metric: deadline minus
     # completion time on completions, -remaining on misses.
-    slack_min = ns.full((B,), INF, dtype=ns.float64)
+    slack_min = np.full((B,), INF, dtype=np.float64)
     # Every live row steps one event per loop iteration, so a single
     # scalar counter tracks each row's event count.
     iteration = 0
     # -- fused-stepping state: rows decide *inside* a kernel pass and are
     #    only scattered/compacted at its end, so each row's outcome is
-    #    frozen on the backend the moment it dies.  A dead row is
+    #    frozen the moment it dies.  A dead row is
     #    neutralized in place (infinite next release/deadline/area): it
     #    selects nothing, releases nothing, misses nothing, and its
     #    slack_min stops moving — every further step is a no-op for it.
-    live = ns.ones((B,), dtype=ns.bool_)
-    row_ok = ns.ones((B,), dtype=ns.bool_)
-    row_exc = ns.zeros((B,), dtype=ns.bool_)
-    row_events = ns.zeros((B,), dtype=ns.int64)
+    live = np.ones((B,), dtype=np.bool_)
+    row_ok = np.ones((B,), dtype=np.bool_)
+    row_exc = np.zeros((B,), dtype=np.bool_)
+    row_events = np.zeros((B,), dtype=np.int64)
     kernel_passes = 0
     event_steps = 0
 
     # -- placement-aware state (per task slot; one live job per task) ---------
     if use_placement:
-        device_words = ns.bitmap_from_host(
-            spans_to_words(device.free_spans(), device.width)
-        )
-        area_i = ns.astype(area, ns.int64)
-        pos = ns.full((B, N), -1, dtype=ns.int64)
+        device_words = spans_to_words(device.free_spans(), device.width)
+        area_i = area.astype(np.int64)
+        pos = np.full((B, N), -1, dtype=np.int64)
         pin = (
-            ns.full((B, N), -1, dtype=ns.int64)
+            np.full((B, N), -1, dtype=np.int64)
             if mode is MigrationMode.PINNED
             else None
         )
     else:
         area_i = pos = pin = None
 
-    rows = ns.arange(B)[:, None]
+    rows = np.arange(B)[:, None]
 
-    def compact(keep, keep_host: "hnp.ndarray") -> None:
+    def compact(keep: "np.ndarray") -> None:
         nonlocal idx, wcet, period, deadline, area, hz, rows
         nonlocal remaining, rel, abs_dl, area_m, next_rel, now, area_i, pos, pin
         nonlocal release_times, rel_ptr, slack_min
         nonlocal live, row_ok, row_exc, row_events
-        idx = idx[keep_host]
+        idx = idx[keep]
         slack_min = slack_min[keep]
         live, row_ok, row_exc, row_events = (
             live[keep], row_ok[keep], row_exc[keep], row_events[keep],
@@ -897,28 +864,28 @@ def simulate_batch(
         while-loop a single pass)."""
         nonlocal rel, remaining, abs_dl, area_m, next_rel, rel_ptr
         due = next_rel <= now[:, None] + eps
-        if not ns.any(due):
+        if not np.any(due):
             return
-        rel = ns.where(due, next_rel, rel)
-        remaining = ns.where(due, wcet, remaining)
-        abs_dl = ns.where(due, next_rel + deadline, abs_dl)
-        area_m = ns.where(due, area, area_m)
+        rel = np.where(due, next_rel, rel)
+        remaining = np.where(due, wcet, remaining)
+        abs_dl = np.where(due, next_rel + deadline, abs_dl)
+        area_m = np.where(due, area, area_m)
         if sporadic:
             rel_ptr = rel_ptr + due
-            nxt = ns.take_along_axis(
+            nxt = np.take_along_axis(
                 release_times, rel_ptr[:, :, None], axis=2
             )[:, :, 0]
-            next_rel = ns.where(due, nxt, next_rel)
+            next_rel = np.where(due, nxt, next_rel)
         else:
             nxt = next_rel + period
-            next_rel = ns.where(
-                due, ns.where(nxt < hz[:, None], nxt, INF), next_rel
+            next_rel = np.where(
+                due, np.where(nxt < hz[:, None], nxt, INF), next_rel
             )
 
     release_due()  # the scalar pre-loop release_due(0)
 
     # Fused stepping: the outer loop is one *kernel pass* — up to `fuse`
-    # event steps computed back to back on the backend, then exactly one
+    # event steps computed back to back, then exactly one
     # liveness readback, verdict scatter and row compaction.
     # Bit-identity with the classic per-event loop holds because a dead
     # row's neutralized state makes every subsequent in-pass step a no-op
@@ -939,8 +906,8 @@ def simulate_batch(
                 # so fusion never changes which rows exceed it.
                 row_ok = row_ok & ~live
                 row_exc = row_exc | live
-                row_events = ns.where(live, iteration, row_events)
-                live = ns.zeros((M,), dtype=ns.bool_)
+                row_events = np.where(live, iteration, row_events)
+                live = np.zeros((M,), dtype=np.bool_)
                 break
             event_steps += 1
 
@@ -948,27 +915,27 @@ def simulate_batch(
             #    then either the FREE-mode area accumulation or the
             #    placement-aware contiguous-hole walk — same adds and
             #    comparisons as the scalar path.
-            order = ns.lexsort((rel, abs_dl), axis=-1)
+            order = np.lexsort((rel, abs_dl), axis=-1)
             if use_placement:
                 running = _select_placement(
-                    ns, order, area_m, area_i, pos, pin,
+                    order, area_m, area_i, pos, pin,
                     device_words, device.width, placement_policy,
                     skip_blocked,
                 )
             else:
                 area_s = area_m[rows, order]
                 if skip_blocked:  # EDF-NF: greedy, blocked jobs skipped
-                    run_s = _nf_running_greedy(ns, area_s, capacity)
+                    run_s = _nf_running_greedy(area_s, capacity)
                 else:  # EDF-FkF: prefix, first blocked job stops the scan.
                     # Areas are positive, so the running sum over the
                     # active prefix is strictly increasing and "cumsum <=
                     # capacity" is exactly the largest-fitting-prefix rule
                     # (cumsum accumulates left-to-right like the scalar
                     # loop).
-                    finite = ns.isfinite(area_s)
-                    csum = ns.cumsum(ns.where(finite, area_s, 0.0), axis=1)
+                    finite = np.isfinite(area_s)
+                    csum = np.cumsum(np.where(finite, area_s, 0.0), axis=1)
                     run_s = (csum <= capacity) & finite
-                running = ns.zeros((M, N), dtype=ns.bool_)
+                running = np.zeros((M, N), dtype=np.bool_)
                 running[rows, order] = run_s
 
             # -- next event per row: release, completion, or deadline expiry
@@ -976,16 +943,16 @@ def simulate_batch(
             #    three candidate kinds — same value as three separate mins).
             now_col = now[:, None]
             now_eps = now_col + eps
-            cand = ns.minimum(
-                next_rel, ns.where(running, now_col + remaining, INF)
+            cand = np.minimum(
+                next_rel, np.where(running, now_col + remaining, INF)
             )
-            cand = ns.minimum(cand, ns.where(abs_dl > now_eps, abs_dl, INF))
-            t_next = ns.minimum(ns.min(cand, axis=1), hz)
+            cand = np.minimum(cand, np.where(abs_dl > now_eps, abs_dl, INF))
+            t_next = np.minimum(np.min(cand, axis=1), hz)
 
             # -- advance the running jobs to t_next.
             dt = t_next - now
             adv = (dt > 0)[:, None] & running
-            remaining = ns.where(adv, remaining - dt[:, None], remaining)
+            remaining = np.where(adv, remaining - dt[:, None], remaining)
             now = t_next
             now_col = now[:, None]
             now_eps = now_col + eps
@@ -993,18 +960,18 @@ def simulate_batch(
             # -- completions first (finishing exactly at the deadline
             #    succeeds).
             completed = running & (remaining <= eps)
-            if ns.any(completed):
+            if np.any(completed):
                 # Slack channel: deadline minus completion time, recorded
                 # before the slot is cleared (same subtraction as the
                 # scalar simulator's per-completion slack).
-                slack_min = ns.minimum(
+                slack_min = np.minimum(
                     slack_min,
-                    ns.min(
-                        ns.where(completed, abs_dl - now_col, INF), axis=1
+                    np.min(
+                        np.where(completed, abs_dl - now_col, INF), axis=1
                     ),
                 )
-                abs_dl = ns.where(completed, INF, abs_dl)
-                area_m = ns.where(completed, INF, area_m)
+                abs_dl = np.where(completed, INF, abs_dl)
+                area_m = np.where(completed, INF, area_m)
                 if use_placement:
                     # The scalar loop pops positions/pins on completion;
                     # the successor job of the task starts unplaced.
@@ -1015,45 +982,44 @@ def simulate_batch(
             # -- deadline misses decide the row (inactive slots have inf
             #    deadlines and can never register here).
             miss = (abs_dl <= now_eps) & (remaining > eps)
-            row_miss = ns.any(miss, axis=1)
+            row_miss = np.any(miss, axis=1)
             done = row_miss | (now >= hz - eps)
             newly = done & live
-            if ns.any(newly):
-                if ns.any(row_miss):
+            if np.any(newly):
+                if np.any(row_miss):
                     # Tardiness-proximity: a missing job contributes
                     # -remaining (the scalar DeadlineMiss.remaining,
                     # negated).  A missing row is necessarily live, so
                     # this nests under the newly-dead branch.
-                    slack_min = ns.minimum(
+                    slack_min = np.minimum(
                         slack_min,
-                        ns.min(ns.where(miss, -remaining, INF), axis=1),
+                        np.min(np.where(miss, -remaining, INF), axis=1),
                     )
                 # Freeze outcomes and neutralize the dying rows in place;
                 # scatter and compaction wait for the end of the pass.
                 row_ok = row_ok & ~row_miss
-                row_events = ns.where(newly, iteration, row_events)
+                row_events = np.where(newly, iteration, row_events)
                 live = live & ~done
                 newly_col = newly[:, None]
-                next_rel = ns.where(newly_col, INF, next_rel)
-                abs_dl = ns.where(newly_col, INF, abs_dl)
-                area_m = ns.where(newly_col, INF, area_m)
-                if not ns.any(live):
+                next_rel = np.where(newly_col, INF, next_rel)
+                abs_dl = np.where(newly_col, INF, abs_dl)
+                area_m = np.where(newly_col, INF, area_m)
+                if not np.any(live):
                     break
 
             # -- releases due at the new `now` (one job per task slot).
             release_due()
 
-        # -- end of pass: read liveness back, scatter the
-        #    frozen verdicts of every row that died this pass, compact.
-        live_h = ns.asnumpy(live)
-        if not live_h.all():
-            gone = ~live_h
+        # -- end of pass: scatter the frozen verdicts of every row that
+        #    died this pass, compact.
+        if not live.all():
+            gone = ~live
             decided = idx[gone]
-            out_ok[decided] = ns.asnumpy(row_ok)[gone]
-            out_exceeded[decided] = ns.asnumpy(row_exc)[gone]
-            out_events[decided] = ns.asnumpy(row_events)[gone]
-            out_slack[decided] = ns.asnumpy(slack_min)[gone]
-            compact(live, live_h)
+            out_ok[decided] = row_ok[gone]
+            out_exceeded[decided] = row_exc[gone]
+            out_events[decided] = row_events[gone]
+            out_slack[decided] = slack_min[gone]
+            compact(live)
 
     return SimBatchResult(
         schedulable=out_ok,

@@ -3,12 +3,6 @@
 Tables 1-3 (paper §6) are given in exact rational arithmetic so the
 knife-edge comparisons they exercise are decided mathematically, not by
 float luck.
-
-The ``array_backend`` fixture parametrizes a test over every installed
-:mod:`repro.vector.xp` backend (numpy always; torch skipped with a
-reason when absent), installing the backend as the process-wide
-selection for the test's duration — so kernels resolving the ambient
-backend run once per installed array library.
 """
 
 from fractions import Fraction as F
@@ -17,26 +11,6 @@ import pytest
 
 from repro.fpga.device import Fpga
 from repro.model.task import Task, TaskSet
-from repro.vector import xp as xp_backends
-
-
-def _array_backend_params():
-    reason = xp_backends.backend_skip_reason("torch")
-    marks = () if reason is None else pytest.mark.skip(reason=reason)
-    return [
-        pytest.param("numpy", id="numpy"),
-        pytest.param("torch", id="torch", marks=marks),
-    ]
-
-
-@pytest.fixture(params=_array_backend_params())
-def array_backend(request):
-    """Each installed repro.vector.xp backend, installed process-wide."""
-    previous = xp_backends.set_backend(request.param)
-    try:
-        yield request.param
-    finally:
-        xp_backends.set_backend(previous)
 
 
 @pytest.fixture

@@ -28,18 +28,6 @@ class TestParser:
         assert args.sim_release == "periodic"
         assert args.sim_jitter == 0.5
 
-    def test_array_backend_flag(self):
-        args = build_parser().parse_args(["run", "fig3a"])
-        assert args.array_backend is None  # env / numpy precedence applies
-        args = build_parser().parse_args(
-            ["run", "fig3a", "--array-backend", "numpy"]
-        )
-        assert args.array_backend == "numpy"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "fig3a", "--array-backend", "quantum"]
-            )
-
     def test_sim_sweep_flags(self):
         args = build_parser().parse_args([
             "run", "fig3b", "--sim-mode", "relocatable",
@@ -56,12 +44,15 @@ class TestParser:
             build_parser().parse_args(["run", "fig3a", "--sim-release", "x"])
 
     @pytest.mark.parametrize(
-        "flag", [["--sim-backend", "scalar"], ["--workers", "2"]],
-        ids=["sim-backend", "workers"],
+        "flag",
+        [["--sim-backend", "scalar"], ["--workers", "2"],
+         ["--array-backend", "numpy"]],
+        ids=["sim-backend", "workers", "array-backend"],
     )
     def test_removed_engine_flags_rejected(self, flag, tmp_path):
-        """One simulation engine: neither entry point takes an engine
-        or a scalar-pool flag any more."""
+        """One simulation engine on one array library: neither entry
+        point takes an engine, a scalar-pool or an array-backend flag
+        any more."""
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "fig3a", *flag])
         script = Path(__file__).parent.parent / "scripts" / "regenerate_results.py"
@@ -88,22 +79,6 @@ class TestCommands:
         assert main(["run", "ablation-alpha", "--samples", "50", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "DP" in out and "DP-real" in out
-
-    def test_run_with_array_backend_flag(self, capsys):
-        from repro.vector import xp as xp_mod
-
-        previous = xp_mod.set_backend(None)
-        try:
-            assert main([
-                "run", "ablation-alpha", "--samples", "40", "--seed", "3",
-                "--array-backend", "numpy",
-            ]) == 0
-            # The flag installs the process-wide selection for the run.
-            assert xp_mod.get_backend().name == "numpy"
-        finally:
-            xp_mod.set_backend(previous)
-        out = capsys.readouterr().out
-        assert "DP" in out
 
     def test_run_csv_to_file(self, tmp_path, capsys):
         out_file = tmp_path / "sub" / "alpha.csv"

@@ -312,8 +312,8 @@ class TestAcceptanceExperiment:
         assert len(rows[0]) == 4  # us + 3 tests
 
 
-class TestArrayBackendThreading:
-    """sim_array_backend plumbing + the device-backend serial override."""
+class TestSimWorkers:
+    """sim_workers plumbing through the acceptance engine."""
 
     def _run(self, **kw):
         defaults = dict(
@@ -328,26 +328,9 @@ class TestArrayBackendThreading:
         defaults.update(kw)
         return acceptance_experiment(**defaults)
 
-    def test_explicit_numpy_backend_matches_default(self):
-        a = self._run()
-        b = self._run(sim_array_backend="numpy")
-        assert a.series == b.series
-
-    def test_unknown_array_backend_rejected_eagerly(self):
-        with pytest.raises(ValueError, match="array backend"):
-            self._run(sim_array_backend="quantum")
-
-    def test_unavailable_array_backend_raises_backend_unavailable(self):
-        from repro.vector import xp as xp_mod
-
-        if xp_mod.backend_available("torch"):
-            pytest.skip("torch installed here")
-        with pytest.raises(xp_mod.BackendUnavailable):
-            self._run(sim_array_backend="torch")
-
-    def test_host_backend_keeps_workers_quiet(self):
-        """Sharding a host-backend sim over ``sim_workers`` warns about
-        nothing and leaves the curves unchanged."""
+    def test_sharding_warns_nothing_and_keeps_curves(self):
+        """Sharding a sim over ``sim_workers`` warns about nothing and
+        leaves the curves unchanged."""
         import warnings as _warnings
 
         with _warnings.catch_warnings():

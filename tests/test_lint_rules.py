@@ -325,7 +325,7 @@ def test_deselected_rules_pragmas_are_not_flagged_unused():
 def test_parallel_jobs_matches_serial(tmp_path):
     src = _seed_tree(
         tmp_path,
-        "import torch\n\n\ndef f():\n    import numpy\n    return numpy\n",
+        "import cupy\n\n\ndef f():\n    import numpy\n    return numpy\n",
     )
     (tmp_path / "src" / "repro" / "vector" / "extra.py").write_text(
         "import time\n\n\ndef g():\n    return time.monotonic()\n"
@@ -385,7 +385,7 @@ def test_cli_clean_tree_exits_zero(tmp_path, capsys):
 @pytest.mark.parametrize(
     "body,rule,line",
     [
-        ("import torch\n", "RL002", 1),
+        ("import cupy\n", "RL002", 1),
         ("def f():\n    import numpy\n", "RL001", 2),
         ("from numpy.random import default_rng\nR = default_rng(0)\n", "RL003", 2),
     ],
@@ -402,7 +402,7 @@ def test_cli_seeded_violation_exits_nonzero_with_location(
 
 
 def test_cli_json_output_file(tmp_path, capsys):
-    src = _seed_tree(tmp_path, "import torch\n")
+    src = _seed_tree(tmp_path, "import cupy\n")
     report = tmp_path / "lint-report.json"
     assert main([str(src), "--output", str(report)]) == EXIT_FINDINGS
     rebuilt = result_from_json(report.read_text())

@@ -163,6 +163,16 @@ class TestTaskSet:
         with pytest.raises(TaskSetError):
             TaskSet([Task(wcet=1, period=2, name="x"), Task(wcet=1, period=3, name="x")])
 
+    @pytest.mark.parametrize("element", [
+        (1, 2, 2, 1),
+        {"wcet": 1, "period": 2},
+        None,
+    ], ids=["tuple", "dict", "none"])
+    def test_rejects_non_task_elements(self, element):
+        # Only Task instances (validated when built) may enter a set.
+        with pytest.raises(TaskSetError, match="must be Task"):
+            TaskSet([Task(wcet=1, period=2, name="x"), element])  # type: ignore[list-item]
+
     def test_equality_and_hash(self):
         a = TaskSet([Task(wcet=1, period=2, name="x")])
         b = TaskSet([Task(wcet=1, period=2, name="x")])

@@ -11,9 +11,7 @@ Four pillars:
   uniform search asserts).
 * **Parity**: the scalar twins replay the batched drivers bit-for-bit
   on shared per-row streams, and the uniform scalar/vector searches
-  report identical best-effort ``min_slack`` on a shared-seed fixture
-  (runs per installed array backend — the torch-CPU CI leg covers the
-  slack channel off numpy).
+  report identical best-effort ``min_slack`` on a shared-seed fixture.
 * **Budget efficiency** (the PR's acceptance fixture): at equal pattern
   budget on a seeded sweep, the adaptive search certifies at least as
   many unschedulable tasksets as the uniform search in every bucket and
@@ -251,10 +249,8 @@ class TestAdaptiveLoop:
         assert np.isinf(out.min_slack).all()
 
 
-@pytest.mark.usefixtures("array_backend")
 class TestSlackChannelBackends:
-    """The min-slack channel agrees with the scalar reference on every
-    installed array backend (torch-CPU covered by the CI leg)."""
+    """The min-slack channel agrees with the scalar reference."""
 
     def test_min_slack_matches_scalar(self):
         batch = feasible_batch_at(
@@ -336,7 +332,6 @@ class TestSlackChannelBackends:
                 assert out.found.any() and not out.found.all()
 
 
-@pytest.mark.usefixtures("array_backend")
 class TestScalarVectorAdaptiveParity:
     """The scalar twins replay the batched drivers bit-for-bit."""
 

@@ -178,6 +178,31 @@ def test_non_finite_numbers_are_400_and_service_keeps_serving():
     with_service(scenario)
 
 
+@pytest.mark.parametrize("length", ["-5", "+3", "1_0"])
+def test_malformed_content_length_is_400(length):
+    """Content-Length is ``1*DIGIT``: a sign or an underscore (both of
+    which ``int()`` accepts) is a 400, never a dropped connection or a
+    misframed keep-alive stream, and the server keeps serving."""
+
+    async def scenario(service, host, port, call):
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(
+            (
+                f"POST /v1/devices HTTP/1.1\r\nHost: t\r\n"
+                f"Content-Length: {length}\r\n\r\n{{}}"
+            ).encode()
+        )
+        await writer.drain()
+        # Bounded wait: a misframed stream leaves the server waiting for
+        # body bytes that never come.
+        status_line = await asyncio.wait_for(reader.readline(), 10)
+        assert status_line.split()[1:2] == [b"400"], status_line
+        writer.close()
+        assert (await call("GET", "/healthz")) == (200, {"ok": True})
+
+    with_service(scenario)
+
+
 def test_keep_alive_reuses_one_connection():
     async def scenario(service, host, port, call):
         await call("POST", "/v1/devices", {"name": "d", "width": 64})

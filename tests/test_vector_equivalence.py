@@ -89,7 +89,6 @@ class TestBatchStructure:
         assert not hot.feasible_mask.any()
 
 
-@pytest.mark.usefixtures("array_backend")
 @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
 @pytest.mark.parametrize("seed", [1, 2])
 class TestScalarVectorEquivalence:
@@ -144,12 +143,11 @@ class TestScalarVectorEquivalence:
             assert vec[i] == scalar(ts, FPGA).accepted, f"set {i}"
 
 
-@pytest.mark.usefixtures("array_backend")
 class TestFloat32Inputs:
     """Knife-edge dtype pinning: float32 input batches must yield the
     same verdicts as their (exactly-representable) float64 twins — the
     kernels pin every array to float64 at the batch boundary, so no
-    backend computes the strict-inequality bounds in single precision."""
+    strict-inequality bound is computed in single precision."""
 
     def _pair(self, seed=11, count=120):
         b64 = _batch(paper_unconstrained(6), seed, count=count)

@@ -37,7 +37,6 @@ from repro.sim.simulator import (
 from repro.sim.sporadic import sample_release_schedule, simulate_release_schedule
 from repro.util.rngutil import rng_from_seed
 from repro.vector.batch import TaskSetBatch, generate_batch
-from repro.vector import xp as xp_backends
 from repro.vector.sim_vec import (
     SIM_WORKERS_ENV,
     default_horizon_batch,
@@ -87,7 +86,6 @@ def _assert_verdicts_match(batch, sched_name, sched_cls, factor=5):
     return vec
 
 
-@pytest.mark.usefixtures("array_backend")
 @pytest.mark.parametrize("sched_name,sched_cls", SCHEDULERS)
 @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
 class TestRandomBatchEquivalence:
@@ -98,7 +96,6 @@ class TestRandomBatchEquivalence:
         assert 0.0 <= vec.acceptance_ratio <= 1.0
 
 
-@pytest.mark.usefixtures("array_backend")
 @pytest.mark.parametrize("sched_name,sched_cls", SCHEDULERS)
 class TestKnifeEdgeEquivalence:
     def test_paper_tables(self, sched_name, sched_cls, table1, table2, table3):
@@ -133,12 +130,11 @@ class TestKnifeEdgeEquivalence:
         _assert_verdicts_match(batch, sched_name, sched_cls)
 
 
-@pytest.mark.usefixtures("array_backend")
 class TestFloat32Inputs:
     """Knife-edge dtype pinning: simulate_batch pins its state arrays to
     float64 at the batch boundary, so a float32 input batch yields the
-    same verdicts as its exactly-upcast float64 twin — on every backend
-    (float32 event arithmetic would drift the eps comparisons)."""
+    same verdicts as its exactly-upcast float64 twin (float32 event
+    arithmetic would drift the eps comparisons)."""
 
     def test_float32_batch_matches_float64_twin(self):
         b64 = _batch(paper_unconstrained(6), seed=61, count=20)
@@ -249,7 +245,6 @@ def _assert_placement_match(batch, fpga, mode, policy, sched_name, sched_cls,
     return vec
 
 
-@pytest.mark.usefixtures("array_backend")
 @pytest.mark.parametrize("fpga", PLACEMENT_DEVICES,
                          ids=["plain", "static-regions"])
 @pytest.mark.parametrize("policy", list(PlacementPolicy),
@@ -440,7 +435,6 @@ def _assert_sporadic_verdicts_match(batch, seed, sched_name, sched_cls,
     return vec
 
 
-@pytest.mark.usefixtures("array_backend")
 @pytest.mark.parametrize("sched_name,sched_cls", SCHEDULERS)
 class TestOffsetEquivalence:
     """Random per-row offsets: batch verdicts == simulate(offsets=...)."""
@@ -504,7 +498,6 @@ class TestOffsetEquivalence:
                 )
 
 
-@pytest.mark.usefixtures("array_backend")
 @pytest.mark.parametrize("sched_name,sched_cls", SCHEDULERS)
 class TestSporadicEquivalence:
     """Seed-shared sporadic schedules: batch == simulate_release_schedule."""
@@ -741,7 +734,6 @@ def _assert_results_equal(a, b, counters=False):
         assert a.event_steps == b.event_steps
 
 
-@pytest.mark.usefixtures("array_backend")
 class TestFusionKnifeEdges:
     """Fused stepping must be invisible in every per-row output."""
 
@@ -775,7 +767,7 @@ class TestFusionKnifeEdges:
         for fuse in (2, 4, 8):
             fused = simulate_batch(batch, CAPACITY, "EDF-NF", max_events=5, fuse=fuse)
             _assert_results_equal(base, fused)
-        assert (base.events[xp_backends.asnumpy(base.budget_exceeded)] == 6).all()
+        assert (base.events[base.budget_exceeded] == 6).all()
 
     def test_instrumentation_counters(self):
         batch = _batch(paper_unconstrained(10), seed=25)
@@ -796,14 +788,7 @@ class TestFusionKnifeEdges:
 
 
 class TestShardingKnifeEdges:
-    """sim_workers must be invisible in every per-row output.
-
-    Process pools are numpy-only here: the backend-parametrized
-    equivalence above already pins fused verdicts per backend, and the
-    sharded path re-enters ``simulate_batch`` per shard with the same
-    backend name, so numpy sharding plus per-backend fusion covers the
-    matrix.
-    """
+    """sim_workers must be invisible in every per-row output."""
 
     def test_not_divisible_and_prime_batch(self):
         full = _batch(paper_unconstrained(10), seed=31)
