@@ -20,7 +20,9 @@ accepted task).  Everything is seeded — the exact request sequence is
 reproducible and replayable through ``BatchEngine.process_serial`` (the
 service's one decision routine without the certifier, so every add and
 trial takes the exact ``AdmissionState`` check) for the bit-identity
-check.
+check.  :func:`steady_stream` tracks residency optimistically;
+:func:`capacity_stream` tracks it from the serial decisions, so it can
+hold narrow devices at capacity, where most adds are rejected.
 """
 
 import asyncio
@@ -29,8 +31,10 @@ import random
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.fpga.device import Fpga
 from repro.model.task import Task
-from repro.service.protocol import Request
+from repro.service.engine import BatchEngine
+from repro.service.protocol import Decision, Request
 
 WirePayload = Tuple[str, Dict[str, Any]]  # (path, JSON body)
 
@@ -81,6 +85,60 @@ def steady_stream(
             if op == "add":
                 names.append(task.name)
     return stream
+
+
+def capacity_stream(
+    seed: int,
+    n_requests: int,
+    devices: Sequence[str],
+    width: int = 12,
+    wcet_scale: float = 4.0,
+    resident_target: int = 20,
+) -> Tuple[List[Request], List[Decision]]:
+    """Seeded stream that holds ``width``-column devices at capacity,
+    with its serial decisions.
+
+    Each request is decided by ``BatchEngine.process_serial`` as it is
+    drawn, so residency follows the true decisions and every ``remove``
+    names a resident task.  Per request, on a uniformly chosen device:
+    20% ``trial``; otherwise ``remove`` with probability
+    ``0.5 * min(1, resident / resident_target)``, else ``add`` of a
+    :func:`draw_task` task with its WCET scaled by ``wcet_scale``.  The
+    defaults (12 columns, 4x WCETs, 20 residents) saturate a device near
+    a dozen residents, so the certifier rarely settles an add and most
+    exact checks are rejections.
+    """
+    rng = random.Random(seed)
+    engine = BatchEngine()
+    for name in devices:
+        engine.add_device(name, Fpga(width=width))
+    resident: Dict[str, List[str]] = {name: [] for name in devices}
+    requests: List[Request] = []
+    decisions: List[Decision] = []
+    for serial in range(n_requests):
+        device = rng.choice(list(devices))
+        names = resident[device]
+        if rng.random() < 0.2:
+            op = "trial"
+        elif names and rng.random() < 0.5 * min(1.0, len(names) / resident_target):
+            op = "remove"
+        else:
+            op = "add"
+        if op == "remove":
+            request = Request(op=op, device=device, name=names.pop(rng.randrange(len(names))))
+        else:
+            task = draw_task(rng, f"t{serial}")
+            task = Task(
+                wcet=task.wcet * wcet_scale, period=task.period, area=task.area,
+                name=task.name,
+            )
+            request = Request(op=op, device=device, task=task)
+        (decision,) = engine.process_serial([request])
+        if op == "add" and decision.ok:
+            names.append(request.target)
+        requests.append(request)
+        decisions.append(decision)
+    return requests, decisions
 
 
 def to_wire(request: Request) -> WirePayload:

@@ -17,6 +17,11 @@ request the residue.  Decisions/sec, the
 batch-size histogram, the certifier hit rate and latency percentiles
 land in ``extra_info`` -> ``BENCH_<sha>.json`` so the trajectory is
 tracked per PR.
+
+A third leg holds narrow devices at capacity instead
+(:func:`~benchmarks.service_loadtest.capacity_stream`): there the
+certifier rarely answers and the exact check, mostly a rejection,
+is the engine's cost per decision.
 """
 
 import asyncio
@@ -26,7 +31,13 @@ from collections import Counter
 import pytest
 
 from benchmarks.helpers import bench_scale
-from benchmarks.service_loadtest import closed_loop, open_loop, steady_stream, to_wire
+from benchmarks.service_loadtest import (
+    capacity_stream,
+    closed_loop,
+    open_loop,
+    steady_stream,
+    to_wire,
+)
 from repro.fpga.device import Fpga
 from repro.service import AdmissionService, BatchConfig, BatchEngine, HttpServer
 from repro.service.metrics import percentile
@@ -41,6 +52,8 @@ WIDTH = 100
 OPEN_LOOP_RATE = 1500.0  # offered load for the latency-under-load probe
 REQUIRED_DECISIONS_PER_S = 1000.0
 REQUIRED_SPEEDUP = 3.0
+CAPACITY_REQUESTS = 3000
+CAPACITY_WIDTH = 12
 
 
 def _decision_key(decision):
@@ -177,3 +190,47 @@ def test_bench_service_batched_vs_serial(benchmark):
         f"via {dict(by_via)}, certifier hit {snap['certifier']['hit_rate']:.3f}"
     )
     assert speedup >= REQUIRED_SPEEDUP
+
+
+@pytest.mark.bench_smoke
+def test_bench_service_capacity_held(benchmark):
+    """Engine cost per decision on devices held at capacity.
+
+    ``process_batch`` decides the stream one request per call, as the
+    service does when no batch forms.  The decisions must equal the
+    serial replay's; the per-decision time, the decision routes and the
+    reject count land in ``extra_info``."""
+    benchmark.group = "service-admission"
+    n_requests = CAPACITY_REQUESTS * bench_scale()
+    stream, serial_decisions = capacity_stream(
+        SEED, n_requests, DEVICES, width=CAPACITY_WIDTH
+    )
+
+    def run():
+        engine = BatchEngine()
+        for name in DEVICES:
+            engine.add_device(name, Fpga(width=CAPACITY_WIDTH))
+        decisions = []
+        for request in stream:
+            decisions.extend(engine.process_batch([request]))
+        return decisions
+
+    decisions = benchmark.pedantic(run, rounds=1, iterations=1)
+    elapsed = benchmark.stats.stats.mean
+    assert list(map(_decision_key, decisions)) == list(
+        map(_decision_key, serial_decisions)
+    )
+
+    by_via = Counter(d.via for d in decisions)
+    rejected = sum(1 for d in decisions if not d.ok and d.error is None)
+    us_per_decision = elapsed / len(stream) * 1e6
+    benchmark.extra_info["requests"] = len(stream)
+    benchmark.extra_info["width"] = CAPACITY_WIDTH
+    benchmark.extra_info["us_per_decision"] = us_per_decision
+    benchmark.extra_info["by_via"] = dict(by_via)
+    benchmark.extra_info["rejected"] = rejected
+    print(
+        f"\nservice engine at capacity: {us_per_decision:.1f} us/decision "
+        f"({len(stream)} reqs), via {dict(by_via)}, {rejected} rejected"
+    )
+    assert rejected > 0 and by_via["state"] > by_via["certifier"]

@@ -101,6 +101,10 @@ class IncrementalAnalyzer(Protocol):
         """The test's verdict on the current resident taskset."""
         ...
 
+    def verdict(self) -> bool:
+        """``result().accepted``, allowed to stop at the first failing task."""
+        ...
+
 
 def empty_taskset_result(test_name: str, schedulers: frozenset[SchedulerKind]) -> TestResult:
     """The defined verdict for an *empty* resident set: vacuous acceptance.

@@ -139,7 +139,7 @@ def _maybe_cross_check(
         raise AssertionError("incremental portfolio diverged from scalar")
 
 
-def churn_runner(samples: int, seed: int, **_sim_kw) -> AcceptanceCurves:
-    """Registry adapter: ``samples`` = churn events per bucket; the sim_*
-    knobs don't apply (the churn stream is analytical-only)."""
+def churn_runner(samples: int, seed: int) -> AcceptanceCurves:
+    """Registry adapter: ``samples`` = churn events per bucket.  It takes
+    no knobs: the churn stream is analytical-only."""
     return churn_experiment(events=samples, seed=seed)

@@ -11,6 +11,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -18,6 +19,22 @@ from typing import Optional, Sequence
 from repro.experiments.registry import EXPERIMENTS, get_experiment
 from repro.experiments.report import render, sparkline
 from repro.experiments.tables import render_tables, run_tables
+
+#: The ``run`` flags that become runner knobs, by runner keyword.  Each
+#: defaults to ``None`` (not given) and reaches the runner only when
+#: given, so the runner's own default applies otherwise and a flag the
+#: chosen experiment does not take is an error instead of a no-op.
+RUN_KNOBS = {
+    "sim_workers": "--sim-workers",
+    "sim_mode": "--sim-mode",
+    "sim_policy": "--sim-policy",
+    "sim_release": "--sim-release",
+    "sim_jitter": "--sim-jitter",
+    "sim_search": "--sim-search",
+    "sim_search_rounds": "--search-rounds",
+    "sim_elite_frac": "--elite-frac",
+    "ci_target": "--ci-target",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,30 +61,33 @@ def build_parser() -> argparse.ArgumentParser:
                           "REPRO_SIM_WORKERS environment variable is "
                           "consulted, then 1")
     run.add_argument("--sim-mode", choices=("free", "relocatable", "pinned"),
-                     default="free", dest="sim_mode",
+                     default=None, dest="sim_mode",
                      help="migration model for the figure-style sim curves: "
-                          "'free' is the paper's unrestricted migration; "
-                          "'relocatable'/'pinned' are the §7 placement-aware "
-                          "modes (contiguous columns required)")
+                          "'free' (the default) is the paper's unrestricted "
+                          "migration; 'relocatable'/'pinned' are the §7 "
+                          "placement-aware modes (contiguous columns "
+                          "required)")
     run.add_argument("--sim-policy",
                      choices=("first-fit", "best-fit", "worst-fit"),
-                     default="first-fit", dest="sim_policy",
+                     default=None, dest="sim_policy",
                      help="hole-selection policy for placement-aware "
-                          "--sim-mode runs")
+                          "--sim-mode runs (default: first-fit)")
     run.add_argument("--sim-release", choices=("periodic", "sporadic"),
-                     default="periodic", dest="sim_release",
+                     default=None, dest="sim_release",
                      help="release pattern for the figure-style sim curves: "
-                          "'periodic' is the paper's synchronous pattern, "
+                          "'periodic' (the default) is the paper's "
+                          "synchronous pattern, "
                           "'sporadic' draws one jittered schedule per "
                           "taskset")
-    run.add_argument("--sim-jitter", type=float, default=0.5,
+    run.add_argument("--sim-jitter", type=float, default=None,
                      dest="sim_jitter", metavar="FACTOR",
                      help="max inter-arrival jitter for --sim-release "
-                          "sporadic: gaps are T * (1 + U(0, FACTOR))")
+                          "sporadic and the sporadic ablation: gaps are "
+                          "T * (1 + U(0, FACTOR)) (default: 0.5)")
     run.add_argument("--sim-search", choices=("uniform", "adaptive"),
-                     default="uniform", dest="sim_search",
+                     default=None, dest="sim_search",
                      help="release-pattern search for the offset/sporadic "
-                          "ablations: 'uniform' draws patterns "
+                          "ablations: 'uniform' (the default) draws patterns "
                           "independently; 'adaptive' spends the same "
                           "per-taskset budget through the repro.search "
                           "cross-entropy importance sampler (proposals "
@@ -75,14 +95,16 @@ def build_parser() -> argparse.ArgumentParser:
                           "— more counterexamples per pattern, verdicts "
                           "still intersected with the synchronous "
                           "baseline)")
-    run.add_argument("--search-rounds", type=int, default=4,
-                     dest="search_rounds", metavar="N",
+    run.add_argument("--search-rounds", type=int, default=None,
+                     dest="sim_search_rounds", metavar="N",
                      help="adaptive-search rounds the pattern budget is "
-                          "split across (round 1 explores uniformly)")
-    run.add_argument("--elite-frac", type=float, default=0.25,
-                     dest="elite_frac", metavar="FRAC",
+                          "split across (round 1 explores uniformly; "
+                          "default: 4)")
+    run.add_argument("--elite-frac", type=float, default=None,
+                     dest="sim_elite_frac", metavar="FRAC",
                      help="fraction of lowest-slack patterns that refit "
-                          "the adaptive-search proposals each round")
+                          "the adaptive-search proposals each round "
+                          "(default: 0.25)")
     run.add_argument("--ci-target", type=float, default=None, dest="ci_target",
                      metavar="HALF_WIDTH",
                      help="adaptive bucket sizing: draw per-bucket samples "
@@ -125,7 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     if args.command == "list":
         for eid, exp in sorted(EXPERIMENTS.items()):
@@ -198,17 +221,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     from repro.sim.simulator import MigrationMode
 
     exp = get_experiment(args.experiment)
+    knobs = {k: getattr(args, k) for k in RUN_KNOBS if getattr(args, k) is not None}
+    taken = inspect.signature(exp.runner).parameters
+    unknown = [RUN_KNOBS[k] for k in knobs if k not in taken]
+    if unknown:
+        parser.error(f"experiment {args.experiment!r} does not take "
+                     f"{', '.join(unknown)}")
+    if "sim_mode" in knobs:
+        knobs["sim_mode"] = MigrationMode(knobs["sim_mode"])
+    if "sim_policy" in knobs:
+        knobs["sim_policy"] = PlacementPolicy(knobs["sim_policy"])
     samples = args.samples if args.samples is not None else exp.default_samples
-    curves = exp.runner(samples, args.seed,
-                        ci_target=args.ci_target,
-                        sim_mode=MigrationMode(args.sim_mode),
-                        sim_policy=PlacementPolicy(args.sim_policy),
-                        sim_release=args.sim_release,
-                        sim_jitter=args.sim_jitter,
-                        sim_workers=args.sim_workers,
-                        sim_search=args.sim_search,
-                        sim_search_rounds=args.search_rounds,
-                        sim_elite_frac=args.elite_frac)
+    curves = exp.runner(samples, args.seed, **knobs)
     output = render(curves, args.format)
     if args.plot:
         lines = [output, ""]

@@ -24,13 +24,14 @@ class Experiment:
     experiment_id: str
     description: str
     #: ``runner(samples, seed, **knobs) -> AcceptanceCurves``.  The
-    #: knobs are keyword-only: ci_target, sim_mode, sim_policy,
-    #: sim_release, sim_jitter, sim_workers, sim_search,
-    #: sim_search_rounds, sim_elite_frac.  Every sim curve runs on the
-    #: batched simulator.  Runners that cannot honour a knob (e.g.
-    #: ci_target on the offset search, the sim_* sweeps on ablations
-    #: that sweep those axes themselves, or sim_search on experiments
-    #: without a pattern search) accept and ignore it.
+    #: knobs are keyword-only and drawn from: ci_target, sim_mode,
+    #: sim_policy, sim_release, sim_jitter, sim_workers, sim_search,
+    #: sim_search_rounds, sim_elite_frac.  Each runner names exactly the
+    #: knobs it honours, so a knob it cannot honour (ci_target on the
+    #: offset search, the sim_* sweeps on ablations that sweep those axes
+    #: themselves, sim_search on experiments without a pattern search)
+    #: raises ``TypeError``.  Every sim curve runs on the batched
+    #: simulator.
     runner: Callable[..., AcceptanceCurves]
     default_samples: int
 
@@ -46,7 +47,6 @@ def _figure_runner(figure_id: str):
         sim_release: str = "periodic",
         sim_jitter: float = 0.5,
         sim_workers: Optional[int] = None,
-        **_sim_kw,  # sim_search etc.: no pattern search on figure curves
     ) -> AcceptanceCurves:
         return run_figure(
             figure_id,
@@ -77,7 +77,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "ablation-alpha": Experiment(
         "ablation-alpha",
         "DP with integer-area alpha vs Danne's real-area alpha",
-        lambda samples, seed, *, ci_target=None, **_sim_kw:
+        lambda samples, seed, *, ci_target=None:
             ablations.alpha_ablation(
                 samples=samples, seed=seed, ci_target=ci_target
             ),
@@ -86,7 +86,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "ablation-nf-fkf": Experiment(
         "ablation-nf-fkf",
         "Simulated acceptance of EDF-NF vs EDF-FkF",
-        lambda samples, seed, *, ci_target=None, **_sim_kw:
+        lambda samples, seed, *, ci_target=None:
             ablations.nf_vs_fkf_ablation(
                 samples=samples, seed=seed, ci_target=ci_target
             ),
@@ -100,7 +100,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
     "ablation-placement": Experiment(
         "ablation-placement",
         "Free migration vs contiguous placement (fragmentation cost)",
-        lambda samples, seed, **_sim_kw:
+        lambda samples, seed:
             ablations.placement_ablation(samples=samples, seed=seed),
         default_samples=400,
     ),
@@ -108,7 +108,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
         "ablation-offsets",
         "Synchronous-release simulation vs offset-searched upper bound",
         lambda samples, seed, *, sim_search="uniform", sim_search_rounds=4,
-        sim_elite_frac=0.25, **_sim_kw:
+        sim_elite_frac=0.25:
             ablations.offset_ablation(
                 samples=samples, seed=seed, search=sim_search,
                 search_rounds=sim_search_rounds, elite_frac=sim_elite_frac,
@@ -125,7 +125,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
         "ablation-sporadic",
         "Periodic-release simulation vs sporadic-searched upper bound",
         lambda samples, seed, *, sim_jitter=0.5, sim_search="uniform",
-        sim_search_rounds=4, sim_elite_frac=0.25, **_sim_kw:
+        sim_search_rounds=4, sim_elite_frac=0.25:
             ablations.sporadic_ablation(
                 samples=samples, seed=seed, jitter=sim_jitter,
                 search=sim_search, search_rounds=sim_search_rounds,

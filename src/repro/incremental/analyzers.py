@@ -21,7 +21,14 @@ dataclass equality, float or exact):
 
 Analyzers are lazy: churn operations on the state cost nothing here until
 a verdict is actually requested, so a portfolio's DP short-circuit never
-pays GN1/GN2 cache maintenance.
+pays GN1/GN2 cache maintenance.  Two queries share one per-task walk
+(``_compute``): :meth:`~_AnalyzerBase.result` builds the full
+:class:`~repro.core.interfaces.TestResult`, while
+:meth:`~_AnalyzerBase.verdict` answers only accept/reject and stops at the
+first task that fails its inequality (one failure settles a rejection).
+Both answers are memoized until the next effective :meth:`refresh`; a walk
+that reaches the last task caches the full result as well, so an
+accepting member never walks twice.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ class _AnalyzerBase:
         self._tasks: List[Task] = []
         self._applied: Dict[str, Task] = {}
         self._result: Optional[TestResult] = None
+        self._verdict: Optional[bool] = None
 
     # -- subclass cache hooks ------------------------------------------------
 
@@ -81,7 +89,11 @@ class _AnalyzerBase:
     def _clear(self) -> None:  # pragma: no cover - overridden
         raise NotImplementedError
 
-    def _compute(self, tasks: Sequence[Task]) -> TestResult:  # pragma: no cover
+    def _compute(
+        self, tasks: Sequence[Task], stop_early: bool
+    ) -> Optional[TestResult]:  # pragma: no cover
+        """The per-task walk.  With ``stop_early`` it returns ``None`` at
+        the first failing task instead of finishing the result."""
         raise NotImplementedError
 
     # -- IncrementalAnalyzer protocol ----------------------------------------
@@ -100,6 +112,7 @@ class _AnalyzerBase:
         if not changed and not removed:
             return
         self._result = None
+        self._verdict = None
         if len(changed) + len(removed) >= max(2, (len(current) + 1) // 2):
             self._rebuild(self._tasks)
         else:
@@ -120,25 +133,43 @@ class _AnalyzerBase:
         one across all three analyzers to skip re-validation).
         """
         if self._result is None:
-            if not self._tasks:
-                self._result = empty_taskset_result(self.test.name, self.test.schedulers)
-            else:
-                self._result = self._guarded_compute(self._tasks, taskset)
+            self._evaluate(taskset, stop_early=False)
+        assert self._result is not None
         return self._result
 
-    def _guarded_compute(
-        self, tasks: Sequence[Task], taskset: Optional[TaskSet]
-    ) -> TestResult:
+    def verdict(self, taskset: Optional[TaskSet] = None) -> bool:
+        """``result(taskset).accepted`` without building the per-task
+        verdicts of a rejection: the walk stops at the first failing task.
+
+        Memoized until the next effective refresh; every full result
+        computed since then has set it as well.
+        """
+        if self._verdict is None:
+            self._evaluate(taskset, stop_early=True)
+        assert self._verdict is not None
+        return self._verdict
+
+    def _evaluate(self, taskset: Optional[TaskSet], stop_early: bool) -> None:
         """Necessary-conditions gate shared by all three tests, then the
-        test-specific cached computation (mirrors each scalar ``__call__``)."""
-        if taskset is None:
-            taskset = TaskSet(tasks)
-        nec = necessary_conditions(taskset, self.fpga)
-        if not nec.accepted:
-            return TestResult(
-                self.test.name, False, self.test.schedulers, nec.per_task, nec.reason
+        test-specific cached walk (mirrors each scalar ``__call__``).
+        Sets ``_verdict``, and ``_result`` unless the walk stopped early."""
+        tasks = self._tasks
+        if not tasks:
+            result: Optional[TestResult] = empty_taskset_result(
+                self.test.name, self.test.schedulers
             )
-        return self._compute(tasks)
+        else:
+            nec = necessary_conditions(
+                TaskSet(tasks) if taskset is None else taskset, self.fpga
+            )
+            if nec.accepted:
+                result = self._compute(tasks, stop_early)
+            else:
+                result = TestResult(
+                    self.test.name, False, self.test.schedulers, nec.per_task, nec.reason
+                )
+        self._result = result
+        self._verdict = False if result is None else result.accepted
 
 
 class DpAnalyzer(_AnalyzerBase):
@@ -166,7 +197,7 @@ class DpAnalyzer(_AnalyzerBase):
         self._ut[task.name] = task.time_utilization
         self._us[task.name] = task.system_utilization
 
-    def _compute(self, tasks: Sequence[Task]) -> TestResult:
+    def _compute(self, tasks: Sequence[Task], stop_early: bool) -> Optional[TestResult]:
         test: DpTest = self.test
         abnd = test.busy_bound(self.fpga.capacity, max(t.area for t in tasks))
         us_total: Real = 0
@@ -178,6 +209,8 @@ class DpAnalyzer(_AnalyzerBase):
             v = test.task_verdict(
                 t, abnd, us_total, ut=self._ut[t.name], us=self._us[t.name]
             )
+            if stop_early and not v.passed:
+                return None
             accepted &= v.passed
             verdicts.append(v)
         return TestResult(test.name, accepted, test.schedulers, tuple(verdicts))
@@ -249,7 +282,7 @@ class Gn1Analyzer(_AnalyzerBase):
                 if task_i.name != task_k.name
             }
 
-    def _compute(self, tasks: Sequence[Task]) -> TestResult:
+    def _compute(self, tasks: Sequence[Task], stop_early: bool) -> Optional[TestResult]:
         test: Gn1Test = self.test
         verdicts = []
         accepted = True
@@ -261,6 +294,8 @@ class Gn1Analyzer(_AnalyzerBase):
                     lhs += row[task_i.name]
             rhs = self._rhs[task_k.name]
             ok = lhs < rhs
+            if stop_early and not ok:
+                return None
             accepted &= ok
             verdicts.append(PerTaskVerdict(task_k.name, ok, lhs, rhs, GN1_DETAIL))
         return TestResult(test.name, accepted, test.schedulers, tuple(verdicts))
@@ -316,7 +351,7 @@ class Gn2Analyzer(_AnalyzerBase):
         self._scale[j] = Gn2Test.lam_scale(task)
         self._terms[j] = {}  # filled lazily during candidate walks
 
-    def _compute(self, tasks: Sequence[Task]) -> TestResult:
+    def _compute(self, tasks: Sequence[Task], stop_early: bool) -> Optional[TestResult]:
         test: Gn2Test = self.test
         abnd = self.fpga.capacity - max(t.area for t in tasks) + 1
         amin = min(t.area for t in tasks)
@@ -337,6 +372,8 @@ class Gn2Analyzer(_AnalyzerBase):
         for task_k in tasks:
             witness = self._find_witness(task_k, tasks, pool, abnd, amin)
             ok = witness is not None
+            if stop_early and not ok:
+                return None
             accepted &= ok
             verdicts.append(
                 PerTaskVerdict(task_k.name, ok, detail=witness_detail(witness))

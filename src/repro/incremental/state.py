@@ -183,7 +183,14 @@ class AdmissionState:
         return {name: self.result(name) for name in self.analyzers}
 
     def accepts(self, test: str) -> bool:
-        return self.result(test).accepted
+        """Whether one member test accepts, ``== result(test).accepted``.
+
+        Verdict-only: a rejecting member stops at its first failing task
+        and builds no per-task verdicts (:meth:`result` still can, later).
+        """
+        analyzer = self.analyzers[test]
+        analyzer.refresh(self._tasks)
+        return analyzer.verdict(self.taskset)
 
     def portfolio_result(
         self, scheduler: SchedulerKind = SchedulerKind.EDF_NF
@@ -193,17 +200,21 @@ class AdmissionState:
 
         Members run in DP → GN1 → GN2 order with the composite's
         short-circuit, so a DP acceptance never pays GN1/GN2 cache sync.
-        On the empty resident set every member vacuously accepts, so the
-        portfolio accepts via its first applicable member.
+        Each member is asked only for its verdict (:meth:`accepts`): a
+        rejecting member stops at its first failing task, since the
+        portfolio's rejection carries no per-task verdicts.  Only the
+        accepting member's full result is used, and its walk already
+        cached it.  On the empty resident set every member vacuously
+        accepts, so the portfolio accepts via its first applicable member.
         """
         portfolio_name = f"portfolio[{scheduler.value}]"  # CompositeTest naming
-        rejected: List[TestResult] = []
+        rejected: List[str] = []
         for name in ("DP", "GN1", "GN2"):
-            member_test = self.analyzers[name].test
-            if scheduler not in member_test.schedulers:
+            analyzer = self.analyzers[name]
+            if scheduler not in analyzer.test.schedulers:
                 continue
-            res = self.result(name)
-            if res.accepted:
+            if self.accepts(name):
+                res = analyzer.result(self.taskset)
                 return TestResult(
                     test_name=f"{portfolio_name}({res.test_name})",
                     accepted=True,
@@ -211,8 +222,8 @@ class AdmissionState:
                     per_task=res.per_task,
                     reason=f"accepted by member {res.test_name}",
                 )
-            rejected.append(res)
-        rejected_by = ", ".join(r.test_name for r in rejected) or "(no applicable member)"
+            rejected.append(analyzer.test.name)
+        rejected_by = ", ".join(rejected) or "(no applicable member)"
         return TestResult(
             test_name=portfolio_name,
             accepted=False,

@@ -13,7 +13,9 @@ request on its own, in arrival order, through one routine:
   exactly: the §6 portfolio DP → GN1 → GN2 on the incremental analyzers
   (``AdmissionState.admit`` for an add, ``AdmissionState.trial`` for a
   trial), whose verdicts are bit-identical to the scalar
-  ``paper_portfolio()``.  An accepted ``add`` stays and re-seeds the
+  ``paper_portfolio()``.  Each rejecting member stops at its first
+  failing task (the analyzers' verdict-only query); only the accepting
+  member builds its full result.  An accepted ``add`` stays and re-seeds the
   certifier from the verdict the analyzers just cached
   (``DeltaCertifier.refresh``); a rejected ``add`` is rolled back and,
   like any ``trial``, leaves the state and the certifier cache as they

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.cli import build_parser, main
+from repro.experiments.cli import RUN_KNOBS, build_parser, main
 
 
 class TestParser:
@@ -19,14 +19,14 @@ class TestParser:
             build_parser().parse_args(["run", "fig9z"])
 
     def test_defaults(self):
+        """Runner knobs default to ``None`` (not given): the runner's own
+        defaults apply unless the user names a flag."""
         args = build_parser().parse_args(["run", "fig3a"])
         assert args.samples is None
         assert args.seed == 2007
         assert args.format == "text"
-        assert args.sim_mode == "free"
-        assert args.sim_policy == "first-fit"
-        assert args.sim_release == "periodic"
-        assert args.sim_jitter == 0.5
+        for knob in RUN_KNOBS:
+            assert getattr(args, knob) is None, knob
 
     def test_sim_sweep_flags(self):
         args = build_parser().parse_args([
@@ -100,6 +100,44 @@ class TestCommands:
                      "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "sim:periodic" in out and "sim:sporadic-search" in out
+
+    @pytest.mark.parametrize(
+        "experiment, flag",
+        [("ablation-alpha", ["--sim-workers", "2"]),
+         ("ablation-offsets", ["--ci-target", "0.1"]),
+         ("ablation-placement", ["--sim-mode", "pinned"]),
+         ("churn", ["--sim-search", "adaptive"]),
+         ("fig3a", ["--search-rounds", "3"])],
+    )
+    def test_run_rejects_knob_the_experiment_does_not_take(
+        self, experiment, flag, capsys
+    ):
+        """A flag the chosen runner has no keyword for exits 2 and names
+        the flag, before any sampling starts."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", experiment, "--samples", "4", *flag])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"experiment {experiment!r} does not take {flag[0]}" in err
+
+    def test_run_passes_only_given_knobs(self, monkeypatch, capsys):
+        """Unset flags do not reach the runner; given ones do, converted."""
+        from repro.experiments import cli
+        from repro.experiments.registry import EXPERIMENTS, Experiment
+        from repro.fpga.placement import PlacementPolicy
+
+        seen = {}
+
+        def runner(samples, seed, *, sim_policy=None, sim_jitter=None):
+            seen.update(samples=samples, seed=seed, policy=sim_policy,
+                        jitter=sim_jitter)
+            return EXPERIMENTS["ablation-alpha"].runner(20, seed)
+
+        fake = Experiment("fake", "knob probe", runner, default_samples=9)
+        monkeypatch.setattr(cli, "get_experiment", lambda _id: fake)
+        assert main(["run", "fig3a", "--sim-policy", "best-fit"]) == 0
+        assert seen == {"samples": 9, "seed": 2007,
+                        "policy": PlacementPolicy.BEST_FIT, "jitter": None}
 
     def test_run_figure_with_sim_sweep_flags(self, capsys):
         """--sim-mode/--sim-release reach the figure-style runners

@@ -14,7 +14,7 @@ from repro.experiments.ablations import (
     placement_ablation,
     sporadic_ablation,
 )
-from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.registry import EXPERIMENTS, get_experiment
 
 
 class TestRegistryRunnersExecute:
@@ -30,6 +30,12 @@ class TestRegistryRunnersExecute:
         for eid in EXPERIMENTS:
             with pytest.raises(TypeError):
                 EXPERIMENTS[eid].runner(30, 7, 1)
+
+    def test_unknown_knob_raises(self):
+        """No runner swallows a keyword it does not use."""
+        for eid in EXPERIMENTS:
+            with pytest.raises(TypeError):
+                get_experiment(eid).runner(20, 1, no_such_knob=3)
 
     def test_fig4b_runner_binned(self):
         curves = EXPERIMENTS["fig4b"].runner(30, 7)
@@ -78,19 +84,18 @@ class TestAblationRunnersDirect:
             assert b <= a
 
     def test_release_pattern_runners_registered(self):
-        """Both release-pattern searches run off the registry (and accept
-        the CLI's sim_* sweep kwargs without choking)."""
-        from repro.fpga.placement import PlacementPolicy
+        """Both release-pattern searches run off the registry with their
+        search knobs, and refuse the figure-only sim_* sweep knobs."""
         from repro.sim.simulator import MigrationMode
 
         for eid in ("ablation-offsets", "ablation-sporadic"):
             curves = EXPERIMENTS[eid].runner(
-                4, 3, ci_target=None,
-                sim_mode=MigrationMode.FREE,
-                sim_policy=PlacementPolicy.FIRST_FIT,
-                sim_release="periodic", sim_jitter=0.5,
+                4, 3, sim_search="uniform", sim_search_rounds=4,
+                sim_elite_frac=0.25,
             )
             assert len(curves.series) == 2
+            with pytest.raises(TypeError):
+                EXPERIMENTS[eid].runner(4, 3, sim_mode=MigrationMode.FREE)
 
     def test_sporadic_runner_honours_sim_jitter(self):
         """--sim-jitter reaches sporadic_ablation: zero jitter makes every

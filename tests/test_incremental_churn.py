@@ -27,6 +27,7 @@ from repro.core.interfaces import SchedulerKind
 from repro.core.sensitivity import DeltaCertifier
 from repro.fpga.device import Fpga
 from repro.incremental import AdmissionState
+from repro.incremental.analyzers import Gn2Analyzer
 from repro.model.task import Task, TaskSet
 
 MEMBERS = {"DP": dp_test, "GN1": gn1_test, "GN2": gn2_test}
@@ -50,12 +51,12 @@ def _assert_parity(state: AdmissionState, fpga: Fpga) -> None:
 
 
 @st.composite
-def churn_streams(draw, exact: bool):
+def churn_streams(draw, exact: bool, kinds=("add", "add", "remove", "update")):
     """A random sequence of (op, payload) churn operations."""
     n_ops = draw(st.integers(1, 25))
     ops = []
     for i in range(n_ops):
-        kind = draw(st.sampled_from(["add", "add", "remove", "update"]))
+        kind = draw(st.sampled_from(kinds))
         period = draw(st.integers(4, 16))
         deadline = draw(st.integers(2, period + 4))
         wcet_tenths = draw(st.integers(1, min(deadline, period) * 10))
@@ -125,6 +126,176 @@ class TestChurnParity:
             if i % 5 == 0 or i > 140:
                 _assert_parity(state, fpga)
         _assert_parity(state, fpga)
+
+
+def _assert_verdict_first_parity(
+    state: AdmissionState, fpga: Fpga, accepts_first: bool
+) -> None:
+    """Parity with the verdict-only queries asked *before* any full
+    member result, so a rejecting member's early exit is what answers;
+    the full results are compared only afterwards."""
+    ts = TaskSet(state.tasks) if len(state) else None
+
+    def check_portfolios():
+        for scheduler in SchedulerKind:
+            got = state.portfolio_result(scheduler)
+            if ts is None:
+                assert got.accepted
+            else:
+                assert got == paper_portfolio(scheduler)(ts, fpga), scheduler
+
+    def check_accepts():
+        for name, test in MEMBERS.items():
+            want = True if ts is None else test(ts, fpga).accepted
+            assert state.accepts(name) is want, name
+
+    if accepts_first:
+        check_accepts()
+        check_portfolios()
+    else:
+        check_portfolios()
+        check_accepts()
+    if ts is not None:
+        for name, test in MEMBERS.items():
+            assert state.result(name) == test(ts, fpga), name
+
+
+def _run_verdict_first_stream(ops, fpga, accepts_first):
+    state = AdmissionState(fpga)
+    portfolio = paper_portfolio(SchedulerKind.EDF_NF)
+    for kind, task, victim in ops:
+        names = [t.name for t in state]
+        if kind in ("admit", "trial"):
+            before = state.tasks
+            expected = portfolio(TaskSet([*before, task]), fpga)
+            if kind == "admit":
+                assert state.admit(task) is expected.accepted
+                if not expected.accepted:
+                    assert state.tasks == before
+            else:
+                assert state.trial(task) == expected
+                assert state.tasks == before
+        elif kind == "add" or not names:
+            state.add(task)
+        elif kind == "remove":
+            state.remove(names[victim % len(names)])
+        else:
+            name = names[victim % len(names)]
+            state.update(
+                name, Task(task.wcet, task.period, task.deadline, task.area, name=name)
+            )
+        _assert_verdict_first_parity(state, fpga, accepts_first)
+
+
+_VERDICT_FIRST_KINDS = ("add", "admit", "admit", "trial", "remove", "update")
+
+
+class TestVerdictFirstParity:
+    """``portfolio_result``/``accepts`` on a freshly churned state answer
+    from the early-exit walk; they must still equal the scalar tests, and
+    the full results asked for afterwards must too."""
+
+    @given(
+        ops=churn_streams(exact=False, kinds=_VERDICT_FIRST_KINDS),
+        accepts_first=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_float_streams(self, ops, accepts_first):
+        _run_verdict_first_stream(ops, Fpga(width=10), accepts_first)
+
+    @given(
+        ops=churn_streams(exact=True, kinds=_VERDICT_FIRST_KINDS),
+        accepts_first=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_exact_streams(self, ops, accepts_first):
+        _run_verdict_first_stream(ops, Fpga(width=10), accepts_first)
+
+    def test_rejected_admit_leaves_verdicts_of_restored_set(self, fpga10):
+        """A rejected admit refreshes the analyzers with the candidate
+        set; the next queries must answer for the restored residents."""
+        state = AdmissionState(fpga10, _GN2_REJECTS[:3])
+        # Every member rejects the four tasks, GN2 by its early exit.
+        assert not state.admit(_GN2_REJECTS[3])
+        assert state.tasks == _GN2_REJECTS[:3]
+        _assert_verdict_first_parity(state, fpga10, accepts_first=True)
+        # A necessary-conditions reject rolls back the same way.
+        assert not state.admit(Task(wcet=1, period=4, area=11, name="wide"))
+        _assert_verdict_first_parity(state, fpga10, accepts_first=False)
+
+
+#: DP, GN1 and GN2 all reject this set on a 10-column device, and the
+#: necessary conditions hold.  tau1 and tau2 have λ witnesses, tau3 is
+#: the first task without one; GN2 accepts tau1 and tau2 alone.
+_GN2_REJECTS = (
+    Task(wcet=1, period=6, area=3, name="tau1"),
+    Task(wcet=2, period=10, area=3, name="tau2"),
+    Task(wcet=2, period=4, area=3, name="tau3"),
+    Task(wcet=4, period=4, area=3, name="tau4"),
+)
+
+
+@pytest.fixture
+def witness_calls(monkeypatch):
+    """Names of the tasks ``Gn2Analyzer._find_witness`` is called for."""
+    calls = []
+    find_witness = Gn2Analyzer._find_witness
+
+    def counting(self, task_k, *args):
+        calls.append(task_k.name)
+        return find_witness(self, task_k, *args)
+
+    monkeypatch.setattr(Gn2Analyzer, "_find_witness", counting)
+    return calls
+
+
+class TestEarlyExitMechanism:
+    def test_rejecting_verdict_stops_at_first_witnessless_task(
+        self, fpga10, witness_calls
+    ):
+        ts = TaskSet(_GN2_REJECTS)
+        scalar = gn2_test(ts, fpga10)
+        first_fail = [v.passed for v in scalar.per_task].index(False)
+        assert first_fail == 2 and len(ts) == 4
+        analyzer = Gn2Analyzer(gn2_test, fpga10)
+        analyzer.refresh(list(ts))
+        assert analyzer.verdict() is False
+        assert witness_calls == ["tau1", "tau2", "tau3"]
+        assert analyzer.verdict() is False  # cached: no further walk
+        assert len(witness_calls) == first_fail + 1
+        # The full result still walks every task and equals the scalar.
+        assert analyzer.result() == scalar
+        assert len(witness_calls) == first_fail + 1 + len(ts)
+
+    def test_accepting_member_walks_once(self, fpga10, table3, witness_calls):
+        analyzer = Gn2Analyzer(gn2_test, fpga10)
+        analyzer.refresh(list(table3))
+        assert analyzer.verdict() is True
+        assert analyzer.result() == gn2_test(table3, fpga10)
+        assert len(witness_calls) == len(table3)
+
+    def test_state_portfolio_rejection_walks_gn2_to_first_failure(
+        self, fpga10, witness_calls
+    ):
+        state = AdmissionState(fpga10, _GN2_REJECTS)
+        assert not state.accepts("DP") and not state.accepts("GN1")
+        witness_calls.clear()
+        assert not state.portfolio_accepts()
+        assert len(witness_calls) == 3
+
+    def test_refresh_clears_cached_verdict(self, fpga10, witness_calls):
+        analyzer = Gn2Analyzer(gn2_test, fpga10)
+        analyzer.refresh(_GN2_REJECTS)
+        assert analyzer.verdict() is False
+        calls = len(witness_calls)
+        analyzer.refresh(list(_GN2_REJECTS))  # same task objects: no change
+        assert analyzer.verdict() is False
+        assert len(witness_calls) == calls
+        analyzer.refresh(_GN2_REJECTS[:2])  # tau3 and tau4 depart
+        assert analyzer.verdict() is True
+        assert len(witness_calls) == calls + 2
+        assert analyzer.result() == gn2_test(TaskSet(_GN2_REJECTS[:2]), fpga10)
+        assert len(witness_calls) == calls + 2
 
 
 class TestKnifeEdges:
