@@ -52,6 +52,7 @@ WIDTH = 100
 OPEN_LOOP_RATE = 1500.0  # offered load for the latency-under-load probe
 REQUIRED_DECISIONS_PER_S = 1000.0
 REQUIRED_SPEEDUP = 3.0
+SPEEDUP_ROUNDS = 3  # interleaved rounds per side; the fastest of each is compared
 CAPACITY_REQUESTS = 3000
 CAPACITY_WIDTH = 12
 
@@ -136,7 +137,10 @@ def test_bench_service_batched_vs_serial(benchmark):
     decided two ways — ``process_batch`` (certifier first) and
     ``process_serial`` (every add and trial through the exact check) —
     and the decision sequences and final resident sets are compared
-    bit-for-bit."""
+    bit-for-bit.  The two sides alternate for ``SPEEDUP_ROUNDS`` rounds
+    each and the fastest round of each side is compared, so load from
+    other processes that lands on one side's only round cannot skew the
+    ratio."""
     benchmark.group = "service-admission"
     n_requests = ENGINE_REQUESTS * bench_scale()
     stream = steady_stream(SEED, n_requests, DEVICES, RESIDENT)
@@ -154,14 +158,21 @@ def test_bench_service_batched_vs_serial(benchmark):
             decisions.extend(engine.process_batch(stream[k : k + CONCURRENCY]))
         return engine, decisions
 
+    serial_runs = []  # (seconds, engine, decisions) per round
+
+    def run_serial():
+        # pedantic's untimed setup: one serial round before each batched one
+        engine = make_engine()
+        t0 = time.perf_counter()
+        decisions = engine.process_serial(stream)
+        serial_runs.append((time.perf_counter() - t0, engine, decisions))
+
     (batched_engine, batched_decisions) = benchmark.pedantic(
-        run_batched, rounds=1, iterations=1
+        run_batched, setup=run_serial, rounds=SPEEDUP_ROUNDS, iterations=1
     )
-    batched_time = benchmark.stats.stats.mean
-    serial_engine = make_engine()
-    t0 = time.perf_counter()
-    serial_decisions = serial_engine.process_serial(stream)
-    serial_time = time.perf_counter() - t0
+    batched_time = benchmark.stats.stats.min
+    serial_time = min(seconds for seconds, _, _ in serial_runs)
+    _, serial_engine, serial_decisions = serial_runs[-1]
 
     # Bit-identical decisions and final resident sets.
     expected = list(map(_decision_key, serial_decisions))

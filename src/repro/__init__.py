@@ -9,8 +9,8 @@ This package provides:
 
 * :mod:`repro.model` — the sporadic/periodic hardware-task model ``(C, D, T, A)``.
 * :mod:`repro.core` — the paper's schedulability tests (DP, GN1, GN2).
-* :mod:`repro.mp` / :mod:`repro.uni` — the multiprocessor and uniprocessor
-  analysis lineage the paper builds on (GFB, BCL, BAK2; PDA/QPA).
+* :mod:`repro.mp` — the multiprocessor analysis lineage the paper builds
+  on (GFB, BCL, BAK2).
 * :mod:`repro.fpga`, :mod:`repro.sched`, :mod:`repro.sim` — a 1D PRTR FPGA
   substrate, EDF-FkF / EDF-NF schedulers and a discrete-event simulator.
 * :mod:`repro.gen` — synthetic taskset generators (the paper's §6 recipe).

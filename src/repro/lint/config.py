@@ -46,7 +46,6 @@ LAZY_ONLY_LIBRARIES: Tuple[str, ...] = ("torch", "cupy")
 RNG_ALLOWED_MODULES: Tuple[str, ...] = (
     "repro.util.rngutil",     # the canonical seed -> Generator helpers
     "repro.gen",              # taskset generation (uunifast, randfixedsum, sweeps)
-    "repro.fpga2d.gen2d",     # 2D-device taskset generation
     "repro.sim.offsets",      # release-offset pattern sampling
     "repro.sim.sporadic",     # sporadic inter-arrival sampling
     "repro.search",           # adaptive proposal machinery (host-side, seeded)
@@ -163,9 +162,7 @@ LAYERS: Dict[str, int] = {
     "repro.fpga": 2,
     "repro.gen": 2,
     "repro.core": 3,
-    "repro.uni": 3,
     "repro.sched": 4,
-    "repro.fpga2d": 4,
     "repro.mp": 4,
     "repro.sim": 5,
     "repro.vector": 6,

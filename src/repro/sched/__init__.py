@@ -4,32 +4,16 @@
   *prefix* of the deadline-ordered queue that fits.
 * :class:`EdfNf` — EDF-Next-Fit (paper Definition 2): walk the queue and
   greedily run anything that still fits (skipping blocked wide jobs).
-* :class:`EdfUs` — EDF-US[x] hybrid (paper §7 future work): heavy tasks
-  get top priority, the rest are EDF-ordered.
-* :mod:`repro.sched.partitioned` — partitioned scheduling (Danne &
-  Platzner RAW'06, the paper's reference [10]).
 """
 
 from repro.sched.base import Scheduler
 from repro.sched.edf_queue import edf_order
 from repro.sched.edf_fkf import EdfFkf
 from repro.sched.edf_nf import EdfNf
-from repro.sched.edf_us import EdfUs
-from repro.sched.partitioned import (
-    Partition,
-    PartitionedResult,
-    partition_first_fit,
-    partitioned_test,
-)
 
 __all__ = [
     "Scheduler",
     "edf_order",
     "EdfFkf",
     "EdfNf",
-    "EdfUs",
-    "Partition",
-    "PartitionedResult",
-    "partition_first_fit",
-    "partitioned_test",
 ]

@@ -90,6 +90,15 @@ class TestCommonBehaviour:
         assert res.test_name == test.name
         assert bool(res) is res.accepted
 
+    @pytest.mark.parametrize("test", ALL_TESTS, ids=lambda t: t.name)
+    def test_failing_tasks_and_covers(self, test, fpga10, table1, table2, table3):
+        for table in (table1, table2, table3):
+            res = test(table, fpga10)
+            assert res.failing_tasks == tuple(v.task for v in res.per_task if not v.passed)
+            assert bool(res.failing_tasks) is not res.accepted
+            for kind in SchedulerKind:
+                assert res.covers(kind) is (kind in test.schedulers)
+
     def test_scheduler_coverage(self):
         assert SchedulerKind.EDF_FKF in dp_test.schedulers
         assert SchedulerKind.EDF_NF in dp_test.schedulers

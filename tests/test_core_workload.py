@@ -10,6 +10,8 @@ from repro.core.workload import (
     gn1_beta,
     gn2_beta,
     gn2_lambda_candidates,
+    gn2_lambda_candidates_from_values,
+    lambda_candidate_values,
     max_complete_jobs,
 )
 from repro.model.task import Task, TaskSet
@@ -147,3 +149,22 @@ class TestLambdaCandidates:
         ts = TaskSet([_t(1, 5, 5, name="a"), _t(2, 10, 10, name="b")])
         cands = gn2_lambda_candidates(ts, ts.by_name("a"))
         assert cands == sorted(set(cands))
+
+    def test_per_task_contributions(self):
+        # D <= T: only the utilization; D > T adds the density.
+        assert lambda_candidate_values(_t(2, 10, 10)) == [F(1, 5)]
+        assert lambda_candidate_values(_t(2, 8, 10)) == [F(1, 5)]
+        assert lambda_candidate_values(_t(4, 10, 5)) == [F(4, 5), F(2, 5)]
+
+    def test_from_values_keeps_minimum_and_filters(self):
+        pool = [F(1, 2), F(1, 10), F(3, 4), F(1, 2)]
+        assert gn2_lambda_candidates_from_values(pool, F(1, 4)) == [F(1, 4), F(1, 2), F(3, 4)]
+        assert gn2_lambda_candidates_from_values([], F(1, 3)) == [F(1, 3)]
+
+    def test_from_values_matches_taskset_form(self):
+        ts = TaskSet([_t(1, 5, 5, name="a"), _t(4, 10, 5, name="b"), _t(3, 12, 10, name="c")])
+        pool = [v for t in ts for v in lambda_candidate_values(t)]
+        for k in ts:
+            assert gn2_lambda_candidates(ts, k) == gn2_lambda_candidates_from_values(
+                pool, k.time_utilization
+            )

@@ -129,65 +129,3 @@ class TestOffsetHarness:
         )
         assert direct.schedulable == harness.schedulable
         assert direct.metrics.jobs_released == harness.metrics.jobs_released
-
-
-class TestPartitionedInvariants:
-    @given(ts=rational_tasksets())
-    @settings(max_examples=40, deadline=None)
-    def test_partition_structure(self, ts):
-        from repro.sched.partitioned import partition_first_fit
-
-        fpga = Fpga(width=10)
-        res = partition_first_fit(ts, fpga)
-        # width budget respected
-        assert sum(p.width for p in res.partitions) <= fpga.capacity
-        # every placed task fits its partition and appears exactly once
-        placed = [t.name for p in res.partitions for t in p.tasks]
-        assert len(placed) == len(set(placed))
-        for p in res.partitions:
-            for t in p.tasks:
-                assert t.area <= p.width
-        # accepted => nothing unplaced and per-partition UT <= 1
-        if res.accepted:
-            assert not res.unplaced
-            for p in res.partitions:
-                assert p.time_utilization <= 1
-
-    @given(ts=rational_tasksets())
-    @settings(max_examples=25, deadline=None)
-    def test_partitioned_accept_implies_partitioned_execution(self, ts):
-        """Partitioned acceptance guarantees the *partitioned* execution:
-        each partition, run serially under uniprocessor EDF, meets all
-        deadlines.  (It does NOT imply global EDF-NF succeeds — global
-        deadline tie-breaking can starve a wide task that partitioning
-        isolates; hypothesis found such a counterexample, now in
-        test_partitioned_does_not_imply_global below.)"""
-        from repro.sched.partitioned import partition_first_fit
-        from repro.sim.simulator import default_horizon
-
-        fpga = Fpga(width=10)
-        res = partition_first_fit(ts, fpga)
-        if res.accepted:
-            for part in res.partitions:
-                serial = TaskSet([t.with_area(1) for t in part.tasks])
-                horizon = default_horizon(serial, factor=10)
-                sim = simulate(serial, Fpga(width=1), EdfNf(), horizon, eps=0)
-                assert sim.schedulable, (part, ts)
-
-    def test_partitioned_does_not_imply_global(self):
-        """The counterexample hypothesis found: two tiny unit-width tasks
-        share the wide task's deadline and win the release/name tie-break
-        under global EDF-NF, leaving the zero-laxity wide task 0.2 short.
-        Partitioning isolates it and accepts — correctly."""
-        from repro.sched.partitioned import partitioned_test
-
-        ts = TaskSet(
-            [
-                Task(wcet=F(1, 10), period=4, deadline=2, area=1, name="t0"),
-                Task(wcet=F(1, 10), period=4, deadline=2, area=1, name="t1"),
-                Task(wcet=2, period=4, deadline=2, area=9, name="t2"),
-            ]
-        )
-        fpga = Fpga(width=10)
-        assert partitioned_test(ts, fpga).accepted
-        assert not simulate(ts, fpga, EdfNf(), 20, eps=0).schedulable

@@ -33,6 +33,4 @@ def test_expected_examples_present():
         "admission_control.py",
         "fpga_dimensioning.py",
         "placement_fragmentation.py",
-        "partitioned_vs_global.py",
-        "reconfigurable_2d.py",
     } <= names

@@ -162,3 +162,55 @@ class TestIntervalPrimitives:
     def test_spans_to_words_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             iv.spans_to_words([(0, 11)], 10)
+
+    @pytest.mark.parametrize(
+        "spans, largest",
+        [([], 0), ([(3, 4)], 1), ([(0, 2), (5, 12), (20, 24)], 7)],
+        ids=["empty", "single", "middle-widest"],
+    )
+    def test_largest_width(self, spans, largest):
+        assert iv.largest_width(spans) == largest
+
+    @pytest.mark.parametrize(
+        "start, width, inside",
+        [(0, 4, True), (6, 4, True), (1, 2, True), (3, 2, False), (4, 1, False), (6, 5, False)],
+        ids=["fills-first", "fills-second", "interior", "straddles-gap",
+             "in-gap", "past-end"],
+    )
+    def test_contains_span(self, start, width, inside):
+        assert iv.contains_span([(0, 4), (6, 10)], start, width) is inside
+
+    @pytest.mark.parametrize(
+        "spans, message",
+        [
+            ([(2, 2)], "empty interval"),
+            ([(4, 6), (0, 2)], "not sorted"),
+            ([(0, 3), (3, 5)], "not sorted/maximal"),
+            ([(8, 11)], "outside"),
+        ],
+        ids=["empty", "unsorted", "touching", "out-of-device"],
+    )
+    def test_check_sorted_maximal_flags(self, spans, message):
+        with pytest.raises(AssertionError, match=message):
+            iv.check_sorted_maximal(spans, 10)
+
+    def test_check_sorted_maximal_accepts_valid(self):
+        iv.check_sorted_maximal([], 10)
+        iv.check_sorted_maximal([(0, 3), (4, 10)], 10)
+
+    @pytest.mark.parametrize(
+        "width, words", [(1, 1), (64, 1), (65, 2), (128, 2), (129, 3)]
+    )
+    def test_word_count(self, width, words):
+        assert iv.word_count(width) == words
+        assert len(iv.spans_to_words([(0, width)], width)) == words
+
+    def test_word_count_rejects_empty_device(self):
+        with pytest.raises(ValueError):
+            iv.word_count(0)
+
+    def test_spans_straddling_word_boundary(self):
+        words = iv.spans_to_words([(60, 70)], 128)
+        assert int(words[0]) == 0xF << 60
+        assert int(words[1]) == 0x3F
+        assert iv.words_to_spans(words, 128) == [(60, 70)]

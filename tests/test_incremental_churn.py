@@ -26,7 +26,7 @@ from repro.core.gn2 import gn2_test
 from repro.core.interfaces import SchedulerKind
 from repro.core.sensitivity import DeltaCertifier
 from repro.fpga.device import Fpga
-from repro.incremental import AdmissionState
+from repro.incremental import AdmissionState, Delta
 from repro.incremental.analyzers import Gn2Analyzer
 from repro.model.task import Task, TaskSet
 
@@ -369,6 +369,47 @@ class TestKnifeEdges:
         assert not state.admit(Task(wcet=1, period=4, area=11, name="wide"))
         assert (state.tasks, state.version) == before
         _assert_parity(state, fpga10)
+
+
+class TestDeltaApply:
+    """``AdmissionState.apply`` routes each :class:`Delta` kind to its
+    churn operation."""
+
+    def test_add_remove_update_deltas(self, fpga10):
+        state = AdmissionState(fpga10)
+        a = Task(wcet=1, period=4, area=2, name="a")
+        b = Task(wcet=1, period=6, area=3, name="b")
+        state.apply(Delta.add(a))
+        state.apply(Delta.add(b))
+        assert state.tasks == (a, b)
+        _assert_parity(state, fpga10)
+        b2 = Task(wcet=2, period=6, area=3, name="b")
+        state.apply(Delta.update("b", b2))
+        assert state["b"] is b2
+        _assert_parity(state, fpga10)
+        state.apply(Delta.remove("a"))
+        assert state.tasks == (b2,)
+        assert state.version == 4
+        _assert_parity(state, fpga10)
+
+    def test_delta_constructors(self):
+        t = Task(wcet=1, period=4, area=2, name="t")
+        assert Delta.add(t) == Delta("add", "t", t)
+        assert Delta.remove("t") == Delta("remove", "t", None)
+        assert Delta.update("old", t) == Delta("update", "old", t)
+
+    def test_unknown_kind_rejected(self, fpga10):
+        state = AdmissionState(fpga10, [Task(wcet=1, period=4, area=2, name="a")])
+        with pytest.raises(ValueError, match="unknown delta kind"):
+            state.apply(Delta("swap", "a"))
+        assert state.version == 1 and len(state) == 1
+
+    def test_results_match_each_member(self, fpga10, table2):
+        state = AdmissionState(fpga10, table2)
+        results = state.results()
+        assert list(results) == ["DP", "GN1", "GN2"]
+        for name, test in MEMBERS.items():
+            assert results[name] == test(table2, fpga10)
 
 
 class TestPaperTablesChurn:

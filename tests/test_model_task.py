@@ -66,6 +66,12 @@ class TestTask:
         assert ft.wcet == F(1, 2)
         assert isinstance(ft.period, F)
 
+    def test_as_fractions_limits_denominator(self):
+        t = Task(wcet=0.1, period=0.3, area=2)
+        assert t.as_fractions().wcet != F(1, 10)  # the binary float's exact value
+        ft = t.as_fractions(max_denominator=100)
+        assert (ft.wcet, ft.period, ft.deadline, ft.area) == (F(1, 10), F(3, 10), F(3, 10), 2)
+
     def test_has_integral_area(self):
         assert Task(wcet=1, period=2, area=3).has_integral_area
         assert not Task(wcet=1, period=2, area=2.5).has_integral_area
@@ -190,6 +196,29 @@ class TestTaskSet:
         # verify the rescale math instead on a tiny utilization
         ts = self._ts().scaled_to_system_utilization(F(1, 1000))
         assert ts.system_utilization == F(1, 1000)
+
+    def test_rescale_of_underflowed_utilization_raises(self):
+        # C/T underflows to 0.0 in floats: there is nothing to scale.
+        ts = TaskSet([Task(wcet=5e-324, period=1e300, name="tiny")])
+        assert ts.system_utilization == 0
+        with pytest.raises(ValueError, match="zero-utilization"):
+            ts.scaled_to_system_utilization(1)
+
+    def test_max_wcet(self):
+        assert self._ts().max_wcet == 2
+
+    def test_not_equal_to_other_types(self):
+        ts = self._ts()
+        assert ts != list(ts)
+        assert ts != tuple(ts)
+        assert ts.__eq__(list(ts)) is NotImplemented
+
+    def test_as_fractions_whole_set(self):
+        ts = TaskSet([Task(wcet=0.25, period=1.5, area=2, name="a"),
+                      Task(wcet=0.1, period=1.0, area=1, name="b")])
+        exact = ts.as_fractions(max_denominator=100)
+        assert [t.name for t in exact] == ["a", "b"]
+        assert exact.system_utilization == F(1, 3) + F(1, 10)
 
     def test_without(self):
         ts = self._ts().without(0)

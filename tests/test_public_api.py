@@ -12,9 +12,7 @@ PACKAGES = [
     "repro.gen",
     "repro.core",
     "repro.mp",
-    "repro.uni",
     "repro.fpga",
-    "repro.fpga2d",
     "repro.sched",
     "repro.sim",
     "repro.vector",

@@ -1,8 +1,5 @@
-"""Tests for scheduler selection rules (paper Definitions 1-2, EDF-US)."""
+"""Tests for scheduler selection rules (paper Definitions 1-2)."""
 
-from fractions import Fraction as F
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +8,6 @@ from repro.model.task import Task, TaskSet
 from repro.sched.edf_fkf import EdfFkf
 from repro.sched.edf_nf import EdfNf
 from repro.sched.edf_queue import edf_order
-from repro.sched.edf_us import EdfUs, edf_us_threshold
 
 
 def _job(name, deadline, area, release=0, period=None):
@@ -119,44 +115,3 @@ class TestSelectionProperties:
         waiting = [j for j in jobs if j not in running]
         for j in waiting:
             assert used + j.area > cap
-
-
-class TestEdfUs:
-    def test_threshold_value(self):
-        assert edf_us_threshold(2) == F(2, 3)
-        assert edf_us_threshold(1) == 1
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            edf_us_threshold(0)
-
-    def test_heavy_tasks_jump_the_queue(self):
-        heavy = Job(task=Task(wcet=9, period=10, area=1, name="heavy"), release=0)
-        light = Job(task=Task(wcet=1, period=4, deadline=4, area=1, name="light"), release=0)
-        sched = EdfUs(threshold=F(1, 2))
-        assert [j.task.name for j in sched.order([light, heavy])] == ["heavy", "light"]
-        # plain EDF would run light first (deadline 4 < 10)
-        assert edf_order([light, heavy])[0].task.name == "light"
-
-    def test_system_heaviness_accounts_for_area(self):
-        # narrow but busy vs wide but idle: system heaviness flips them
-        wide = Job(task=Task(wcet=2, period=10, area=90, name="wide"), release=0)
-        narrow = Job(task=Task(wcet=9, period=10, area=1, name="narrow"), release=0)
-        time_based = EdfUs(threshold=F(1, 2), heaviness="time")
-        sys_based = EdfUs(threshold=F(1, 10), heaviness="system", device_area=100)
-        assert time_based.is_heavy(narrow) and not time_based.is_heavy(wide)
-        assert sys_based.is_heavy(wide) and not sys_based.is_heavy(narrow)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            EdfUs(threshold=0)
-        with pytest.raises(ValueError):
-            EdfUs(threshold=F(1, 2), heaviness="system")  # missing device_area
-        with pytest.raises(ValueError):
-            EdfUs(threshold=F(1, 2), heaviness="weight")  # type: ignore[arg-type]
-        with pytest.raises(ValueError):
-            EdfUs(threshold=F(1, 2), fit="zigzag")  # type: ignore[arg-type]
-
-    def test_fit_discipline(self):
-        assert EdfUs(threshold=F(1, 2), fit="nf").skip_blocked
-        assert not EdfUs(threshold=F(1, 2), fit="fkf").skip_blocked

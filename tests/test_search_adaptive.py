@@ -27,7 +27,7 @@ from repro.experiments.ablations import offset_ablation, sporadic_ablation
 from repro.experiments.acceptance import feasible_batch_at
 from repro.fpga.device import Fpga
 from repro.gen.profiles import paper_unconstrained
-from repro.model.task import TaskSet
+from repro.model.task import Task, TaskSet
 from repro.sched.edf_nf import EdfNf
 from repro.search import (
     SearchConfig,
@@ -374,6 +374,68 @@ class TestScalarVectorAdaptiveParity:
             )
             assert res.schedulable == (not out.found[i])
             assert float(res.min_slack) == float(out.min_slack[i])
+
+
+class TestAdaptiveTwinBaselines:
+    """The scalar twins check the synchronous/periodic pattern first,
+    outside the budget, and validate their budget knobs."""
+
+    TWINS = {
+        "offset": (adaptive_offset_search, "include_synchronous"),
+        "sporadic": (adaptive_sporadic_search, "include_periodic"),
+    }
+
+    @staticmethod
+    def _dhall_set():
+        # Misses synchronously/periodically: two light unit tasks with
+        # earlier deadlines starve the heavy one on 2 columns.
+        return TaskSet([
+            Task(wcet=0.5, period=1, area=1, name="light1"),
+            Task(wcet=0.5, period=1, area=1, name="light2"),
+            Task(wcet=1.9, period=2, area=1, name="heavy"),
+        ])
+
+    @pytest.mark.parametrize("twin", sorted(TWINS))
+    def test_baseline_miss_returned_without_search(self, twin):
+        search, _ = self.TWINS[twin]
+        ts = self._dhall_set()
+        rng = rng_from_seed(5)
+        res = search(ts, Fpga(width=2), EdfNf(), 4.0, rng, budget=6)
+        assert not res.schedulable
+        assert res.misses[0].task == "heavy"
+        assert res.misses == simulate(ts, Fpga(width=2), EdfNf(), 4.0).misses
+        # The budget was never touched: the stream is where it started.
+        assert rng.random() == rng_from_seed(5).random()
+
+    @pytest.mark.parametrize("twin", sorted(TWINS))
+    def test_zero_budget_keeps_baseline(self, twin):
+        search, _ = self.TWINS[twin]
+        ts = TaskSet([Task(wcet=1, period=4, area=2, name="a")])
+        res = search(ts, FPGA, EdfNf(), 8.0, rng_from_seed(5), budget=0)
+        base = simulate(ts, FPGA, EdfNf(), 8.0)
+        assert res.schedulable
+        assert res.min_slack == base.min_slack
+
+    @pytest.mark.parametrize("twin", sorted(TWINS))
+    def test_zero_budget_without_baseline_rejected(self, twin):
+        search, flag = self.TWINS[twin]
+        ts = TaskSet([Task(wcet=1, period=4, area=2, name="a")])
+        with pytest.raises(ValueError, match="nothing to simulate"):
+            search(ts, FPGA, EdfNf(), 8.0, rng_from_seed(5), budget=0, **{flag: False})
+
+    @pytest.mark.parametrize("twin", sorted(TWINS))
+    def test_negative_budget_rejected(self, twin):
+        search, _ = self.TWINS[twin]
+        ts = TaskSet([Task(wcet=1, period=4, area=2, name="a")])
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            search(ts, FPGA, EdfNf(), 8.0, rng_from_seed(5), budget=-1)
+
+    def test_negative_jitter_rejected(self):
+        ts = TaskSet([Task(wcet=1, period=4, area=2, name="a")])
+        with pytest.raises(ValueError, match="max_jitter_factor must be >= 0"):
+            adaptive_sporadic_search(
+                ts, FPGA, EdfNf(), 8.0, rng_from_seed(5), max_jitter_factor=-0.1
+            )
 
 
 class TestSearchInvariants:

@@ -280,3 +280,87 @@ def test_removed_service_flags_rejected(flag, capsys):
         build_parser().parse_args(["--device", "d=64", *flag])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+async def send_raw(host, port, data, *, eof=False):
+    """Write raw bytes on a fresh connection; returns ``(status, json)``
+    of the single response (the server closes after a framing error or a
+    ``Connection: close`` request)."""
+    reader, writer = await asyncio.open_connection(host, port)
+    writer.write(data)
+    if eof:
+        writer.write_eof()
+    await writer.drain()
+    response = await asyncio.wait_for(reader.read(), 10)
+    writer.close()
+    head, _, body = response.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+@pytest.mark.parametrize(
+    "data, eof, status, message",
+    [
+        (b"GET /healthz HTTP/1.1\r\nHost: t", True, 400, "truncated request head"),
+        (b"GET /healthz\r\n\r\n", False, 400, "malformed request line"),
+        (b"GET /healthz HTTP/1.1\r\nno-colon\r\n\r\n", False, 400, "malformed header line"),
+        (
+            b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * (20 * 1024) + b"\r\n\r\n",
+            False, 431, "request head too large",
+        ),
+        (
+            b"POST /v1/devices HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n",
+            False, 413, "request body too large",
+        ),
+        (
+            b"POST /v1/devices HTTP/1.1\r\nContent-Length: 6\r\nConnection: close\r\n\r\n[1, 2]",
+            False, 400, "JSON body must be an object",
+        ),
+    ],
+    ids=["truncated-head", "bad-request-line", "bad-header-line", "head-too-large",
+         "body-too-large", "non-object-json"],
+)
+def test_malformed_request_is_rejected(data, eof, status, message):
+    """Each framing or body error gets its status and reason, and the
+    server keeps serving other connections."""
+
+    async def scenario(service, host, port, call):
+        got_status, err = await send_raw(host, port, data, eof=eof)
+        assert got_status == status
+        assert err["error"].startswith(message)
+        assert (await call("GET", "/healthz")) == (200, {"ok": True})
+
+    with_service(scenario)
+
+
+def test_connection_close_header_ends_the_connection():
+    async def scenario(service, host, port, call):
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+        await writer.drain()
+        response = await asyncio.wait_for(reader.read(), 10)  # EOF after one reply
+        writer.close()
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"200"
+        assert b"Connection: close" in head
+        assert json.loads(body) == {"ok": True}
+
+    with_service(scenario)
+
+
+def test_server_and_service_start_only_once():
+    async def main():
+        service = AdmissionService()
+        server = HttpServer(service)
+        await service.start()
+        await server.start()
+        try:
+            with pytest.raises(RuntimeError, match="already started"):
+                await server.start()
+            with pytest.raises(RuntimeError, match="already started"):
+                await service.start()
+        finally:
+            await server.close()
+            await server.close()  # a second close is a no-op
+            await service.close()
+
+    asyncio.run(main())

@@ -35,7 +35,13 @@ from repro.service import (
     parse_request,
     parse_task,
 )
-from repro.service.protocol import VIA_CERTIFIER, VIA_STATE
+from repro.service.protocol import (
+    VIA_CERTIFIER,
+    VIA_STATE,
+    Decision,
+    decision_to_json,
+    task_to_json,
+)
 
 DEVICES = ("fpga0", "fpga1", "fpga2")
 
@@ -459,6 +465,45 @@ def test_parse_request_shapes():
         Request(op="resize", device="d")
 
 
+@pytest.mark.parametrize("op, kwargs, message", [
+    ("add", {}, "needs a task"),
+    ("trial", {}, "needs a task"),
+    ("remove", {}, "needs a task name"),
+])
+def test_request_requires_its_operand(op, kwargs, message):
+    with pytest.raises(ProtocolError, match=message):
+        Request(op=op, device="d", **kwargs)
+
+
+@pytest.mark.parametrize("parse", [
+    pytest.param(parse_task, id="task"),
+    pytest.param(lambda obj: parse_request("add", obj), id="request"),
+])
+def test_non_object_json_rejected(parse):
+    with pytest.raises(ProtocolError, match="must be an object, got list"):
+        parse([1, 2])
+
+
+def test_task_json_round_trip():
+    task = Task(wcet=1.5, period=10.0, deadline=8.0, area=3.0, name="a")
+    obj = task_to_json(task)
+    assert obj == {"name": "a", "wcet": 1.5, "period": 10.0, "deadline": 8.0, "area": 3.0}
+    assert parse_task(obj) == task
+
+
+def test_decision_json_carries_member_and_error_only_when_set():
+    plain = Decision(op="remove", device="d", name="a", ok=True)
+    assert decision_to_json(plain) == {
+        "op": "remove", "device": "d", "name": "a", "ok": True, "via": VIA_STATE,
+    }
+    admitted = Decision(op="add", device="d", name="a", ok=True, via=VIA_CERTIFIER, member="GN1")
+    assert decision_to_json(admitted)["member"] == "GN1"
+    assert "error" not in decision_to_json(admitted)
+    failed = Decision(op="add", device="ghost", name="a", ok=False, error="unknown device")
+    assert decision_to_json(failed)["error"] == "unknown device"
+    assert "member" not in decision_to_json(failed)
+
+
 # -- asyncio micro-batcher -----------------------------------------------------
 
 
@@ -521,6 +566,29 @@ def test_microbatcher_rejects_use_when_not_running():
             await batcher.submit(Request(op="remove", device="d", name="x"))
 
     asyncio.run(run())
+
+
+def test_microbatcher_start_close_lifecycle():
+    """A second start is refused; close is idempotent and the batcher can
+    be started again afterwards."""
+    engine = make_engine(devices=("d",))
+    batcher = MicroBatcher(engine.process_batch)
+
+    async def run():
+        await batcher.close()  # never started: no-op
+        await batcher.start()
+        with pytest.raises(RuntimeError, match="already started"):
+            await batcher.start()
+        await batcher.close()
+        await batcher.close()
+        await batcher.start()
+        try:
+            return await batcher.submit(Request(op="remove", device="d", name="x"))
+        finally:
+            await batcher.close()
+
+    decision = asyncio.run(run())
+    assert not decision.ok and decision.error == "task not resident"
 
 
 def test_batch_config_validation():

@@ -14,6 +14,8 @@ from repro.sim.simulator import (
     default_horizon,
     simulate,
 )
+from repro.vector.batch import TaskSetBatch
+from repro.vector.sim_vec import simulate_batch
 
 
 def _t(c, t, a=1, d=None, name=None):
@@ -126,6 +128,94 @@ class TestBlockingFkfVsNf:
         fkf = simulate(self._blocking_set(), Fpga(width=10), EdfFkf(), horizon=20)
         assert fkf.schedulable  # still makes its deadlines here
         assert fkf.metrics.worst_response["narrow"] > nf.metrics.worst_response["narrow"]
+
+
+class TestDeadlineTieStarvation:
+    """Two tiny unit-width tasks share the wide task's deadline and win the
+    release/name tie-break under global EDF-NF, leaving the zero-laxity wide
+    task 0.2 short of its deadline."""
+
+    def _tie_set(self):
+        return TaskSet(
+            [
+                _t(F(1, 10), 4, d=2, a=1, name="t0"),
+                _t(F(1, 10), 4, d=2, a=1, name="t1"),
+                _t(2, 4, d=2, a=9, name="t2"),
+            ]
+        )
+
+    def test_scalar_edf_nf_misses(self):
+        res = simulate(self._tie_set(), Fpga(width=10), EdfNf(), 20, eps=0)
+        assert not res.schedulable
+        assert res.misses[0].task == "t2"
+
+    def test_batched_edf_nf_misses(self):
+        batch = TaskSetBatch.from_tasksets([self._tie_set()])
+        res = simulate_batch(batch, 10, "EDF-NF", horizon=20.0)
+        assert not res.schedulable[0]
+
+
+class TestGlobalEdfWorkedExamples:
+    """Hand-traced global EDF-NF outcomes, checked on both simulators."""
+
+    def _dhall_set(self):
+        # Dhall's effect on a 2-column device: the two light unit-width
+        # tasks have earlier deadlines, take both columns for half of every
+        # unit, and the heavy task (C=1.9, T=2) falls behind and misses at 2.
+        return TaskSet(
+            [
+                _t(F(1, 2), 1, a=1, name="light1"),
+                _t(F(1, 2), 1, a=1, name="light2"),
+                _t(F(19, 10), 2, a=1, name="heavy"),
+            ]
+        )
+
+    def _wide_excluded_set(self):
+        # Four narrow short-deadline tasks hold 4 columns while they run,
+        # so the 8-column task cannot start on a 10-column device until
+        # they finish (4 + 8 > 10), and with C=1.9 it cannot catch up.
+        return TaskSet(
+            [_t(F(1, 2), 1, a=1, name=f"n{i}") for i in range(4)]
+            + [_t(F(19, 10), 2, a=8, name="wide")]
+        )
+
+    def _staggered_set(self):
+        # a runs alone (6 + 5 > 10), then b and c side by side (5 + 5):
+        # a ends at 9, b and c at 18 <= their deadlines 18 and 20.
+        return TaskSet(
+            [
+                _t(9, 40, d=9, a=6, name="a"),
+                _t(9, 40, d=18, a=5, name="b"),
+                _t(9, 40, d=20, a=5, name="c"),
+            ]
+        )
+
+    def test_dhall_effect_scalar(self):
+        res = simulate(self._dhall_set(), Fpga(width=2), EdfNf(), 4, eps=0)
+        assert not res.schedulable
+        assert res.misses[0].task == "heavy"
+
+    def test_dhall_effect_batched(self):
+        batch = TaskSetBatch.from_tasksets([self._dhall_set()])
+        assert not simulate_batch(batch, 2, "EDF-NF", horizon=4.0).schedulable[0]
+
+    def test_wide_task_excluded_scalar(self):
+        res = simulate(self._wide_excluded_set(), Fpga(width=10), EdfNf(), 4, eps=0)
+        assert not res.schedulable
+        assert res.misses[0].task == "wide"
+
+    def test_wide_task_excluded_batched(self):
+        batch = TaskSetBatch.from_tasksets([self._wide_excluded_set()])
+        assert not simulate_batch(batch, 10, "EDF-NF", horizon=4.0).schedulable[0]
+
+    def test_staggered_deadlines_scalar(self):
+        res = simulate(self._staggered_set(), Fpga(width=10), EdfNf(), horizon=200)
+        assert res.schedulable
+        assert res.metrics.worst_response == {"a": 9, "b": 18, "c": 18}
+
+    def test_staggered_deadlines_batched(self):
+        batch = TaskSetBatch.from_tasksets([self._staggered_set()])
+        assert simulate_batch(batch, 10, "EDF-NF", horizon=200.0).schedulable[0]
 
 
 class TestDeadlineHandling:

@@ -13,6 +13,7 @@ from repro.gen.profiles import (
     spatially_heavy_temporally_light,
     spatially_light_temporally_heavy,
 )
+from repro.model.task import Task, TaskSet
 from repro.vector.batch import TaskSetBatch, generate_batch
 from repro.vector.dp_vec import dp_accepts, necessary_mask
 from repro.vector.gn1_vec import gn1_accepts
@@ -87,6 +88,45 @@ class TestBatchStructure:
         assert batch.feasible_mask.all()  # factor <= 1 guarantees C <= T
         hot = batch.scaled_to_system_utilization(np.full(50, 1e4))
         assert not hot.feasible_mask.any()
+
+    def test_len_and_area_extremes(self):
+        batch = generate_batch(paper_unconstrained(5), 12, rng_from_seed(11))
+        assert len(batch) == batch.count == 12
+        for i in (0, 5, 11):
+            ts = batch.taskset(i)
+            assert batch.min_area[i] == ts.min_area
+            assert batch.max_area[i] == ts.max_area
+
+    @pytest.mark.parametrize("tasksets, message", [
+        ([], "at least one taskset"),
+        (
+            [
+                TaskSet([Task(wcet=1, period=4, name="a")]),
+                TaskSet([Task(wcet=1, period=4, name="a"), Task(wcet=1, period=5, name="b")]),
+            ],
+            "same size",
+        ),
+    ], ids=["empty", "ragged"])
+    def test_from_tasksets_validation(self, tasksets, message):
+        with pytest.raises(ValueError, match=message):
+            TaskSetBatch.from_tasksets(tasksets)
+
+    def test_scaling_targets_shape_validation(self):
+        batch = generate_batch(paper_unconstrained(3), 4, rng_from_seed(13))
+        with pytest.raises(ValueError, match=r"shape \(4,\)"):
+            batch.scaled_to_system_utilization(np.ones(3))
+
+    def test_integer_periods(self):
+        profile = GenerationProfile(n_tasks=4, integer_periods=True)
+        batch = generate_batch(profile, 30, rng_from_seed(15))
+        assert np.array_equal(batch.period, np.round(batch.period))
+        assert batch.period.min() >= np.ceil(profile.period_min)
+        assert batch.period.max() <= np.floor(profile.period_max)
+        empty_range = GenerationProfile(
+            n_tasks=4, integer_periods=True, period_min=5.2, period_max=5.8
+        )
+        with pytest.raises(ValueError, match="no integers in period range"):
+            generate_batch(empty_range, 3, rng_from_seed(15))
 
 
 @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)

@@ -25,9 +25,9 @@ from repro.gen.profiles import (
     spatially_heavy_temporally_light,
     spatially_light_temporally_heavy,
 )
+from repro.sched.base import Scheduler
 from repro.sched.edf_fkf import EdfFkf
 from repro.sched.edf_nf import EdfNf
-from repro.sched.edf_us import EdfUs, edf_us_threshold
 from repro.sim.simulator import (
     MigrationMode,
     SimulationError,
@@ -692,10 +692,19 @@ class TestValidation:
         assert simulate_batch(batch, 10, EdfFkf()).schedulable.all()
 
     def test_unknown_scheduler_rejected(self):
+        class LongestFirst(Scheduler):
+            """A priority order the batched kernels do not replicate."""
+
+            name = "longest-first"
+            skip_blocked = True
+
+            def order(self, jobs):
+                return sorted(jobs, key=lambda j: (-j.task.wcet,) + j.sort_key)
+
         with pytest.raises(ValueError):
             simulate_batch(self._tiny(), 10, "RoundRobin")
         with pytest.raises(ValueError):
-            simulate_batch(self._tiny(), 10, EdfUs(edf_us_threshold(2)))
+            simulate_batch(self._tiny(), 10, LongestFirst())
         with pytest.raises(TypeError):
             simulate_batch(self._tiny(), 10, 42)
 
