@@ -22,11 +22,22 @@ A third leg holds narrow devices at capacity instead
 (:func:`~benchmarks.service_loadtest.capacity_stream`): there the
 certifier rarely answers and the exact check, mostly a rejection,
 is the engine's cost per decision.
+
+A fourth leg cold-starts ``python -m repro.service`` as its own process
+and records the time to its "listening" line and the server's own
+memory high-water mark and thread count after a short replay.
 """
 
 import asyncio
+import os
+import select
+import signal
+import statistics
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +66,9 @@ REQUIRED_SPEEDUP = 3.0
 SPEEDUP_ROUNDS = 3  # interleaved rounds per side; the fastest of each is compared
 CAPACITY_REQUESTS = 3000
 CAPACITY_WIDTH = 12
+COLD_STARTS = 5
+COLD_REPLAY_REQUESTS = 300
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _decision_key(decision):
@@ -245,3 +259,78 @@ def test_bench_service_capacity_held(benchmark):
         f"({len(stream)} reqs), via {dict(by_via)}, {rejected} rejected"
     )
     assert rejected > 0 and by_via["state"] > by_via["certifier"]
+
+
+def _proc_status(pid):
+    """``/proc/<pid>/status`` as a ``{field: value}`` dict."""
+    with open(f"/proc/{pid}/status") as fh:
+        return dict(line.rstrip("\n").split(":\t", 1) for line in fh if ":\t" in line)
+
+
+@pytest.mark.bench_smoke
+def test_bench_service_cold_start(benchmark):
+    """Cold start of ``python -m repro.service`` and the server's own footprint.
+
+    Each of ``COLD_STARTS`` launches times the interval from spawning the
+    process to its "listening" line, replays a short at-capacity stream
+    over HTTP (decisions must equal the serial replay's), then reads the
+    server's ``VmHWM`` and ``Threads`` from ``/proc/<pid>/status`` before
+    stopping it.  The memory is read from the live process rather than
+    from ``wait4``'s ``ru_maxrss``, which on Linux also carries the
+    spawner's own high-water mark into the child's figure."""
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("needs /proc/<pid>/status")
+    benchmark.group = "service-admission"
+    stream, serial_decisions = capacity_stream(
+        SEED, COLD_REPLAY_REQUESTS, DEVICES, width=CAPACITY_WIDTH
+    )
+    wire_ops = [to_wire(r) for r in stream]
+    expected = [d.ok for d in serial_decisions]
+    argv = [sys.executable, "-m", "repro.service", "--port", "0"]
+    argv += [f"--device={name}={CAPACITY_WIDTH}" for name in DEVICES]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+
+    def launch():
+        start = time.perf_counter()
+        server = subprocess.Popen(argv, stdout=subprocess.PIPE, text=True, env=env)
+        try:
+            ready, _, _ = select.select([server.stdout], [], [], 60)
+            assert ready, "server printed nothing within 60 s"
+            line = server.stdout.readline()
+            startup_s = time.perf_counter() - start
+            assert "listening" in line, line
+            host, port = line.rsplit("//", 1)[1].strip().rsplit(":", 1)
+            _, decisions, _ = asyncio.run(closed_loop(host, int(port), wire_ops, 1))
+            status = _proc_status(server.pid)
+        finally:
+            server.send_signal(signal.SIGINT)
+            try:
+                server.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                server.kill()
+                server.wait()
+            server.stdout.close()
+        assert [d["ok"] for d in decisions] == expected
+        vmhwm_mb = int(status["VmHWM"].split()[0]) / 1024
+        return startup_s, vmhwm_mb, int(status["Threads"])
+
+    runs = benchmark.pedantic(
+        lambda: [launch() for _ in range(COLD_STARTS)], rounds=1, iterations=1
+    )
+    startup = [r[0] for r in runs]
+    vmhwm = [r[1] for r in runs]
+    threads = [r[2] for r in runs]
+    benchmark.extra_info["starts"] = COLD_STARTS
+    benchmark.extra_info["replay_requests"] = len(wire_ops)
+    benchmark.extra_info["startup_s_median"] = statistics.median(startup)
+    benchmark.extra_info["startup_s"] = startup
+    benchmark.extra_info["server_vmhwm_mb_median"] = statistics.median(vmhwm)
+    benchmark.extra_info["server_vmhwm_mb"] = vmhwm
+    benchmark.extra_info["server_threads"] = max(threads)
+    benchmark.extra_info["nproc"] = len(os.sched_getaffinity(0))
+    print(
+        f"\nservice cold start: median {statistics.median(startup) * 1e3:.0f} ms "
+        f"to listening over {COLD_STARTS} starts, server VmHWM median "
+        f"{statistics.median(vmhwm):.1f} MB after {len(wire_ops)} requests, "
+        f"{max(threads)} thread(s)"
+    )

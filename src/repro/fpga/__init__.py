@@ -6,12 +6,14 @@ executes.  This package provides the device abstraction, a contiguous
 free-interval manager with classic placement policies (first/best/worst
 fit), and a reconfiguration-overhead model — the last two support the
 paper's §7 future-work extensions (fragmentation, non-zero reconfiguration
-cost) and the corresponding ablation experiments.
+cost) and the corresponding ablation experiments.  The package is pure
+Python; the uint64 bitmap encoding of free spans lives in
+:mod:`repro.vector.xp`.
 """
 
 from repro.fpga.device import Fpga, StaticRegion
 from repro.fpga.freelist import FreeList, Allocation
-from repro.fpga.intervals import Interval, spans_to_words, word_count, words_to_spans
+from repro.fpga.intervals import Interval, word_count
 from repro.fpga.placement import PlacementPolicy, choose_interval
 from repro.fpga.reconfig import ReconfigurationModel, inflate_taskset
 
@@ -23,9 +25,7 @@ __all__ = [
     "Interval",
     "PlacementPolicy",
     "choose_interval",
-    "spans_to_words",
     "word_count",
-    "words_to_spans",
     "ReconfigurationModel",
     "inflate_taskset",
 ]

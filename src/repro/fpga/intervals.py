@@ -9,23 +9,20 @@ seeded from :meth:`repro.fpga.device.Fpga.free_spans` (so static regions
 pre-fragment both representations identically).
 
 This module is the single source of truth for that representation:
-
-* pure interval-list primitives (:func:`insert_coalesced`,
-  :func:`carve`, :func:`contains_span`, :func:`total_width`,
-  :func:`largest_width`) used by the scalar ``FreeList``;
-* the bitmap encoding bridge (:func:`spans_to_words`,
-  :func:`words_to_spans`, :func:`word_count`) used by the vectorized
-  free-list, defined so a round-trip through either encoding is the
-  identity — property-tested in ``tests/test_fpga_intervals.py``.
+pure interval-list primitives (:func:`insert_coalesced`, :func:`carve`,
+:func:`contains_span`, :func:`total_width`, :func:`largest_width`) used
+by the scalar ``FreeList``, plus the bitmap geometry (:data:`WORD_BITS`,
+:func:`word_count`).  The uint64 bitmap encoding bridge itself
+(``spans_to_words``/``words_to_spans``) lives in the numpy layer,
+:mod:`repro.vector.xp`, so this module — and everything scalar that
+imports it — loads no numpy.
 
 Intervals are half-open ``(start, end)`` tuples of non-negative ints.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 Interval = Tuple[int, int]  # half-open (start, end)
 
@@ -126,7 +123,7 @@ def check_sorted_maximal(intervals: Sequence[Interval], width: int) -> None:
         prev_end = e
 
 
-# -- bitmap encoding bridge ---------------------------------------------------
+# -- bitmap geometry ----------------------------------------------------------
 
 
 def word_count(width: int) -> int:
@@ -134,38 +131,3 @@ def word_count(width: int) -> int:
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
     return (width + WORD_BITS - 1) // WORD_BITS
-
-
-def spans_to_words(spans: Iterable[Interval], width: int) -> np.ndarray:
-    """Encode free spans as a ``(word_count(width),)`` uint64 bitmap.
-
-    Bit ``c % 64`` of word ``c // 64`` is set iff column ``c`` is free.
-    Columns at and beyond ``width`` are always clear, so popcounts and
-    hole scans never see phantom free space past the device edge.
-    """
-    words = np.zeros(word_count(width), dtype=np.uint64)
-    for s, e in spans:
-        if not (0 <= s < e <= width):
-            raise ValueError(f"span ({s},{e}) outside device [0,{width})")
-        for w in range(s // WORD_BITS, (e - 1) // WORD_BITS + 1):
-            lo = max(s - w * WORD_BITS, 0)
-            hi = min(e - w * WORD_BITS, WORD_BITS)
-            mask = ((1 << hi) - 1) ^ ((1 << lo) - 1)
-            words[w] |= np.uint64(mask)
-    return words
-
-
-def words_to_spans(words: np.ndarray, width: int) -> List[Interval]:
-    """Decode a uint64 bitmap back to sorted, maximal free spans."""
-    spans: List[Interval] = []
-    run_start = None
-    for c in range(width):
-        bit = (int(words[c // WORD_BITS]) >> (c % WORD_BITS)) & 1
-        if bit and run_start is None:
-            run_start = c
-        elif not bit and run_start is not None:
-            spans.append((run_start, c))
-            run_start = None
-    if run_start is not None:
-        spans.append((run_start, width))
-    return spans

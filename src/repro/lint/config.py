@@ -19,9 +19,9 @@ from typing import Dict, Iterable, Optional, Tuple
 #: the RL006 docstring prescribes.
 SRC_NAMESPACE: Tuple[str, ...] = ("repro",)
 
-#: Modules (prefixes) that form the backend-pluggable kernel surface:
-#: inside these, importing numpy directly would fork the array namespace
-#: and silently break torch parity (RL001).
+#: Modules (prefixes) that form the array-kernel surface: inside these,
+#: importing numpy directly would bypass the one numpy seam,
+#: ``repro.vector.xp`` (RL001).
 KERNEL_PACKAGES: Tuple[str, ...] = ("repro.vector",)
 
 #: The sanctioned numpy touchpoints inside/beside the kernel surface:
@@ -35,9 +35,9 @@ NUMPY_ALLOWED_MODULES: Tuple[str, ...] = (
 )
 
 #: Libraries that must never be imported at module top level anywhere
-#: under ``src`` (RL002): optional array libraries, resolved lazily by
-#: ``repro.vector.xp`` when they are supported at all; a top-level import
-#: would make the whole tree unimportable without them installed.
+#: under ``src`` (RL002): optional array libraries the tree does not
+#: depend on; a top-level import would make the whole tree unimportable
+#: without them installed.
 LAZY_ONLY_LIBRARIES: Tuple[str, ...] = ("torch", "cupy")
 
 #: Modules (prefixes) allowed to construct RNGs or draw from global RNG
@@ -172,7 +172,7 @@ LAYERS: Dict[str, int] = {
     "repro.sim.__init__": 7,  # re-exports the twins
     "repro.incremental": 8,
     "repro.experiments": 9,
-    "repro.service": 9,       # admission service atop incremental + vector
+    "repro.service": 9,       # admission service atop incremental
     "repro.__init__": 9,      # the public facade re-exports from everywhere
 }
 

@@ -1,4 +1,8 @@
-"""Shared numeric and infrastructure utilities."""
+"""Shared numeric and infrastructure utilities.
+
+The seeded RNG helpers are imported from :mod:`repro.util.rngutil`
+directly, so importing this package loads no numpy.
+"""
 
 from repro.util.mathutil import (
     exact_div,
@@ -7,7 +11,6 @@ from repro.util.mathutil import (
     is_close,
     lcm_many,
 )
-from repro.util.rngutil import spawn_rngs, rng_from_seed
 
 __all__ = [
     "exact_div",
@@ -15,6 +18,4 @@ __all__ = [
     "hyperperiod",
     "is_close",
     "lcm_many",
-    "spawn_rngs",
-    "rng_from_seed",
 ]

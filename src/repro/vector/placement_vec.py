@@ -6,8 +6,8 @@ independent copies of the same device as a ``(B, ceil(W/64))`` array of
 ``c`` of that row is free.  Static regions pre-fragment every row
 identically: the seed words are encoded from
 :meth:`repro.fpga.device.Fpga.free_spans` through
-:func:`repro.fpga.intervals.spans_to_words`, the same source of truth the
-scalar :class:`repro.fpga.freelist.FreeList` consumes as interval lists.
+:func:`repro.vector.xp.spans_to_words`, the same span lists the scalar
+:class:`repro.fpga.freelist.FreeList` consumes as interval lists.
 
 The kernels replicate the scalar reference *exactly*:
 
@@ -31,13 +31,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.fpga.device import Fpga
-from repro.fpga.intervals import (
-    Interval,
-    WORD_BITS,
-    spans_to_words,
-    word_count,
-    words_to_spans,
-)
+from repro.fpga.intervals import Interval, WORD_BITS, word_count
 from repro.fpga.placement import PlacementPolicy
 from repro.vector import xp
 from repro.vector.xp import host as np
@@ -174,7 +168,7 @@ class BatchFreeList:
         self.fpga = fpga
         self.width = fpga.width
         self.n_words = word_count(fpga.width)
-        self.device_words = spans_to_words(fpga.free_spans(), fpga.width)
+        self.device_words = xp.spans_to_words(fpga.free_spans(), fpga.width)
         self.words = np.tile(self.device_words, (count, 1))
 
     @property
@@ -193,7 +187,7 @@ class BatchFreeList:
 
     def free_spans_of(self, row: int) -> List[Interval]:
         """Row ``row``'s sorted maximal free intervals (for tests/tools)."""
-        return words_to_spans(xp.asnumpy(self.words[row]), self.width)
+        return xp.words_to_spans(xp.asnumpy(self.words[row]), self.width)
 
     def total_free(self):
         """Free columns per row, ``(B,)`` int64."""

@@ -90,7 +90,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.fpga.device import Fpga
-from repro.fpga.intervals import spans_to_words
 from repro.fpga.placement import PlacementPolicy
 from repro.sched.base import Scheduler
 from repro.sim.simulator import MigrationMode
@@ -818,7 +817,7 @@ def simulate_batch(
 
     # -- placement-aware state (per task slot; one live job per task) ---------
     if use_placement:
-        device_words = spans_to_words(device.free_spans(), device.width)
+        device_words = xp.spans_to_words(device.free_spans(), device.width)
         area_i = area.astype(np.int64)
         pos = np.full((B, N), -1, dtype=np.int64)
         pin = (

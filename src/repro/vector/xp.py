@@ -4,15 +4,22 @@ Every kernel in :mod:`repro.vector` takes its numpy namespace from this
 module (``from repro.vector.xp import host as np``) instead of importing
 numpy itself, so this is the one place that names the array library
 (lint rule RL001).  Besides :data:`host` it holds the boundary transfer
-:func:`asnumpy` and the helpers that hide the placement bitmap format
-(:func:`unpack_bitmap`, :func:`low_bits`, :func:`col_index`).
+:func:`asnumpy` and the helpers that hide the placement bitmap format:
+the encoding bridge from :mod:`repro.fpga.intervals` span lists
+(:func:`spans_to_words`, :func:`words_to_spans`) and the kernel building
+blocks (:func:`unpack_bitmap`, :func:`low_bits`, :func:`col_index`).
+Keeping the bridge here means the scalar analysis and the admission
+service, which only use span lists, never load numpy.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Iterable, List
 
 import numpy
+from numpy.typing import NDArray
+
+from repro.fpga.intervals import WORD_BITS, Interval, word_count
 
 #: The numpy namespace every kernel computes through.
 host = numpy
@@ -25,6 +32,42 @@ def asnumpy(arr: Any) -> "numpy.ndarray":
     marks the batch boundary for the effect report.
     """
     return numpy.asarray(arr)
+
+
+def spans_to_words(spans: Iterable[Interval], width: int) -> NDArray[numpy.uint64]:
+    """Encode free spans as a ``(word_count(width),)`` uint64 bitmap.
+
+    Bit ``c % 64`` of word ``c // 64`` is set iff column ``c`` is free.
+    Columns at and beyond ``width`` are always clear, so popcounts and
+    hole scans never see phantom free space past the device edge.
+    """
+    words = numpy.zeros(word_count(width), dtype=numpy.uint64)
+    for s, e in spans:
+        if not (0 <= s < e <= width):
+            raise ValueError(f"span ({s},{e}) outside device [0,{width})")
+        for w in range(s // WORD_BITS, (e - 1) // WORD_BITS + 1):
+            lo = max(s - w * WORD_BITS, 0)
+            hi = min(e - w * WORD_BITS, WORD_BITS)
+            mask = ((1 << hi) - 1) ^ ((1 << lo) - 1)
+            words[w] |= numpy.uint64(mask)
+    return words
+
+
+def words_to_spans(words: NDArray[numpy.uint64], width: int) -> List[Interval]:
+    """Decode a uint64 bitmap back to sorted, maximal free spans
+    (the inverse of :func:`spans_to_words`)."""
+    spans: List[Interval] = []
+    run_start = None
+    for c in range(width):
+        bit = (int(words[c // WORD_BITS]) >> (c % WORD_BITS)) & 1
+        if bit and run_start is None:
+            run_start = c
+        elif not bit and run_start is not None:
+            spans.append((run_start, c))
+            run_start = None
+    if run_start is not None:
+        spans.append((run_start, width))
+    return spans
 
 
 def unpack_bitmap(words: Any, width: int) -> Any:

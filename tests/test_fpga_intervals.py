@@ -19,6 +19,7 @@ from repro.fpga import intervals as iv
 from repro.fpga.device import Fpga, StaticRegion
 from repro.fpga.freelist import FreeList
 from repro.fpga.placement import PlacementPolicy, choose_interval
+from repro.vector import xp
 from repro.vector.placement_vec import BatchFreeList
 
 
@@ -45,8 +46,8 @@ class TestEncodingRoundTrip:
     @settings(max_examples=80, deadline=None)
     def test_spans_words_round_trip(self, fpga):
         spans = list(fpga.free_spans())
-        words = iv.spans_to_words(spans, fpga.width)
-        assert iv.words_to_spans(words, fpga.width) == spans
+        words = xp.spans_to_words(spans, fpga.width)
+        assert xp.words_to_spans(words, fpga.width) == spans
 
     @given(devices())
     @settings(max_examples=80, deadline=None)
@@ -119,7 +120,7 @@ class TestFreeListVsBitmap:
             cursor = end + 1
             if not data.draw(st.booleans()):
                 break
-        words = iv.spans_to_words(spans, width)[None, :]
+        words = xp.spans_to_words(spans, width)[None, :]
         need = data.draw(st.integers(1, width + 1))
         from repro.vector.placement_vec import choose_batch
 
@@ -161,7 +162,7 @@ class TestIntervalPrimitives:
 
     def test_spans_to_words_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            iv.spans_to_words([(0, 11)], 10)
+            xp.spans_to_words([(0, 11)], 10)
 
     @pytest.mark.parametrize(
         "spans, largest",
@@ -203,14 +204,14 @@ class TestIntervalPrimitives:
     )
     def test_word_count(self, width, words):
         assert iv.word_count(width) == words
-        assert len(iv.spans_to_words([(0, width)], width)) == words
+        assert len(xp.spans_to_words([(0, width)], width)) == words
 
     def test_word_count_rejects_empty_device(self):
         with pytest.raises(ValueError):
             iv.word_count(0)
 
     def test_spans_straddling_word_boundary(self):
-        words = iv.spans_to_words([(60, 70)], 128)
+        words = xp.spans_to_words([(60, 70)], 128)
         assert int(words[0]) == 0xF << 60
         assert int(words[1]) == 0x3F
-        assert iv.words_to_spans(words, 128) == [(60, 70)]
+        assert xp.words_to_spans(words, 128) == [(60, 70)]
