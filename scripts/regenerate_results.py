@@ -74,14 +74,15 @@ def main() -> None:
                         dest="elite_frac", metavar="FRAC",
                         help="fraction of lowest-slack patterns refitting "
                              "the adaptive proposals each round")
-    parser.add_argument("--sim-workers", type=int, default=None,
+    parser.add_argument("--sim-workers", type=int, default=1,
                         dest="sim_workers", metavar="W",
                         help="shard each sim batch over W processes "
-                             "(bit-identical verdicts; unset consults "
-                             "REPRO_SIM_WORKERS, then 1)")
+                             "(bit-identical verdicts)")
     parser.add_argument("--seed", type=int, default=2007)
     parser.add_argument("--out", type=Path, default=Path("results"))
     args = parser.parse_args()
+    if args.sim_workers < 1:
+        parser.error(f"--sim-workers must be >= 1, got {args.sim_workers}")
 
     args.out.mkdir(parents=True, exist_ok=True)
     blocks = []

@@ -264,7 +264,7 @@ def acceptance_experiment(
     sim_jitter: float = 0.5,
     horizon_factor: int = 20,
     max_events: int = 1_000_000,
-    sim_workers: Optional[int] = None,
+    sim_workers: int = 1,
     name: Optional[str] = None,
     sampling: str = "rescale",
     bin_tolerance: Optional[float] = None,
@@ -295,8 +295,7 @@ def acceptance_experiment(
 
     ``sim_workers`` shards each sim bucket's batch dimension over
     a process pool inside :func:`simulate_batch` (verdicts bit-identical
-    to serial; ``None`` defers to the ``REPRO_SIM_WORKERS`` environment
-    variable, then 1).
+    to serial).
 
     ``sampling`` selects how buckets are filled: ``"rescale"`` draws from
     the profile and rescales WCETs to the exact target (fast, exact
@@ -327,6 +326,8 @@ def acceptance_experiment(
         raise ValueError(f"unknown sim_release {sim_release!r}")
     if sim_jitter < 0:
         raise ValueError("sim_jitter must be >= 0")
+    if int(sim_workers) < 1:
+        raise ValueError(f"sim_workers must be >= 1, got {sim_workers!r}")
     unknown = set(tests) - set(TEST_FUNCS)
     if unknown:
         raise ValueError(f"unknown tests: {sorted(unknown)}")

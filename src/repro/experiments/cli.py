@@ -57,9 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--sim-workers", type=int, default=None,
                      dest="sim_workers", metavar="W",
                      help="shard each sim batch over W processes "
-                          "(verdicts bit-identical to serial). Unset, the "
-                          "REPRO_SIM_WORKERS environment variable is "
-                          "consulted, then 1")
+                          "(default 1; verdicts bit-identical to serial)")
     run.add_argument("--sim-mode", choices=("free", "relocatable", "pinned"),
                      default=None, dest="sim_mode",
                      help="migration model for the figure-style sim curves: "
@@ -227,6 +225,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if unknown:
         parser.error(f"experiment {args.experiment!r} does not take "
                      f"{', '.join(unknown)}")
+    if knobs.get("sim_workers", 1) < 1:
+        parser.error(f"--sim-workers must be >= 1, got {knobs['sim_workers']}")
     if "sim_mode" in knobs:
         knobs["sim_mode"] = MigrationMode(knobs["sim_mode"])
     if "sim_policy" in knobs:

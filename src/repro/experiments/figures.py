@@ -98,7 +98,7 @@ def run_figure(
     sim_policy: PlacementPolicy = PlacementPolicy.FIRST_FIT,
     sim_release: str = "periodic",
     sim_jitter: float = 0.5,
-    sim_workers: Optional[int] = None,
+    sim_workers: int = 1,
     horizon_factor: int = 20,
     ci_target: Optional[float] = None,
 ) -> AcceptanceCurves:
@@ -115,8 +115,8 @@ def run_figure(
     ``sim_jitter`` under sporadic release patterns — so any figure-style
     curve can be regenerated for the non-paper workload families too
     (see :func:`~repro.experiments.acceptance.acceptance_experiment`).
-    ``sim_workers`` shards each sim batch over processes (``None`` =
-    ``REPRO_SIM_WORKERS``, then 1; verdicts bit-identical to serial).
+    ``sim_workers`` shards each sim batch over processes (verdicts
+    bit-identical to serial).
 
     ``ci_target`` switches bucket sizing from flat ``samples`` to
     adaptive: each bucket draws only as many tasksets as its series need

@@ -46,7 +46,7 @@ def _figure_runner(figure_id: str):
         sim_policy: PlacementPolicy = PlacementPolicy.FIRST_FIT,
         sim_release: str = "periodic",
         sim_jitter: float = 0.5,
-        sim_workers: Optional[int] = None,
+        sim_workers: int = 1,
     ) -> AcceptanceCurves:
         return run_figure(
             figure_id,

@@ -333,14 +333,13 @@ def call_edges(decls: ModuleDecls, functions: Container[str],
 
 class ModuleResolver:
     """Pass-2 helper: resolved call sites of one module against a
-    project summary, addressable by AST node identity."""
+    project summary."""
 
     def __init__(self, tree: ast.Module, modname: str, is_package: bool,
                  functions: Container[str],
                  classes: Mapping[str, "ClassDecl | Tuple[str, ...]"],
                  ) -> None:
         self.decls = collect_module(tree, modname, is_package)
-        self._by_node: Dict[int, Tuple[str, str]] = {}
         self._sites: List[Tuple[ast.Call, str, str]] = []
         for fn in self.decls.functions:
             local_types = local_constructor_types(
@@ -354,16 +353,7 @@ class ModuleResolver:
                     functions, classes,
                 )
                 if target is not None:
-                    self._by_node[id(node)] = (fn.qualname, target)
                     self._sites.append((node, fn.qualname, target))
-
-    def callee_of(self, call: ast.Call) -> Optional[str]:
-        entry = self._by_node.get(id(call))
-        return entry[1] if entry is not None else None
-
-    def caller_of(self, call: ast.Call) -> Optional[str]:
-        entry = self._by_node.get(id(call))
-        return entry[0] if entry is not None else None
 
     def call_sites(self) -> List[Tuple[ast.Call, str, str]]:
         """``(call node, caller qualname, callee qualname)`` triples in

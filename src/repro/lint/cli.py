@@ -15,7 +15,7 @@ from typing import List, Optional
 from repro.lint.effects import effects_report
 from repro.lint.engine import build_project_for, lint_paths
 from repro.lint.reporters import render_json, text_report
-from repro.lint.rules import RULES, all_rule_ids
+from repro.lint.rules import RULES
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -83,16 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip these rules",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        metavar="N",
-        help=(
-            "lint files with N worker processes (default: "
-            "$REPRO_LINT_JOBS, else serial); the report is identical "
-            "for any N"
-        ),
-    )
-    parser.add_argument(
         "--effects",
         action="store_true",
         help=(
@@ -147,7 +137,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.paths,
             select=args.select,
             ignore=args.ignore,
-            jobs=args.jobs,
         )
     except (FileNotFoundError, ValueError, OSError) as exc:
         print(f"repro-lint: error: {exc}", file=sys.stderr)

@@ -34,12 +34,6 @@ NUMPY_ALLOWED_MODULES: Tuple[str, ...] = (
     "repro.search.patterns",
 )
 
-#: Libraries that must never be imported at module top level anywhere
-#: under ``src`` (RL002): optional array libraries the tree does not
-#: depend on; a top-level import would make the whole tree unimportable
-#: without them installed.
-LAZY_ONLY_LIBRARIES: Tuple[str, ...] = ("torch", "cupy")
-
 #: Modules (prefixes) allowed to construct RNGs or draw from global RNG
 #: state (RL003): the seeded-sampler/generation layer.  Everything else
 #: — vector kernels above all — must be deterministic in its inputs.
@@ -77,33 +71,15 @@ RNG_SANCTIONED_FUNCTIONS: Tuple[str, ...] = (
     "repro.vector.sim_vec.sample_release_times_batch",
 )
 
-#: Kernel modules held to the strict determinism tier of RL003 and the
-#: host-sync ban of RL005: the fused pass loops of the batched
-#: simulator and the placement kernels.
+#: Kernel modules held to the strict determinism tier of RL003: the
+#: batched simulator, the placement kernels and the vectorized
+#: DP/GN1/GN2 tests.
 KERNEL_STRICT_MODULES: Tuple[str, ...] = (
     "repro.vector.sim_vec",
     "repro.vector.placement_vec",
     "repro.vector.dp_vec",
     "repro.vector.gn1_vec",
     "repro.vector.gn2_vec",
-)
-
-#: Modules where RL005 applies (host-device sync calls inside loops):
-#: the two kernel modules with pass loops.  ``.get()`` is only flagged
-#: zero-arg (an array readback); ``d.get(key)`` stays legal.
-SYNC_SCOPED_MODULES: Tuple[str, ...] = (
-    "repro.vector.sim_vec",
-    "repro.vector.placement_vec",
-)
-
-#: Attribute paths whose *call* means "block on the device" (RL005).
-HOST_SYNC_METHODS: Tuple[str, ...] = ("item", "cpu", "tolist", "get")
-
-#: Method/function tails whose call moves data across the host-device
-#: boundary (the ``DEVICE_TRANSFER`` effect in the report — informative,
-#: no rule bans it; the contract is "once per batch each way").
-DEVICE_TRANSFER_CALLS: Tuple[str, ...] = (
-    "asnumpy", "from_numpy", "synchronize", "to_device",
 )
 
 #: ``module -> attribute`` pairs that read wall clocks (RL006).  The
@@ -154,7 +130,7 @@ ASYNC_MUTATOR_METHODS: Tuple[str, ...] = (
 #: *on top of* ``repro.search``) and the ``repro.sim`` package
 #: ``__init__`` that re-exports them sit above the rest of their
 #: package.  Function-body imports are exempt (the sanctioned
-#: cycle-breaker, same philosophy as RL002's lazy-only libraries).
+#: cycle-breaker).
 LAYERS: Dict[str, int] = {
     "repro.util": 0,
     "repro.lint": 0,          # imports nothing from the rest of the tree

@@ -1,6 +1,6 @@
 """Pass 1, second half: per-function effect sets and their fixpoint.
 
-Effects form a small powerset lattice over five atoms:
+Effects form a small powerset lattice over three atoms:
 
 ``RNG``
     draws randomness (constructor, global-state draw, or draw-shaped
@@ -11,12 +11,6 @@ Effects form a small powerset lattice over five atoms:
 ``WALL_CLOCK``
     reads a wall clock (``config.WALL_CLOCK_CALLS``) — skipped inside
     ``config.WALL_CLOCK_ALLOWED_MODULES`` (the service clock shim).
-``HOST_SYNC``
-    forces a host-device round-trip (``config.HOST_SYNC_METHODS``,
-    zero-arg ``.get()`` rule as in RL005).
-``DEVICE_TRANSFER``
-    moves data across the host-device boundary
-    (``config.DEVICE_TRANSFER_CALLS``) — informative only.
 ``STATE_MUTATION``
     mutates shared state: ``global``/``nonlocal``, stores through
     ``self``/``cls`` attributes, or a ``config.ASYNC_MUTATOR_METHODS``
@@ -29,8 +23,7 @@ exists, terminates, and is independent of file or visit order — the
 determinism the byte-stable ``--effects`` report and its checked-in CI
 baseline rely on.
 
-:class:`ProjectSummary` is the picklable (AST-free) result handed to
-pass 2, including to ``--jobs`` worker processes.
+:class:`ProjectSummary` is the AST-free result handed to pass 2.
 """
 
 from __future__ import annotations
@@ -44,9 +37,7 @@ from repro.lint import callgraph, config
 from repro.lint.callgraph import FunctionDecl, ModuleDecls
 
 #: The effect atoms, in canonical (report) order.
-EFFECTS: Tuple[str, ...] = (
-    "RNG", "WALL_CLOCK", "HOST_SYNC", "DEVICE_TRANSFER", "STATE_MUTATION",
-)
+EFFECTS: Tuple[str, ...] = ("RNG", "WALL_CLOCK", "STATE_MUTATION")
 
 EFFECTS_FORMAT_VERSION = 1
 
@@ -55,11 +46,8 @@ _EMPTY: FrozenSet[str] = frozenset()
 
 @dataclass(frozen=True)
 class ProjectSummary:
-    """The whole-program analysis result pass 2 consumes.
-
-    Picklable by construction: plain dicts/tuples/frozensets, no AST
-    nodes — ``--jobs`` ships one copy to every lint worker.
-    """
+    """The whole-program analysis result pass 2 consumes: plain
+    dicts/tuples/frozensets, no AST nodes."""
 
     #: every module that participated in the analysis
     modules: FrozenSet[str] = _EMPTY
@@ -161,14 +149,6 @@ def seed_effects(fn: FunctionDecl, aliases: Dict[str, str]) -> FrozenSet[str]:
                     seeds.add("RNG")
             if not clock_exempt and target in banned_clocks:
                 seeds.add("WALL_CLOCK")
-            if attr in config.HOST_SYNC_METHODS:
-                is_get = attr == "get"
-                if not (is_get and (node.args or node.keywords)):
-                    seeds.add("HOST_SYNC")
-            if attr in config.DEVICE_TRANSFER_CALLS or (
-                tail in config.DEVICE_TRANSFER_CALLS
-            ):
-                seeds.add("DEVICE_TRANSFER")
             if (
                 attr in config.ASYNC_MUTATOR_METHODS
                 and isinstance(node.func, ast.Attribute)

@@ -11,11 +11,8 @@ tree: pass 1 parses every file once and builds the whole-program
 :class:`~repro.lint.effects.ProjectSummary` (declarations, call edges,
 effect fixpoint — see :mod:`repro.lint.callgraph` /
 :mod:`repro.lint.effects`); pass 2 lints each file against that
-summary.  Pass 2 is embarrassingly parallel and fans out over
-:func:`repro.util.parallel.parallel_map` when ``jobs > 1`` (kwarg >
-``REPRO_LINT_JOBS`` > serial) — the summary is AST-free and picklable,
-per-file results merge in discovery order, and the final findings sort
-makes the report identical for any worker count.
+summary, one file after another, and the findings are sorted at the
+end.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.lint import effects
@@ -35,7 +31,6 @@ from repro.lint.suppress import (
     apply_suppressions,
     collect_suppressions,
 )
-from repro.util.parallel import parallel_map
 
 #: Pseudo-rule for files the parser rejects: an unparsable file cannot
 #: be checked, which is itself a finding (and never suppressible —
@@ -242,51 +237,17 @@ def build_project_for(paths: Sequence[str]) -> Tuple[ProjectSummary, int]:
     return effects.build_project(modules), len(files)
 
 
-def resolve_lint_jobs(jobs: Optional[int] = None) -> int:
-    """Worker-count precedence: explicit ``jobs`` > ``REPRO_LINT_JOBS``
-    > serial (1)."""
-    if jobs is None:
-        env = os.environ.get("REPRO_LINT_JOBS", "").strip()
-        if not env:
-            return 1
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_LINT_JOBS must be an integer, got {env!r}"
-            ) from None
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return jobs
-
-
-def _lint_one(
-    path: str, select: Tuple[str, ...], project: ProjectSummary
-) -> LintResult:
-    """One pass-2 unit of work (module-level: picklable for the pool)."""
-    return lint_file(path, select=list(select), project=project)
-
-
 def lint_paths(
     paths: Sequence[str],
     *,
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
-    jobs: Optional[int] = None,
 ) -> LintResult:
-    """Lint every ``.py`` file under ``paths``; findings sorted.
-
-    ``jobs > 1`` fans pass 2 out over a process pool; results are
-    merged in discovery order and sorted, so the report is identical
-    for every worker count.
-    """
+    """Lint every ``.py`` file under ``paths``; findings sorted."""
     _, active = _selected_rules(select, ignore)  # validate up front
-    workers = resolve_lint_jobs(jobs)
     project, _ = build_project_for(paths)
-    files = discover_files(paths)
-    job = partial(_lint_one, select=tuple(sorted(active)), project=project)
     result = LintResult()
-    for file_result in parallel_map(job, files, workers=workers):
-        result.extend(file_result)
+    for path in discover_files(paths):
+        result.extend(lint_file(path, select=active, project=project))
     result.findings.sort()
     return result

@@ -9,7 +9,7 @@ instantiates each registered rule once per linted module.
 Shared AST helpers live here so rule modules stay small: dotted-name
 extraction, import-alias resolution, and the module-scope walker that
 distinguishes import-time code from function bodies (the lazy-import
-escape hatch RL002/RL007 honour).
+escape hatch RL007 honours).
 """
 
 from __future__ import annotations
@@ -224,7 +224,6 @@ def imported_module_targets(
 from repro.lint.rules import imports as _imports  # noqa: E402,F401
 from repro.lint.rules import determinism as _determinism  # noqa: E402,F401
 from repro.lint.rules import dtype as _dtype  # noqa: E402,F401
-from repro.lint.rules import device as _device  # noqa: E402,F401
 from repro.lint.rules import transitive as _transitive  # noqa: E402,F401
 from repro.lint.rules import asyncatomic as _asyncatomic  # noqa: E402,F401
 

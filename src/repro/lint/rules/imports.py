@@ -1,5 +1,5 @@
-"""Import-shape rules: RL001 (kernel numpy purity), RL002 (lazy-only
-optional array libraries), RL007 (package layering)."""
+"""Import-shape rules: RL001 (kernel numpy purity) and RL007 (package
+layering)."""
 
 from __future__ import annotations
 
@@ -19,13 +19,13 @@ from repro.lint.rules import (
 
 @register
 class KernelNumpyImport(Rule):
-    """RL001 — the backend-pluggable kernels must not import numpy.
+    """RL001 — the vector kernels must not import numpy.
 
     Every kernel in ``repro.vector`` computes through the
     ``repro.vector.xp`` namespace; a direct numpy import (top-level *or*
-    function-body — there is no lazy escape hatch here) forks the array
-    namespace and breaks torch parity.  ``repro.vector.xp`` itself
-    is the one sanctioned resolver; host-side numpy access goes through
+    function-body — there is no lazy escape hatch here) opens a second
+    route to the array library beside the one seam.  ``repro.vector.xp``
+    itself is the one sanctioned importer; kernels take numpy as
     ``repro.vector.xp.host``.
     """
 
@@ -55,45 +55,6 @@ class KernelNumpyImport(Rule):
                         f"direct numpy import ({t!r}) in kernel module "
                         f"{ctx.modname}; kernels compute through "
                         f"repro.vector.xp (host-side numpy via xp.host)",
-                    )
-
-
-@register
-class EagerAcceleratorImport(Rule):
-    """RL002 — optional array libraries must import lazily.
-
-    A module-top-level import of a library in
-    ``config.LAZY_ONLY_LIBRARIES`` (e.g. ``import torch``) anywhere under
-    ``src`` makes the tree unimportable without it installed.  Only
-    ``repro.vector.xp`` resolves torch, inside the backend factory;
-    ``if TYPE_CHECKING:`` blocks are exempt (they never execute).
-    """
-
-    id = "RL002"
-    name = "eager-accelerator-import"
-    summary = (
-        "no module-top-level optional array-library import anywhere "
-        "under src (lazy function-body imports only)"
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node, guarded in module_scope_imports(ctx.tree):
-            if guarded:
-                continue
-            targets = []
-            if isinstance(node, ast.Import):
-                targets = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-                targets = [node.module]
-            for t in targets:
-                root = t.split(".")[0]
-                if root in config.LAZY_ONLY_LIBRARIES:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"module-top-level import of optional accelerator "
-                        f"{root!r}; it must resolve lazily inside a function "
-                        f"body (see repro.vector.xp)",
                     )
 
 

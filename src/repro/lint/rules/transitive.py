@@ -1,4 +1,4 @@
-"""Transitive (whole-program) rules: RL010, RL011, RL012.
+"""Transitive (whole-program) rules: RL010 and RL012.
 
 These consume the pass-1 :class:`~repro.lint.effects.ProjectSummary` on
 ``ctx.project``: each rule re-resolves the current module's call sites
@@ -11,7 +11,6 @@ the finding explains the path the per-module rules cannot see.
 
 from __future__ import annotations
 
-import ast
 from typing import Iterator, Optional
 
 from repro.lint import config
@@ -20,20 +19,10 @@ from repro.lint.effects import ProjectSummary, render_chain
 from repro.lint.findings import Finding
 from repro.lint.rules import ModuleContext, Rule, register
 
-_LOOP_NODES = (
-    ast.For,
-    ast.While,
-    ast.AsyncFor,
-    ast.ListComp,
-    ast.SetComp,
-    ast.DictComp,
-    ast.GeneratorExp,
-)
-
 
 def get_resolver(ctx: ModuleContext) -> Optional[ModuleResolver]:
     """The module's resolved call sites, built once and cached on the
-    context (RL010/011/012 share it)."""
+    context (RL010 and RL012 share it)."""
     if ctx.project is None:
         return None
     if ctx.resolver is None:
@@ -89,59 +78,6 @@ class TransitiveRngIntoKernel(Rule):
                     f"host-side before the batch boundary (RL003's "
                     f"transitive closure)",
                 )
-
-
-@register
-class TransitiveHostSyncInLoop(Rule):
-    """RL011 — no call chain from a fused pass loop reaches host sync.
-
-    RL005 bans ``.item()``/``.cpu()``/``.tolist()``/zero-arg ``.get()``
-    written *directly* inside ``sim_vec``/``placement_vec`` loops; the
-    same stall hidden in a helper one frame away passed it.  This rule
-    flags calls inside those loops whose callee's effect set contains
-    ``HOST_SYNC``.
-    """
-
-    id = "RL011"
-    name = "transitive-host-sync-in-loop"
-    summary = (
-        "no call chain from a sim_vec/placement_vec pass loop reaches "
-        ".item()/.cpu()/.tolist()/zero-arg .get() (closure of RL005)"
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if not config.module_matches(ctx.modname, config.SYNC_SCOPED_MODULES):
-            return
-        resolver = get_resolver(ctx)
-        if resolver is None:
-            return
-        project: ProjectSummary = ctx.project  # type: ignore[assignment]
-        yield from self._walk(ctx, ctx.tree, 0, resolver, project)
-
-    def _walk(
-        self,
-        ctx: ModuleContext,
-        node: ast.AST,
-        loop_depth: int,
-        resolver: ModuleResolver,
-        project: ProjectSummary,
-    ) -> Iterator[Finding]:
-        for child in ast.iter_child_nodes(node):
-            depth = loop_depth + (1 if isinstance(child, _LOOP_NODES) else 0)
-            if depth > 0 and isinstance(child, ast.Call):
-                callee = resolver.callee_of(child)
-                if callee is not None and "HOST_SYNC" in project.effects_of(
-                    callee
-                ):
-                    yield self.finding(
-                        ctx,
-                        child,
-                        f"call inside a kernel pass loop reaches a "
-                        f"host-device sync via "
-                        f"{render_chain(project, callee, 'HOST_SYNC')}; "
-                        f"hoist it to the batch boundary (xp.asnumpy)",
-                    )
-            yield from self._walk(ctx, child, depth, resolver, project)
 
 
 @register

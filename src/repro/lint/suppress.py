@@ -10,7 +10,7 @@ AST):
 * file-level — ``# repro-lint: disable-file=RL001 -- why`` anywhere in
   the file suppresses the rule for the whole file.
 
-Several IDs may share one pragma (``disable=RL004,RL005``).  The
+Several IDs may share one pragma (``disable=RL001,RL004``).  The
 ``-- reason`` is optional but conventional; reviews should expect one.
 
 Every ``(pragma, rule-id)`` entry must suppress at least one finding or

@@ -23,17 +23,16 @@ from repro.sched.base import Scheduler
 from repro.search.adaptive import SearchOutcome, adaptive_pattern_search
 from repro.search.patterns import offsets_from_unit, release_times_from_unit
 from repro.search.proposal import SearchConfig
-from repro.vector import xp
 from repro.vector.batch import TaskSetBatch
 from repro.vector.sim_vec import default_horizon_batch, simulate_batch
 
 
 def _host_batch(batch: TaskSetBatch) -> TaskSetBatch:
     return TaskSetBatch(
-        np.asarray(xp.asnumpy(batch.wcet), dtype=np.float64),
-        np.asarray(xp.asnumpy(batch.period), dtype=np.float64),
-        np.asarray(xp.asnumpy(batch.deadline), dtype=np.float64),
-        np.asarray(xp.asnumpy(batch.area), dtype=np.float64),
+        np.asarray(batch.wcet, dtype=np.float64),
+        np.asarray(batch.period, dtype=np.float64),
+        np.asarray(batch.deadline, dtype=np.float64),
+        np.asarray(batch.area, dtype=np.float64),
     )
 
 

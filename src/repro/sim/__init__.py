@@ -22,7 +22,6 @@ exhausting all release offsets (§6).  This package provides:
 
 from repro.sim.simulator import (
     MigrationMode,
-    SimulationConfig,
     SimulationResult,
     DeadlineMiss,
     default_horizon,
@@ -52,7 +51,6 @@ from repro.sim.sporadic import (
 
 __all__ = [
     "MigrationMode",
-    "SimulationConfig",
     "SimulationResult",
     "DeadlineMiss",
     "default_horizon",

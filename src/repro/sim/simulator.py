@@ -26,9 +26,9 @@ so exact ``Fraction`` time works end-to-end for the property tests.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Real
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set
 
 from repro.fpga.device import Fpga
 from repro.fpga.freelist import FreeList
@@ -62,19 +62,6 @@ class DeadlineMiss:
     job_index: int
     deadline: Real
     remaining: Real
-
-
-@dataclass(frozen=True)
-class SimulationConfig:
-    """Bundled keyword arguments of :func:`simulate` (for sweeps)."""
-
-    horizon: Real
-    mode: MigrationMode = MigrationMode.FREE
-    placement_policy: PlacementPolicy = PlacementPolicy.FIRST_FIT
-    reconfig: ReconfigurationModel = ZERO_RECONFIG
-    stop_at_first_miss: bool = True
-    record_trace: bool = False
-    max_events: int = 1_000_000
 
 
 @dataclass
@@ -356,22 +343,4 @@ def simulate(
         metrics=metrics,
         trace=trace,
         min_slack=min_slack,
-    )
-
-
-def simulate_config(
-    taskset: TaskSet, fpga: Fpga, scheduler: Scheduler, config: SimulationConfig
-) -> SimulationResult:
-    """Run :func:`simulate` from a :class:`SimulationConfig` bundle."""
-    return simulate(
-        taskset,
-        fpga,
-        scheduler,
-        config.horizon,
-        mode=config.mode,
-        placement_policy=config.placement_policy,
-        reconfig=config.reconfig,
-        stop_at_first_miss=config.stop_at_first_miss,
-        record_trace=config.record_trace,
-        max_events=config.max_events,
     )

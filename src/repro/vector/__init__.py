@@ -24,11 +24,10 @@ Array namespace
 
 Everything computes on numpy.  No kernel in this package imports numpy
 directly: each takes it from :mod:`repro.vector.xp`, the one module that
-names the array library, which also holds the boundary transfer
-(``asnumpy``) and the placement bitmap helpers.  Inputs are pinned to
-float64 at each batch boundary and the kernels perform the same float
-operations in the same order as the scalar references, so verdicts are
-**bit-identical** to them.  The seeded samplers
+names the array library, which also holds the placement bitmap helpers.
+Inputs are pinned to float64 at each batch boundary and the kernels
+perform the same float operations in the same order as the scalar
+references, so verdicts are **bit-identical** to them.  The seeded samplers
 (:func:`sample_offsets_batch`, :func:`sample_release_times_batch`) and
 batch generation (:func:`generate_batch`) draw in the scalar
 reference's order.

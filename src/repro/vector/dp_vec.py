@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.vector import xp
 from repro.vector.batch import TaskSetBatch, sequential_sum
 from repro.vector.xp import host as np
 
@@ -30,7 +29,7 @@ def necessary_mask(batch: TaskSetBatch, capacity: int) -> "np.ndarray":
     per_task = (area <= capacity) & (wcet <= deadline) & (wcet <= period)
     us_total = sequential_sum(wcet * area / period, axis=1)
     ok = np.all(per_task, axis=1) & (us_total <= capacity)
-    return xp.asnumpy(ok)
+    return ok
 
 
 def dp_accepts(
@@ -51,4 +50,4 @@ def dp_accepts(
     abnd = capacity - np.max(area, axis=1) + (1 if integer_areas else 0)  # (B,)
     rhs = abnd[:, None] * (1.0 - ut) + us_i  # (B, N)
     ok = np.all(us_total[:, None] <= rhs, axis=1)
-    return xp.asnumpy(ok) & necessary_mask(batch, capacity)
+    return ok & necessary_mask(batch, capacity)

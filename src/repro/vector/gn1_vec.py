@@ -13,7 +13,6 @@ bools.
 from __future__ import annotations
 
 from repro.util.mathutil import TIME_EPS
-from repro.vector import xp
 from repro.vector.batch import TaskSetBatch, sequential_sum
 from repro.vector.dp_vec import _pinned, necessary_mask
 from repro.vector.xp import host as np
@@ -66,4 +65,4 @@ def gn1_accepts(
     bound = capacity - a + (1.0 if plus_one_bound else 0.0)  # (B, N)
     rhs = bound * slack_rate
     ok = np.all(lhs < rhs, axis=1)
-    return xp.asnumpy(ok) & necessary_mask(batch, capacity)
+    return ok & necessary_mask(batch, capacity)

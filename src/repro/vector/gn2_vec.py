@@ -11,7 +11,6 @@ bools.
 
 from __future__ import annotations
 
-from repro.vector import xp
 from repro.vector.batch import TaskSetBatch, sequential_sum
 from repro.vector.dp_vec import _pinned, necessary_mask
 from repro.vector.xp import host as np
@@ -67,7 +66,7 @@ def _gn2_chunk(
     # λ must be a declared candidate and >= C_k/T_k.
     valid = lam_valid[:, None, :] & (lam[:, None, :] >= util[:, :, None])  # (B, N, L)
     witnessed = np.any((cond1 | cond2) & valid, axis=2)  # (B, N)
-    return xp.asnumpy(np.all(witnessed, axis=1))
+    return np.all(witnessed, axis=1)
 
 
 def gn2_accepts(

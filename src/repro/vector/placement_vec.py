@@ -187,7 +187,7 @@ class BatchFreeList:
 
     def free_spans_of(self, row: int) -> List[Interval]:
         """Row ``row``'s sorted maximal free intervals (for tests/tools)."""
-        return xp.words_to_spans(xp.asnumpy(self.words[row]), self.width)
+        return xp.words_to_spans(self.words[row], self.width)
 
     def total_free(self):
         """Free columns per row, ``(B,)`` int64."""

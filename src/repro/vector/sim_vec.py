@@ -85,7 +85,6 @@ with (``tau10@...`` sorts before ``tau1@...`` because ``'0' < '@'``).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -103,34 +102,6 @@ from repro.vector.xp import host as np
 #: scheduler name -> skip_blocked (EDF-NF skips a job that does not fit,
 #: EDF-FkF stops at the first one — see repro.sched.base.Scheduler).
 _SKIP_BLOCKED = {"EDF-NF": True, "EDF-FkF": False}
-
-#: environment variable consulted when ``sim_workers`` is not given
-#: explicitly (kwarg > CLI flag, which passes the kwarg > env > 1).
-SIM_WORKERS_ENV = "REPRO_SIM_WORKERS"
-
-
-def resolve_sim_workers(sim_workers: Optional[int] = None) -> int:
-    """Resolve the batch-sharding worker count.
-
-    Precedence: explicit argument (the CLI's ``--sim-workers`` arrives
-    here as a kwarg) > the ``REPRO_SIM_WORKERS`` environment variable >
-    serial (1).  Raises on non-integer or < 1 values from either source.
-    """
-    if sim_workers is None:
-        raw = os.environ.get(SIM_WORKERS_ENV, "").strip()
-        if not raw:
-            return 1
-        try:
-            sim_workers = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{SIM_WORKERS_ENV} must be an integer, got {raw!r}"
-            )
-    workers = int(sim_workers)
-    if workers < 1:
-        raise ValueError(f"sim_workers must be >= 1, got {sim_workers!r}")
-    return workers
-
 
 @dataclass(frozen=True)
 class SimBatchResult:
@@ -281,7 +252,7 @@ def sample_offsets_batch(batch: TaskSetBatch, rng) -> "np.ndarray":
     The numpy generator pins the draw order to the scalar reference.
     """
     # repro-lint: disable=RL003 -- documented host-side seeded sampler; draw order pinned to the scalar reference (ROADMAP "Array backends")
-    return rng.uniform(0.0, xp.asnumpy(batch.period))
+    return rng.uniform(0.0, batch.period)
 
 
 def sample_release_times_batch(
@@ -317,9 +288,8 @@ def sample_release_times_batch(
     """
     if max_jitter_factor < 0:
         raise ValueError("max_jitter_factor must be >= 0")
-    period_h = xp.asnumpy(batch.period)
     hz = np.broadcast_to(
-        np.asarray(xp.asnumpy(horizon), dtype=np.float64), (batch.count,)
+        np.asarray(horizon, dtype=np.float64), (batch.count,)
     )
     if np.any(hz <= 0):
         raise ValueError("horizon must be > 0")
@@ -334,7 +304,7 @@ def sample_release_times_batch(
     for b in range(B):
         horizon_b = float(hz[b])
         for n in range(N):
-            period = float(period_h[b, n])
+            period = float(batch.period[b, n])
             parts = [np.zeros(1)]  # first release at t = 0
             last = 0.0
             count = 1
@@ -492,7 +462,7 @@ def simulate_batch(
     max_events: int = 1_000_000,
     eps: float = TIME_EPS,
     fuse: int = 8,
-    sim_workers: Optional[int] = None,
+    sim_workers: int = 1,
 ) -> SimBatchResult:
     """Simulate every row of ``batch`` on one device geometry.
 
@@ -546,18 +516,18 @@ def simulate_batch(
       every ``fuse``.
     * ``sim_workers`` shards the batch dimension into contiguous
       sub-batches simulated by a process pool
-      (:func:`repro.util.parallel.parallel_map`).  Resolution follows
-      kwarg > ``REPRO_SIM_WORKERS`` > 1 (:func:`resolve_sim_workers`);
-      the CLI's ``--sim-workers`` arrives as the kwarg.  Rows are
-      independent, and all seeded sampling/validation/horizon
-      derivation happens on the full batch *before* the split, so
-      sharded results are bit-identical to the serial path whatever the
-      worker count.
+      (:func:`repro.util.parallel.parallel_map`); the CLI's
+      ``--sim-workers`` arrives as this kwarg.  Rows are independent,
+      and all seeded sampling/validation/horizon derivation happens on
+      the full batch *before* the split, so sharded results are
+      bit-identical to the serial path whatever the worker count.
     """
     skip_blocked = _resolve_skip_blocked(scheduler)
     if not isinstance(fuse, int) or fuse < 1:
         raise ValueError(f"fuse must be an integer >= 1, got {fuse!r}")
-    workers = resolve_sim_workers(sim_workers)
+    workers = int(sim_workers)
+    if workers < 1:
+        raise ValueError(f"sim_workers must be >= 1, got {sim_workers!r}")
     if release not in ("periodic", "sporadic"):
         raise ValueError(f"unknown release pattern {release!r}")
     sporadic = release == "sporadic"
@@ -621,7 +591,7 @@ def simulate_batch(
         off = None
     else:
         off = np.broadcast_to(
-            np.asarray(xp.asnumpy(offsets), dtype=np.float64), (B, N)
+            np.asarray(offsets, dtype=np.float64), (B, N)
         ).copy()
         if not np.all(np.isfinite(off)) or np.any(off < 0):
             raise ValueError("offsets must be finite and >= 0")
@@ -630,7 +600,7 @@ def simulate_batch(
         hz = default_horizon_batch(host_batch, factor=horizon_factor, offsets=off)
     else:
         hz = np.broadcast_to(
-            np.asarray(xp.asnumpy(horizon), dtype=np.float64), (B,)
+            np.asarray(horizon, dtype=np.float64), (B,)
         ).copy()
         if np.any(hz <= 0):
             raise ValueError("horizon must be > 0")
@@ -641,9 +611,7 @@ def simulate_batch(
         if release_times is None:
             release_times = sample_release_times_batch(host_batch, hz, rng, jitter)
         else:
-            release_times = np.asarray(
-                xp.asnumpy(release_times), dtype=np.float64
-            )
+            release_times = np.asarray(release_times, dtype=np.float64)
             if (
                 release_times.ndim != 3
                 or release_times.shape[:2] != (B, N)

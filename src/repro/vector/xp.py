@@ -3,11 +3,11 @@
 Every kernel in :mod:`repro.vector` takes its numpy namespace from this
 module (``from repro.vector.xp import host as np``) instead of importing
 numpy itself, so this is the one place that names the array library
-(lint rule RL001).  Besides :data:`host` it holds the boundary transfer
-:func:`asnumpy` and the helpers that hide the placement bitmap format:
-the encoding bridge from :mod:`repro.fpga.intervals` span lists
-(:func:`spans_to_words`, :func:`words_to_spans`) and the kernel building
-blocks (:func:`unpack_bitmap`, :func:`low_bits`, :func:`col_index`).
+(lint rule RL001).  Besides :data:`host` it holds the helpers that hide
+the placement bitmap format: the encoding bridge from
+:mod:`repro.fpga.intervals` span lists (:func:`spans_to_words`,
+:func:`words_to_spans`) and the kernel building blocks
+(:func:`unpack_bitmap`, :func:`low_bits`, :func:`col_index`).
 Keeping the bridge here means the scalar analysis and the admission
 service, which only use span lists, never load numpy.
 """
@@ -23,15 +23,6 @@ from repro.fpga.intervals import WORD_BITS, Interval, word_count
 
 #: The numpy namespace every kernel computes through.
 host = numpy
-
-
-def asnumpy(arr: Any) -> "numpy.ndarray":
-    """``arr`` as a numpy array (identity for an ndarray).
-
-    Kernels call it once per batch on the verdicts they return, which
-    marks the batch boundary for the effect report.
-    """
-    return numpy.asarray(arr)
 
 
 def spans_to_words(spans: Iterable[Interval], width: int) -> NDArray[numpy.uint64]:

@@ -4,7 +4,6 @@ from repro.vector import xp
 from repro.vector.xp import host as hnp
 
 
-def kernel(batch, backend=None):
-    ns = xp.resolve(backend)
-    arr = ns.asarray(batch, dtype=ns.float64)
-    return xp.asnumpy(arr), hnp.zeros(3)
+def kernel(batch, width):
+    arr = hnp.asarray(batch, dtype=hnp.float64)
+    return arr, xp.unpack_bitmap(hnp.zeros((1, 1), dtype=hnp.uint64), width)

@@ -4,8 +4,8 @@ downward is its sanctioned shape."""
 
 from repro.incremental.reverdict import accept_masks
 from repro.incremental.state import AdmissionState
-from repro.vector.xp import asnumpy
+from repro.vector.xp import spans_to_words
 
 
 def shape(state: AdmissionState):
-    return asnumpy, accept_masks
+    return spans_to_words, accept_masks

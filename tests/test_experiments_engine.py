@@ -338,6 +338,22 @@ class TestSimWorkers:
             curves = self._run(sim_workers=2)
         assert curves.series == self._run().series
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_below_one_rejected_before_any_bucket(self, workers):
+        """A bad shard count fails up front, also when no sim series
+        would reach ``simulate_batch`` to reject it."""
+        for sim_n in (8, 0):
+            with pytest.raises(ValueError, match="sim_workers must be >= 1"):
+                self._run(sim_workers=workers, sim_samples_per_point=sim_n)
+
+    def test_cli_flag_below_one_is_a_usage_error(self, capsys):
+        from repro.experiments.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "fig3a", "--samples", "2", "--sim-workers", "0"])
+        assert exc.value.code == 2
+        assert "--sim-workers must be >= 1" in capsys.readouterr().err
+
 
 class TestFigures:
     def test_all_figures_registered(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.parallel import default_chunksize, parallel_map
+from repro.util.parallel import parallel_map
 from repro.util.rngutil import rng_from_seed, spawn_rngs
 
 
@@ -48,22 +48,17 @@ class TestParallelMap:
     def test_single_item_never_spawns(self):
         assert parallel_map(_square, [5], workers=8) == [25]
 
-    def test_default_chunksize_amortizes_pickling(self):
-        """Regression: chunksize used to default to 1, paying one pickle
-        round-trip per item for thousands of tiny sim jobs."""
-        assert default_chunksize(8000, 4) == 500
-        assert default_chunksize(100, 4) == 6
-        # degenerate inputs stay safe
-        assert default_chunksize(3, 8) == 1
-        assert default_chunksize(0, 4) == 1
-        assert default_chunksize(100, 0) == 1
-
-    def test_one_item_per_worker_ships_alone(self):
-        """Simulator shards are one item per worker: each must be its
-        own work unit, or a worker idles."""
-        for n in range(1, 9):
-            assert default_chunksize(n, n) == 1
-
     def test_derived_chunksize_preserves_order(self):
         items = list(range(64))
         assert parallel_map(_square, items, workers=2) == [x * x for x in items]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_error_reaches_caller(self, workers):
+        with pytest.raises(ValueError, match="negative item -3"):
+            parallel_map(_reject_negative, [1, -3, 2], workers=workers)
+
+
+def _reject_negative(x):
+    if x < 0:
+        raise ValueError(f"negative item {x}")
+    return x

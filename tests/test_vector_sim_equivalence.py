@@ -38,9 +38,7 @@ from repro.sim.sporadic import sample_release_schedule, simulate_release_schedul
 from repro.util.rngutil import rng_from_seed
 from repro.vector.batch import TaskSetBatch, generate_batch
 from repro.vector.sim_vec import (
-    SIM_WORKERS_ENV,
     default_horizon_batch,
-    resolve_sim_workers,
     sample_offsets_batch,
     sample_release_times_batch,
     simulate_batch,
@@ -858,22 +856,8 @@ class TestShardingKnifeEdges:
         assert sharded.kernel_passes >= serial.kernel_passes
         assert (serial.events == sharded.events).all()
 
-    def test_resolve_sim_workers_precedence(self, monkeypatch):
-        monkeypatch.delenv(SIM_WORKERS_ENV, raising=False)
-        assert resolve_sim_workers(None) == 1
-        assert resolve_sim_workers(3) == 3
-        monkeypatch.setenv(SIM_WORKERS_ENV, "5")
-        assert resolve_sim_workers(None) == 5
-        assert resolve_sim_workers(2) == 2  # kwarg beats env
-        with pytest.raises(ValueError):
-            resolve_sim_workers(0)
-        monkeypatch.setenv(SIM_WORKERS_ENV, "zero")
-        with pytest.raises(ValueError):
-            resolve_sim_workers(None)
-
-    def test_env_var_drives_simulate_batch(self, monkeypatch):
-        batch = _batch(paper_unconstrained(4), seed=38, count=9)
-        serial = simulate_batch(batch, CAPACITY, "EDF-NF")
-        monkeypatch.setenv(SIM_WORKERS_ENV, "2")
-        via_env = simulate_batch(batch, CAPACITY, "EDF-NF")
-        _assert_results_equal(serial, via_env)
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_sim_workers_below_one_raises(self, workers):
+        batch = _batch(paper_unconstrained(4), seed=37, count=3)
+        with pytest.raises(ValueError, match="sim_workers must be >= 1"):
+            simulate_batch(batch, CAPACITY, "EDF-NF", sim_workers=workers)

@@ -1,6 +1,6 @@
-"""The numpy seam of the vector kernels: boundary transfer, the
-placement bitmap helpers, and the kernel building blocks computed on it
-(``sequential_sum``, the hole scan, span masks).
+"""The numpy seam of the vector kernels: the placement bitmap helpers
+and the kernel building blocks computed on them (``sequential_sum``,
+the hole scan, span masks).
 
 The bitmap helpers hide the uint64 word format the placement kernels
 compute on (bit ``c % 64`` of word ``c // 64`` is column ``c``); each is
@@ -11,11 +11,6 @@ import numpy as np
 import pytest
 
 from repro.vector import xp as xp_mod
-
-
-def test_asnumpy_identity_on_host():
-    a = np.arange(4)
-    assert xp_mod.asnumpy(a) is a or (xp_mod.asnumpy(a) == a).all()
 
 
 def test_low_bits_table():
