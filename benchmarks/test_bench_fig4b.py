@@ -3,7 +3,7 @@
 Paper claim (checked via :mod:`repro.experiments.claims`): "for
 temporally-heavy tasks, GN1 performs best while DP performs worst."
 Reproduced with the binned (raw-draw) sampling the paper used — rescaled
-sampling would wash the heaviness out (DESIGN.md §4.8).
+sampling would wash the heaviness out (README, "Design notes" §4.8).
 """
 
 from benchmarks.helpers import print_curves

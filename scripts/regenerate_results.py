@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Regenerate results/ — the measured data quoted in EXPERIMENTS.md.
+"""Regenerate results/ — the measured curves of every figure and ablation.
 
 Usage:
     python scripts/regenerate_results.py            # default scale

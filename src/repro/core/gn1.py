@@ -16,7 +16,7 @@ slack-truncated workload of the other tasks must then exceed
 ``(A(H) - A_k + 1)(D_k - C_k)`` — so if the inequality above holds for all
 tasks, no deadline can be missed.
 
-Printed-formula discrepancies (DESIGN.md §4.1–4.2) are selectable via
+Printed-formula discrepancies (README, "Design notes" §4.1–4.2) are selectable via
 :class:`Gn1Variant`; the default reproduces the paper's worked examples.
 """
 

@@ -23,7 +23,7 @@ giving the O(N³) complexity the paper states.
 Strictness note: condition 2 is printed with ``<=``, but the paper's own
 accept/reject matrix (Table 1 is *rejected* by GN2) requires strict ``<``
 at the exact knife-edge that Table 1 hits; default is strict
-(DESIGN.md §4.4).
+(README, "Design notes" §4.4).
 """
 
 from __future__ import annotations
@@ -115,7 +115,14 @@ class Gn2Test:
         left-to-right accumulation is identical for the scalar and the
         incremental caller, so verdicts are bit-equal.  Returns the
         certifying condition number (1 or 2) or ``None``.
+
+        A λ with ``λ_k >= 1`` (``one_minus <= 0``) certifies nothing: the
+        conditions' right-hand sides are then zero or negative, where a
+        negative clamped ``lhs1`` would accept spuriously and break
+        monotonicity in the WCETs.
         """
+        if one_minus <= 0:
+            return None
         lhs1: Real = 0
         lhs2: Real = 0
         for term1, term2 in terms:

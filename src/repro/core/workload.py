@@ -10,7 +10,7 @@ These are the quantitative hearts of GN1 and GN2:
 * :func:`gn2_lambda_candidates` — §5's observation that only finitely many
   λ need be examined (minimum points + discontinuities of β).
 
-Both work with exact rationals; see DESIGN.md §4 for the resolved
+Both work with exact rationals; see README, "Design notes" §4.1–4.4 for the resolved
 printed-formula ambiguities.
 """
 
@@ -81,7 +81,7 @@ def gn2_beta(
        by deadline-alignment geometry.
     2. ``u_i > λ`` and ``λ >= δ_i``:  ``u_i``
        — reachable only for ``D_i > T_i``; the printed paper says
-       ``C_k/T_k`` here, an evident i/k subscript typo (see DESIGN.md §4.3);
+       ``C_k/T_k`` here, an evident i/k subscript typo (see README, "Design notes" §4.3);
        ``literal_case2=True`` reproduces the printed text.
     3. ``u_i > λ`` and ``λ < δ_i``:  ``u_i + (C_i - λ D_i)/D_k``
        — heavy task: its carry-in can exceed the busy threshold by the

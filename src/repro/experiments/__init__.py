@@ -4,7 +4,7 @@
   the §6 worked numbers);
 * :mod:`repro.experiments.figures` — Figures 3(a,b) and 4(a,b)
   (acceptance ratio vs total system utilization, tests + simulation);
-* :mod:`repro.experiments.ablations` — the DESIGN.md ablation studies
+* :mod:`repro.experiments.ablations` — the ablation studies
   (integer vs real α, EDF-NF vs EDF-FkF, placement modes, offset search);
 * :mod:`repro.experiments.acceptance` — the shared acceptance-ratio
   engine (vectorized tests and one batched simulator,

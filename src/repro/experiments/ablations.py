@@ -1,4 +1,4 @@
-"""Ablation studies for the design choices DESIGN.md calls out.
+"""Ablation studies of the reproduction's design choices.
 
 * :func:`alpha_ablation` — the paper's §3 integer-area correction
   (``Abnd = A(H)-Amax+1``) vs Danne & Platzner's real-area original:
@@ -18,11 +18,14 @@ Every simulated curve comes from the batched simulator
 :func:`repro.vector.sim_vec.simulate_batch`; the per-taskset simulators
 of :mod:`repro.sim` are kept as test oracles only.
 
-Both release-pattern searches fan their pattern axis into the *batch*
-dimension of :func:`repro.vector.sim_vec.simulate_batch` (via the
-:mod:`repro.search` drivers): a bucket's ``B`` tasksets are repeated
-``P`` times (``B x P`` rows, one pattern per repeat), simulated in one
-sweep, and reduced per taskset with "any failing pattern ⇒
+Every ablation fans its bucket axis into the *batch* dimension of
+:func:`repro.vector.sim_vec.simulate_batch`: all buckets are drawn
+first and simulated together through
+:func:`repro.experiments.acceptance.simulate_grid`, in calls of bounded
+size.  Both release-pattern searches fan their pattern axis in as
+well: a bucket's ``B`` tasksets are repeated ``P`` times (``B x P``
+rows, one pattern per repeat, each bucket's patterns drawn from its own
+stream) and reduced per taskset with "any failing pattern ⇒
 unschedulable".  The searched verdict is always *intersected* with the
 synchronous/periodic one, so the searched curve is pointwise <= the
 baseline curve by construction (a pattern search can only remove
@@ -41,15 +44,18 @@ acceptance — more counterexamples found per simulated pattern.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.experiments import acceptance
 from repro.experiments.acceptance import (
     AcceptanceCurves,
     AcceptanceSeries,
     acceptance_experiment,
     feasible_batch_at,
+    grid_chunks,
+    simulate_grid,
 )
 from repro.fpga.device import Fpga
 from repro.fpga.placement import PlacementPolicy
@@ -57,14 +63,64 @@ from repro.gen.profiles import GenerationProfile, paper_unconstrained
 from repro.search.drivers import (
     adaptive_offset_search_batch,
     adaptive_sporadic_search_batch,
-    uniform_offset_search_batch,
-    uniform_sporadic_search_batch,
+    fan_rows,
 )
 from repro.search.proposal import SearchConfig
 from repro.sim.simulator import MigrationMode
 from repro.util.rngutil import rng_from_seed, spawn_rngs
 from repro.vector.batch import TaskSetBatch
-from repro.vector.sim_vec import simulate_batch
+from repro.vector.sim_vec import sample_offsets_batch
+
+
+def _draw_buckets(
+    profile: GenerationProfile, us_grid: Sequence[float], samples: int, seed: int
+) -> List[TaskSetBatch]:
+    """One rescaled bucket per grid point, each from its own stream."""
+    rngs = spawn_rngs(seed, len(us_grid))
+    return [
+        feasible_batch_at(profile, float(us), samples, rngs[i])
+        for i, us in enumerate(us_grid)
+    ]
+
+
+def _intersect_patterns(
+    searched: List[np.ndarray], fanned_ok: List[np.ndarray], patterns: int
+) -> None:
+    """Clear each taskset whose fanned patterns saw any miss."""
+    for verdict, ok in zip(searched, fanned_ok):
+        verdict &= ok.reshape(-1, patterns).all(axis=1)
+
+
+def _adaptive_search(
+    driver, batches: List[TaskSetBatch], searched: List[np.ndarray],
+    fpga: Fpga, seed: int, rows: int, *, budget: int, **kwargs,
+) -> None:
+    """Run an adaptive search ``driver`` over the baseline survivors of
+    every bucket, merged into calls that simulate at most ``rows`` rows
+    per round, and clear the tasksets it finds a miss for.
+
+    Only survivors are searched: a failing row's searched verdict is
+    already False.  Every taskset draws from its own child stream of
+    its bucket's seed, so rows replay exactly as in a per-bucket search
+    whichever call they land in.
+    """
+    survivors, streams = [], []
+    for i, (batch, ok) in enumerate(zip(batches, searched)):
+        live = np.nonzero(ok)[0]
+        pattern_rngs = spawn_rngs(seed * 1000 + i, batch.count)
+        survivors.append(_batch_rows(batch, live))
+        streams.append((live, [pattern_rngs[b] for b in live]))
+    for chunk, parts in grid_chunks(survivors, rows // max(1, budget)):
+        outcome = driver(
+            chunk, fpga, "EDF-NF", budget=budget,
+            rngs=[rng for i, lo, hi in parts for rng in streams[i][1][lo:hi]],
+            **kwargs,
+        )
+        at = 0
+        for i, lo, hi in parts:
+            found = outcome.found[at:at + hi - lo]
+            searched[i][streams[i][0][lo:hi][found]] = False
+            at += hi - lo
 
 
 def _batch_rows(batch: TaskSetBatch, idx: "np.ndarray") -> TaskSetBatch:
@@ -148,22 +204,21 @@ def placement_ablation(
     """
     profile = profile or paper_unconstrained(10)
     fpga = fpga or Fpga(width=100)
-    rngs = spawn_rngs(seed, len(us_grid))
+    batches = _draw_buckets(profile, us_grid, samples, seed)
     configs = [("sim:FREE", MigrationMode.FREE, PlacementPolicy.FIRST_FIT)]
     configs += [
         (f"sim:RELOC/{p.value}", MigrationMode.RELOCATABLE, p) for p in policies
     ]
     configs += [("sim:PINNED", MigrationMode.PINNED, PlacementPolicy.FIRST_FIT)]
-    ratios: Dict[str, list] = {label: [] for label, _, _ in configs}
-    for i, us in enumerate(us_grid):
-        batch = feasible_batch_at(profile, float(us), samples, rngs[i])
-        for label, mode, policy in configs:
-            res = simulate_batch(
-                batch, fpga, "EDF-NF",
-                mode=mode, placement_policy=policy,
-                horizon_factor=horizon_factor,
-            )
-            ratios[label].append(res.acceptance_ratio)
+    results = simulate_grid(
+        batches, fpga,
+        [dict(mode=mode, placement_policy=policy) for _, mode, policy in configs],
+        horizon_factor=horizon_factor,
+    )
+    ratios: Dict[str, list] = {
+        label: [float(ok.mean()) for ok in verdicts]
+        for (label, _, _), (verdicts, _) in zip(configs, results)
+    }
     buckets = tuple(float(u) for u in us_grid)
     return AcceptanceCurves(
         name="ablation: placement modes",
@@ -191,9 +246,9 @@ def offset_ablation(
     """Synchronous-release acceptance vs offset-searched acceptance.
 
     The ``offset_samples`` pattern axis is fanned into the batch
-    dimension — ``samples x offset_samples`` rows per bucket, one
-    :func:`simulate_batch` sweep — which makes full-bucket searches
-    affordable.
+    dimension — ``samples x offset_samples`` rows per bucket, every
+    bucket's rows merged into capped :func:`simulate_batch` calls —
+    which makes full-bucket searches affordable.
 
     ``search`` picks how the per-taskset budget of ``offset_samples``
     patterns is spent: ``"uniform"`` (default) draws assignments
@@ -219,42 +274,31 @@ def offset_ablation(
         raise ValueError("offset_samples must be >= 0")
     config = _search_config(search, search_rounds, elite_frac)
     fpga = Fpga(width=100)
-    rngs = spawn_rngs(seed, len(us_grid))
-    sync_ratios, offset_ratios = [], []
-    for i, us in enumerate(us_grid):
-        batch = feasible_batch_at(profile, float(us), samples, rngs[i])
-        # Uniform search shares one taskset-major stream per bucket; the
-        # adaptive search gives every taskset its own child stream (rows
-        # stop independently, so a shared stream would desynchronize).
-        offset_rng = rng_from_seed(seed * 1000 + i)
-        pattern_rngs = spawn_rngs(seed * 1000 + i, batch.count)
-        sync = simulate_batch(
-            batch, fpga, "EDF-NF", horizon_factor=horizon_factor
-        ).schedulable
-        searched = sync.copy()
-        if offset_samples:
-            if search == "uniform":
-                outcome = uniform_offset_search_batch(
-                    batch, fpga, "EDF-NF",
-                    patterns=offset_samples, rng=offset_rng,
-                    horizon_factor=horizon_factor,
-                )
-                searched &= ~outcome.found
-            else:
-                # Only sync-survivors: a sync-failing row's searched
-                # verdict is already False, and per-row streams make
-                # skipping safe.
-                live = np.nonzero(sync)[0]
-                if live.size:
-                    outcome = adaptive_offset_search_batch(
-                        _batch_rows(batch, live), fpga, "EDF-NF",
-                        budget=offset_samples,
-                        rngs=[pattern_rngs[b] for b in live],
-                        config=config, horizon_factor=horizon_factor,
-                    )
-                    searched[live] &= ~outcome.found
-        sync_ratios.append(int(sync.sum()) / samples)
-        offset_ratios.append(int(searched.sum()) / samples)
+    batches = _draw_buckets(profile, us_grid, samples, seed)
+    [(sync, _)] = simulate_grid(batches, fpga, [{}], horizon_factor=horizon_factor)
+    searched = [ok.copy() for ok in sync]
+    if offset_samples:
+        if search == "uniform":
+            # One taskset-major stream per bucket: the draws of
+            # uniform_offset_search_batch on the bucket alone.
+            fanned = [fan_rows(batch, offset_samples) for batch in batches]
+            offsets = [
+                sample_offsets_batch(rows, rng_from_seed(seed * 1000 + i))
+                for i, rows in enumerate(fanned)
+            ]
+            [(ok, _)] = simulate_grid(
+                fanned, fpga, [{}], offsets=offsets, horizon_factor=horizon_factor
+            )
+            _intersect_patterns(searched, ok, offset_samples)
+        else:
+            _adaptive_search(
+                adaptive_offset_search_batch, batches, searched, fpga, seed,
+                acceptance.GRID_ROWS_PER_CALL,
+                budget=offset_samples, config=config,
+                horizon_factor=horizon_factor,
+            )
+    sync_ratios = [int(ok.sum()) / samples for ok in sync]
+    offset_ratios = [int(ok.sum()) / samples for ok in searched]
     buckets = tuple(float(u) for u in us_grid)
     return AcceptanceCurves(
         name=f"ablation: synchronous vs offset-searched ({search}) simulation",
@@ -305,39 +349,34 @@ def sporadic_ablation(
         raise ValueError("sporadic_samples must be >= 0")
     config = _search_config(search, search_rounds, elite_frac)
     fpga = Fpga(width=100)
-    rngs = spawn_rngs(seed, len(us_grid))
-    periodic_ratios, sporadic_ratios = [], []
-    for i, us in enumerate(us_grid):
-        batch = feasible_batch_at(profile, float(us), samples, rngs[i])
-        pattern_rng = rng_from_seed(seed * 1000 + i)
-        pattern_rngs = spawn_rngs(seed * 1000 + i, batch.count)
-        periodic = simulate_batch(
-            batch, fpga, "EDF-NF", horizon_factor=horizon_factor
-        ).schedulable
-        searched = periodic.copy()
-        if sporadic_samples:
-            if search == "uniform":
-                outcome = uniform_sporadic_search_batch(
-                    batch, fpga, "EDF-NF",
-                    patterns=sporadic_samples, rng=pattern_rng,
-                    max_jitter_factor=jitter,
-                    horizon_factor=horizon_factor,
-                )
-                searched &= ~outcome.found
-            else:
-                # Only periodic-survivors (see offset_ablation).
-                live = np.nonzero(periodic)[0]
-                if live.size:
-                    outcome = adaptive_sporadic_search_batch(
-                        _batch_rows(batch, live), fpga, "EDF-NF",
-                        budget=sporadic_samples,
-                        rngs=[pattern_rngs[b] for b in live],
-                        max_jitter_factor=jitter, config=config,
-                        horizon_factor=horizon_factor,
-                    )
-                    searched[live] &= ~outcome.found
-        periodic_ratios.append(int(periodic.sum()) / samples)
-        sporadic_ratios.append(int(searched.sum()) / samples)
+    batches = _draw_buckets(profile, us_grid, samples, seed)
+    [(periodic, _)] = simulate_grid(
+        batches, fpga, [{}], horizon_factor=horizon_factor
+    )
+    searched = [ok.copy() for ok in periodic]
+    if sporadic_samples:
+        if search == "uniform":
+            # One stream per bucket: the schedules
+            # uniform_sporadic_search_batch draws on the bucket alone.
+            [(ok, _)] = simulate_grid(
+                [fan_rows(batch, sporadic_samples) for batch in batches],
+                fpga, [{}],
+                release_rngs=[
+                    rng_from_seed(seed * 1000 + i) for i in range(len(batches))
+                ],
+                jitter=jitter,
+                horizon_factor=horizon_factor,
+            )
+            _intersect_patterns(searched, ok, sporadic_samples)
+        else:
+            _adaptive_search(
+                adaptive_sporadic_search_batch, batches, searched, fpga, seed,
+                acceptance.TABLE_ROWS_PER_CALL,
+                budget=sporadic_samples, max_jitter_factor=jitter,
+                config=config, horizon_factor=horizon_factor,
+            )
+    periodic_ratios = [int(ok.sum()) / samples for ok in periodic]
+    sporadic_ratios = [int(ok.sum()) / samples for ok in searched]
     buckets = tuple(float(u) for u in us_grid)
     return AcceptanceCurves(
         name=f"ablation: periodic vs sporadic-searched ({search}) simulation",

@@ -17,13 +17,21 @@ acceptance probability and the bucket is extended only as far as needed
 for a 95% confidence-interval half-width of ``ci_target``, with
 ``samples_per_point`` as the cap — saturated buckets (ratios near 0/1)
 get cheap, knife-edge buckets get the full budget.
+
+A grid runs as one bounded pass: every bucket is drawn first, from its
+own stream, and the buckets' rows are then concatenated into analytic
+and simulator calls of bounded size (:data:`GRID_ROWS_PER_CALL`,
+:data:`TABLE_ROWS_PER_CALL`; see :func:`grid_chunks` and
+:func:`simulate_grid`), whose per-row verdicts
+split back by row offsets.  Rows never interact, so the curves equal the
+per-bucket ones bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +40,7 @@ from repro.fpga.placement import PlacementPolicy
 from repro.gen.profiles import GenerationProfile
 from repro.sim.simulator import MigrationMode
 from repro.util.rngutil import rng_from_seed, spawn_rngs
-from repro.vector.batch import TaskSetBatch, generate_batch
+from repro.vector.batch import TaskSetBatch, generate_batch, raw_draws, sequential_sum
 from repro.vector.dp_vec import dp_accepts
 from repro.vector.gn1_vec import gn1_accepts
 from repro.vector.gn2_vec import gn2_accepts
@@ -46,6 +54,21 @@ from repro.vector.sim_vec import (
 _CI_Z = 1.96
 #: Smallest pilot draw the adaptive mode will take per bucket.
 _CI_PILOT_MIN = 32
+
+#: Rows per block when :func:`binned_batch_at` filters a round's draws:
+#: bounds the ``wcet``/``US`` temporaries to a block, not a round.
+_BIN_BLOCK = 4096
+
+#: Most rows one merged :func:`simulate_batch` call takes.  A call runs
+#: until its slowest row is decided, and its per-pass cost is paid once
+#: for all its rows, so large calls are much cheaper per row; periodic
+#: simulator state costs about 1.5 kB per row at N=10.
+GRID_ROWS_PER_CALL = 8192
+
+#: Most rows one merged call takes when every row carries a table: the
+#: analytic tests' ``(N, N)`` pair terms and sporadic release schedules
+#: (about 17 kB per row at N=10 and ``horizon_factor=20``).
+TABLE_ROWS_PER_CALL = 512
 
 #: Vectorized analytical tests available to the engine.
 TEST_FUNCS = {
@@ -160,13 +183,7 @@ def feasible_batch_at(
             f"profile {profile.name!r} cannot reach US={us_target}: "
             f"only {have}/{count} feasible samples in {max_rounds} rounds"
         )
-    merged = TaskSetBatch(
-        np.concatenate([b.wcet for b in kept])[:count],
-        np.concatenate([b.period for b in kept])[:count],
-        np.concatenate([b.deadline for b in kept])[:count],
-        np.concatenate([b.area for b in kept])[:count],
-    )
-    return merged
+    return _stack_rows(kept, count)
 
 
 def binned_batch_at(
@@ -183,14 +200,21 @@ def binned_batch_at(
 
     Unlike :func:`feasible_batch_at`, the drawn tasksets keep the
     profile's joint distribution exactly (crucial for Figure 4(b), where
-    rescaling would destroy the "temporally heavy" property — DESIGN.md
-    §4.8).  Returns ``None`` when the bucket is unreachable; a short batch
-    when only some samples landed.
+    rescaling would destroy the "temporally heavy" property — README,
+    "Design notes" §4.8).  Returns ``None`` when the bucket is
+    unreachable; a short batch when only some samples landed.
 
     Round sizes adapt to the request: the first round draws a few times
     ``count`` (instead of a flat ``chunk`` regardless of how few samples
     were asked for), and later rounds extrapolate from the observed hit
     rate.  ``chunk`` caps any single round's draw.
+
+    Each round's raw draws are filtered in blocks of :data:`_BIN_BLOCK`
+    rows: ``US`` is evaluated with the same float operations as
+    :attr:`TaskSetBatch.system_utilization` on a
+    :func:`~repro.vector.batch.generate_batch` draw, and the ``wcet``,
+    ``deadline`` and float ``area`` arrays are built for the kept rows
+    only, so the result is bit-identical to filtering whole batches.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -203,17 +227,12 @@ def binned_batch_at(
     drawn = 0
     draw_size = min(chunk, max(2048, 4 * count))
     for _ in range(max_rounds):
-        draw = generate_batch(profile, draw_size, rng)
+        hits = _bin_rows(
+            *raw_draws(profile, draw_size, rng), us_target, tolerance
+        )
         drawn += draw_size
-        mask = np.abs(draw.system_utilization - us_target) <= tolerance
-        if mask.any():
-            kept.append(
-                TaskSetBatch(
-                    draw.wcet[mask], draw.period[mask],
-                    draw.deadline[mask], draw.area[mask],
-                )
-            )
-            have += int(mask.sum())
+        kept.extend(hits)
+        have += sum(b.count for b in hits)
         if have >= count:
             break
         if have > 0:
@@ -224,12 +243,172 @@ def binned_batch_at(
             draw_size = min(chunk, draw_size * 4)
     if have == 0:
         return None
+    return _stack_rows(kept, count)
+
+
+def _bin_rows(
+    period: np.ndarray,
+    factor: np.ndarray,
+    area: np.ndarray,
+    us_target: float,
+    tolerance: float,
+) -> List[TaskSetBatch]:
+    """The raw draws whose ``US`` lies within ``tolerance`` of
+    ``us_target``, filtered :data:`_BIN_BLOCK` rows at a time."""
+    kept = []
+    for lo in range(0, period.shape[0], _BIN_BLOCK):
+        rows = slice(lo, lo + _BIN_BLOCK)
+        block_period = period[rows]
+        wcet = block_period * factor[rows]
+        block_area = area[rows].astype(np.float64)
+        us = sequential_sum(wcet * block_area / block_period, axis=1)
+        mask = np.abs(us - us_target) <= tolerance
+        if mask.any():
+            kept.append(
+                TaskSetBatch(
+                    wcet[mask], block_period[mask],
+                    block_period[mask], block_area[mask],
+                )
+            )
+    return kept
+
+
+def _stack_rows(batches: Sequence[TaskSetBatch], count: int) -> TaskSetBatch:
+    """The first ``count`` rows of ``batches`` concatenated."""
     return TaskSetBatch(
-        np.concatenate([b.wcet for b in kept])[:count],
-        np.concatenate([b.period for b in kept])[:count],
-        np.concatenate([b.deadline for b in kept])[:count],
-        np.concatenate([b.area for b in kept])[:count],
+        np.concatenate([b.wcet for b in batches])[:count],
+        np.concatenate([b.period for b in batches])[:count],
+        np.concatenate([b.deadline for b in batches])[:count],
+        np.concatenate([b.area for b in batches])[:count],
     )
+
+
+def grid_chunks(
+    batches: Sequence[TaskSetBatch], rows: int
+) -> Iterator[Tuple[TaskSetBatch, List[Tuple[int, int, int]]]]:
+    """The rows of ``batches``, concatenated in order, in chunks of at
+    most ``rows`` rows (at least one).
+
+    Yields ``(chunk, parts)``: ``parts`` lists ``(i, lo, hi)`` — rows
+    ``lo:hi`` of ``batches[i]`` — in the order they sit in ``chunk``.
+    Rows are independent in every vector kernel, so a row's result in a
+    chunk equals its result in its own batch.
+    """
+    cap = max(1, rows)
+    parts: List[Tuple[int, int, int]] = []
+    room = cap
+    for i, batch in enumerate(batches):
+        lo = 0
+        while lo < batch.count:
+            hi = min(batch.count, lo + room)
+            parts.append((i, lo, hi))
+            room -= hi - lo
+            lo = hi
+            if room == 0:
+                yield _chunk_of(batches, parts), parts
+                parts, room = [], cap
+    if parts:
+        yield _chunk_of(batches, parts), parts
+
+
+def _chunk_of(
+    batches: Sequence[TaskSetBatch], parts: Sequence[Tuple[int, int, int]]
+) -> TaskSetBatch:
+    if len(parts) == 1:
+        i, lo, hi = parts[0]
+        return batches[i].rows(slice(lo, hi))
+    return _stack_rows(
+        [batches[i].rows(slice(lo, hi)) for i, lo, hi in parts],
+        sum(hi - lo for _, lo, hi in parts),
+    )
+
+
+def _release_tables(
+    batches: Sequence[TaskSetBatch],
+    parts: Sequence[Tuple[int, int, int]],
+    release_rngs: Sequence[np.random.Generator],
+    horizon_factor: int,
+    jitter: float,
+) -> np.ndarray:
+    """Sporadic schedules for a chunk: each part sampled from its own
+    batch's stream, ``+inf``-padded to a common length."""
+    tables = []
+    for i, lo, hi in parts:
+        rows = batches[i].rows(slice(lo, hi))
+        tables.append(
+            sample_release_times_batch(
+                rows,
+                default_horizon_batch(rows, factor=horizon_factor),
+                release_rngs[i],
+                jitter,
+            )
+        )
+    if len(tables) == 1:
+        return tables[0]
+    shape = (
+        sum(t.shape[0] for t in tables),
+        tables[0].shape[1],
+        max(t.shape[2] for t in tables),
+    )
+    out = np.full(shape, np.inf, dtype=np.float64)
+    at = 0
+    for table in tables:
+        out[at:at + table.shape[0], :, :table.shape[2]] = table
+        at += table.shape[0]
+    return out
+
+
+def simulate_grid(
+    batches: Sequence[TaskSetBatch],
+    fpga: Fpga,
+    configs: Sequence[Dict[str, object]],
+    *,
+    offsets: Optional[Sequence[np.ndarray]] = None,
+    release_rngs: Optional[Sequence[np.random.Generator]] = None,
+    jitter: float = 0.5,
+    horizon_factor: int = 20,
+    **common: object,
+) -> List[Tuple[List[np.ndarray], int]]:
+    """Simulate every row of ``batches`` under each of ``configs``, the
+    batches merged into :func:`simulate_batch` calls of at most
+    :data:`GRID_ROWS_PER_CALL` rows (:data:`TABLE_ROWS_PER_CALL` under
+    sporadic release).
+
+    ``configs`` holds each curve's own :func:`simulate_batch` keywords
+    (``scheduler``, ``mode``, ``placement_policy``); ``common`` the
+    shared ones.  ``offsets`` gives each batch's ``(rows, N)`` first
+    releases.  ``release_rngs`` switches to sporadic release: each
+    batch's schedules come from its own stream, sampled in row order a
+    chunk at a time (the same draws as one sample over the whole
+    batch), and every config replays the same schedules (paired curves).
+
+    Returns, per config, each batch's ``schedulable`` array and the
+    number of rows that ran out of event budget.
+    """
+    verdicts = [[np.empty(b.count, dtype=bool) for b in batches] for _ in configs]
+    exceeded = [0] * len(configs)
+    rows = GRID_ROWS_PER_CALL if release_rngs is None else TABLE_ROWS_PER_CALL
+    for chunk, parts in grid_chunks(batches, rows):
+        kwargs = dict(common)
+        if offsets is not None:
+            kwargs["offsets"] = np.concatenate(
+                [offsets[i][lo:hi] for i, lo, hi in parts]
+            )
+        if release_rngs is not None:
+            kwargs["release"] = "sporadic"
+            kwargs["release_times"] = _release_tables(
+                batches, parts, release_rngs, horizon_factor, jitter
+            )
+        for c, config in enumerate(configs):
+            res = simulate_batch(
+                chunk, fpga, horizon_factor=horizon_factor, **config, **kwargs
+            )
+            at = 0
+            for i, lo, hi in parts:
+                verdicts[c][i][lo:hi] = res.schedulable[at:at + hi - lo]
+                at += hi - lo
+            exceeded[c] += int(res.budget_exceeded.sum())
+    return list(zip(verdicts, exceeded))
 
 
 def _ci_required_samples(counts: Dict[str, List[int]], ci_target: float) -> int:
@@ -293,9 +472,9 @@ def acceptance_experiment(
     and counted in :attr:`AcceptanceCurves.sim_budget_exceeded` rather
     than aborting the sweep.
 
-    ``sim_workers`` shards each sim bucket's batch dimension over
-    a process pool inside :func:`simulate_batch` (verdicts bit-identical
-    to serial).
+    ``sim_workers`` shards each merged simulator call over a process
+    pool inside :func:`simulate_batch` (verdicts bit-identical to
+    serial).
 
     ``sampling`` selects how buckets are filled: ``"rescale"`` draws from
     the profile and rescales WCETs to the exact target (fast, exact
@@ -358,10 +537,7 @@ def acceptance_experiment(
         sim_n = min(sim_samples_per_point, samples_per_point)
     capacity = fpga.capacity
 
-    sim_labels = [f"sim:{s}" for s in sim_schedulers]
-    labels = list(tests) + sim_labels
-    ratios: Dict[str, List[float]] = {label: [] for label in labels}
-    bucket_samples: List[int] = []
+    labels = list(tests) + [f"sim:{s}" for s in sim_schedulers]
 
     grid_list = [float(u) for u in us_grid]
     if bin_tolerance is not None:
@@ -375,96 +551,102 @@ def acceptance_experiment(
         )
     else:
         tolerance = None  # rescale mode never bins
+    rngs = spawn_rngs(seed, len(grid_list))
+    # One sporadic-pattern stream per bucket, consumed sequentially
+    # across the pilot/extension draws — identical settings replay
+    # identical schedules.
+    release_rngs = (
+        [rng_from_seed(seed * 1_000_003 + i) for i in range(len(grid_list))]
+        if sim_release == "sporadic"
+        else None
+    )
+    sim_configs = [
+        dict(scheduler=sched, mode=sim_mode, placement_policy=sim_policy)
+        for sched in sim_schedulers
+    ]
+
+    def draw(i: int, n: int) -> Optional[TaskSetBatch]:
+        if sampling == "rescale":
+            return feasible_batch_at(profile, grid_list[i], n, rngs[i])
+        return binned_batch_at(profile, grid_list[i], tolerance, n, rngs[i])
+
+    #: per bucket, per series (hits, denominator) over the bucket's draws.
+    counts: List[Dict[str, List[int]]] = [
+        {label: [0, 0] for label in labels} for _ in grid_list
+    ]
     budget_exceeded = 0
-    rngs = spawn_rngs(seed, len(us_grid))
-    for bucket_idx, us_target in enumerate(grid_list):
-        rng = rngs[bucket_idx]
-        # One sporadic-pattern stream per bucket, consumed sequentially
-        # across the pilot/extension draws — identical settings replay
-        # identical schedules.
-        release_rng = (
-            rng_from_seed(seed * 1_000_003 + bucket_idx)
-            if sim_release == "sporadic"
-            else None
-        )
 
-        def draw(n: int) -> Optional[TaskSetBatch]:
-            if sampling == "rescale":
-                return feasible_batch_at(profile, us_target, n, rng)
-            return binned_batch_at(profile, us_target, tolerance, n, rng)
-
-        #: per-series (hits, denominator) over this bucket's draws.
-        counts: Dict[str, List[int]] = {label: [0, 0] for label in labels}
-
-        def accumulate(batch: TaskSetBatch) -> None:
-            nonlocal budget_exceeded
+    def accumulate(draws: Sequence[Optional[TaskSetBatch]]) -> None:
+        """Add one draw per bucket (``None``: nothing drawn) to
+        ``counts``, every bucket's rows merged into capped calls."""
+        nonlocal budget_exceeded
+        index = [i for i, batch in enumerate(draws) if batch is not None]
+        batches = [draws[i] for i in index]
+        for chunk, parts in grid_chunks(batches, TABLE_ROWS_PER_CALL):
             for test in tests:
-                mask = TEST_FUNCS[test](batch, capacity)
-                counts[test][0] += int(mask.sum())
-                counts[test][1] += batch.count
-            if not sim_schedulers or sim_n <= 0:
-                return
-            k = batch.count if ci_target is not None else min(sim_n, batch.count)
-            sub = TaskSetBatch(
-                batch.wcet[:k], batch.period[:k],
-                batch.deadline[:k], batch.area[:k],
-            )
-            if release_rng is not None:
-                # Sample once per batch so every scheduler's curve sees
-                # the same sporadic patterns (paired).
-                release_kwargs = dict(
-                    release="sporadic",
-                    release_times=sample_release_times_batch(
-                        sub,
-                        default_horizon_batch(sub, factor=horizon_factor),
-                        release_rng,
-                        sim_jitter,
-                    ),
-                )
-            else:
-                release_kwargs = {}
-            for sched in sim_schedulers:
-                res = simulate_batch(
-                    sub, fpga, sched,
-                    mode=sim_mode, placement_policy=sim_policy,
-                    horizon_factor=horizon_factor, max_events=max_events,
-                    sim_workers=sim_workers,
-                    **release_kwargs,
-                )
-                counts[f"sim:{sched}"][0] += int(res.schedulable.sum())
-                counts[f"sim:{sched}"][1] += k
-                budget_exceeded += int(res.budget_exceeded.sum())
+                mask = TEST_FUNCS[test](chunk, capacity)
+                at = 0
+                for j, lo, hi in parts:
+                    count = counts[index[j]][test]
+                    count[0] += int(mask[at:at + hi - lo].sum())
+                    count[1] += hi - lo
+                    at += hi - lo
+        if not sim_configs or sim_n <= 0:
+            return
+        subs = [
+            batch if ci_target is not None else batch.rows(slice(0, sim_n))
+            for batch in batches
+        ]
+        results = simulate_grid(
+            subs, fpga, sim_configs,
+            release_rngs=(
+                None if release_rngs is None
+                else [release_rngs[i] for i in index]
+            ),
+            jitter=sim_jitter,
+            horizon_factor=horizon_factor,
+            max_events=max_events,
+            sim_workers=sim_workers,
+        )
+        for sched, (verdicts, exceeded) in zip(sim_schedulers, results):
+            for i, ok in zip(index, verdicts):
+                count = counts[i][f"sim:{sched}"]
+                count[0] += int(ok.sum())
+                count[1] += ok.shape[0]
+            budget_exceeded += exceeded
 
-        if ci_target is None:
-            first_n = samples_per_point
-        else:
-            first_n = min(
-                samples_per_point,
-                max(_CI_PILOT_MIN, math.ceil(samples_per_point / 10)),
-            )
-        batch = draw(first_n)
-        if batch is None:
-            for label in labels:
-                ratios[label].append(float("nan"))
-            bucket_samples.append(0)
-            continue
-        accumulate(batch)
-        drawn = batch.count
-        if ci_target is not None:
-            needed = min(samples_per_point, _ci_required_samples(counts, ci_target))
-            if needed > drawn:
-                extra = draw(needed - drawn)
-                if extra is not None:
-                    accumulate(extra)
-                    drawn += extra.count
-        bucket_samples.append(drawn)
-        for label in labels:
-            hits, n = counts[label]
-            ratios[label].append(hits / n if n else float("nan"))
+    if ci_target is None:
+        first_n = samples_per_point
+    else:
+        first_n = min(
+            samples_per_point,
+            max(_CI_PILOT_MIN, math.ceil(samples_per_point / 10)),
+        )
+    pilots = [draw(i, first_n) for i in range(len(grid_list))]
+    accumulate(pilots)
+    drawn = [0 if batch is None else batch.count for batch in pilots]
+    if ci_target is not None:
+        # An empty pilot counted nothing, so it needs no extension.
+        extras: List[Optional[TaskSetBatch]] = []
+        for i in range(len(grid_list)):
+            needed = min(samples_per_point, _ci_required_samples(counts[i], ci_target))
+            extras.append(draw(i, needed - drawn[i]) if needed > drawn[i] else None)
+        accumulate(extras)
+        for i, extra in enumerate(extras):
+            if extra is not None:
+                drawn[i] += extra.count
 
     buckets = tuple(float(u) for u in us_grid)
     series = tuple(
-        AcceptanceSeries(label, buckets, tuple(ratios[label])) for label in labels
+        AcceptanceSeries(
+            label,
+            buckets,
+            tuple(
+                hits / n if n else float("nan")
+                for hits, n in (bucket[label] for bucket in counts)
+            ),
+        )
+        for label in labels
     )
     return AcceptanceCurves(
         name=name or profile.name,
@@ -473,5 +655,5 @@ def acceptance_experiment(
         sim_samples_per_point=sim_n,
         series=series,
         sim_budget_exceeded=budget_exceeded,
-        bucket_samples=tuple(bucket_samples) if ci_target is not None else None,
+        bucket_samples=tuple(drawn) if ci_target is not None else None,
     )

@@ -1,6 +1,6 @@
 """Experiment registry: id -> runner, for the CLI and the benchmarks.
 
-Every table/figure/ablation in DESIGN.md's experiment index is reachable
+Every table, figure and ablation of the reproduction is reachable
 from here, so ``repro-experiments run <id>`` regenerates any artifact of
 the paper.
 """

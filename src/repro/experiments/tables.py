@@ -3,7 +3,7 @@
 Each table is one two-task taskset on a 10-column device, accepted by
 exactly one of DP / GN1 / GN2 and rejected by the other two.  The module
 re-evaluates all nine verdicts and the §6 worked numbers, producing a
-report suitable for EXPERIMENTS.md.
+plain-text report.
 """
 
 from __future__ import annotations

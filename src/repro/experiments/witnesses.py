@@ -56,7 +56,7 @@ def find_witness(
     paper's Table 1 pattern — appears to have measure zero for 2-task
     sets (Table 1 itself sits exactly on DP's and GN2's decision
     boundaries) and only materializes for >= 3 tasks with a high area
-    floor; see EXPERIMENTS.md.  Returns ``None`` when the budget runs
+    floor; see README, "Design notes" §4.4.  Returns ``None`` when the budget runs
     out — evidence of rarity, not an impossibility proof.
     """
     fpga = fpga or Fpga(width=10)

@@ -10,7 +10,7 @@ A :class:`GenerationProfile` captures the §6 recipe parameters:
 
 The paper names four distribution classes for Figure 4 but not their
 numeric cutoffs; the values below are our documented choices
-(DESIGN.md §4.8) and are trivially overridable.
+(README, "Design notes" §4.8) and are trivially overridable.
 """
 
 from __future__ import annotations

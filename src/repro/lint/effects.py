@@ -85,7 +85,7 @@ def _call_target(func: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
 
 
 def _self_rooted(node: ast.AST) -> bool:
-    while isinstance(node, ast.Attribute):
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
         node = node.value
     return isinstance(node, ast.Name) and node.id in ("self", "cls")
 

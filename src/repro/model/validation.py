@@ -3,7 +3,7 @@
 The model accepts any :class:`numbers.Real` (``int``, ``float``,
 ``fractions.Fraction``) so the schedulability tests can be evaluated in
 exact rational arithmetic — the paper's Table 1 / GN2 comparison is an
-exact knife-edge that floats cannot certify (see DESIGN.md §4.4).
+exact knife-edge that floats cannot certify (see README, "Design notes" §4.4).
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ Lemma 7, one of::
     1)  Σ_i min(β^λ_k(i), 1 - λ_k)  <  m (1 - λ_k)
     2)  Σ_i min(β^λ_k(i), 1)        <  (m - 1)(1 - λ_k) + 1
 
-holds.  This is the multiprocessor ancestor of GN2: Theorem 3 with unit
-areas (``Amax = Amin = 1``, ``Abnd = m``) recovers it exactly — asserted
-by the reduction tests.
+holds, where ``λ_k < 1``.  This is the multiprocessor ancestor of GN2:
+Theorem 3 with unit areas (``Amax = Amin = 1``, ``Abnd = m``) recovers
+it exactly — asserted by the reduction tests.
 """
 
 from __future__ import annotations
@@ -51,6 +51,8 @@ class Bak2Test:
         for lam in gn2_lambda_candidates(taskset, task_k):
             lam_k = lam * lam_scale
             one_minus = 1 - lam_k
+            if one_minus <= 0:
+                continue  # λ_k >= 1 certifies nothing (as in GN2)
             lhs1 = 0
             lhs2 = 0
             for task_i in taskset:

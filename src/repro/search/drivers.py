@@ -42,7 +42,7 @@ def _rows(batch: TaskSetBatch, idx: np.ndarray) -> TaskSetBatch:
     )
 
 
-def _fan(batch: TaskSetBatch, times: int) -> TaskSetBatch:
+def fan_rows(batch: TaskSetBatch, times: int) -> TaskSetBatch:
     """Each row repeated ``times`` consecutively, so a ``(B, P)`` reshape
     of the fanned per-row results restores the (row, pattern) pairing."""
     return TaskSetBatch(
@@ -90,7 +90,7 @@ def uniform_offset_search_batch(
     high = np.broadcast_to(host.period[:, None, :], (b, patterns, n))
     offs = rng.uniform(0.0, high)
     res = simulate_batch(
-        _fan(host, patterns),
+        fan_rows(host, patterns),
         fpga,
         scheduler,
         offsets=offs.reshape(-1, n),
@@ -133,7 +133,7 @@ def adaptive_offset_search_batch(
         live_count, patterns, n = u.shape
         offs = offsets_from_unit(host.period[live][:, None, :], u)
         res = simulate_batch(
-            _fan(_rows(host, live), patterns),
+            fan_rows(_rows(host, live), patterns),
             fpga,
             scheduler,
             offsets=offs.reshape(-1, n),
@@ -175,7 +175,7 @@ def uniform_sporadic_search_batch(
         return _trivial_outcome(host.count)
     b = host.count
     res = simulate_batch(
-        _fan(host, patterns),
+        fan_rows(host, patterns),
         fpga,
         scheduler,
         release="sporadic",
@@ -223,7 +223,7 @@ def adaptive_sporadic_search_batch(
 
     def score(live: np.ndarray, u: np.ndarray):
         live_count, patterns, n = u.shape
-        fanned = _fan(_rows(host, live), patterns)
+        fanned = fan_rows(_rows(host, live), patterns)
         hz_fan = np.repeat(hz[live], patterns)
         times = release_times_from_unit(
             fanned.period, u.reshape(-1, n), hz_fan, max_jitter_factor

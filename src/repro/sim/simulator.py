@@ -95,7 +95,7 @@ def default_horizon(
 ) -> Real:
     """The default simulation horizon: ``max D + factor * max T [+ max O]``.
 
-    Real-valued periods have no hyperperiod (DESIGN.md §4.9), so the
+    Real-valued periods have no hyperperiod (README, "Design notes" §4.9), so the
     paper-style simulation runs a fixed multiple of the longest period.
 
     When release ``offsets`` are given, the window is extended by the

@@ -162,14 +162,14 @@ class TaskSetBatch:
         return np.all(ok, axis=1)
 
 
-def generate_batch(
-    profile: GenerationProfile, count: int, rng: "np.random.Generator"
-) -> TaskSetBatch:
-    """Draw ``count`` tasksets from ``profile`` directly into arrays.
+def raw_draws(profile: GenerationProfile, count: int, rng: "np.random.Generator"):
+    """The profile's random draws for ``count`` tasksets, in stream order.
 
-    Identical distributions to
-    :func:`repro.gen.random_tasksets.generate_taskset`, but one vectorized
-    draw instead of ``count * N`` Python-object constructions.
+    Returns ``(period, factor, area)``, each ``(count, N)``: float64
+    periods, utilization factors clipped below at ``_MIN_FACTOR``, and
+    *integer* (int64) areas.  This is the one routine that consumes a
+    profile's stream: :func:`generate_batch` builds whole batches from
+    it, and the binned sampler filters its rows before building any.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -182,11 +182,25 @@ def generate_batch(
         period = rng.integers(lo, hi + 1, size=(count, n)).astype(np.float64)
     else:
         period = rng.uniform(profile.period_min, profile.period_max, size=(count, n))
-    factor = np.maximum(
-        rng.uniform(profile.util_min, profile.util_max, size=(count, n)), _MIN_FACTOR
+    factor = rng.uniform(profile.util_min, profile.util_max, size=(count, n))
+    np.maximum(factor, _MIN_FACTOR, out=factor)
+    area = rng.integers(profile.area_min, profile.area_max + 1, size=(count, n))
+    return period, factor, area
+
+
+def generate_batch(
+    profile: GenerationProfile, count: int, rng: "np.random.Generator"
+) -> TaskSetBatch:
+    """Draw ``count`` tasksets from ``profile`` directly into arrays.
+
+    Identical distributions to
+    :func:`repro.gen.random_tasksets.generate_taskset`, but one vectorized
+    draw instead of ``count * N`` Python-object constructions.
+    """
+    period, factor, area = raw_draws(profile, count, rng)
+    return TaskSetBatch(
+        wcet=period * factor,
+        period=period,
+        deadline=period.copy(),
+        area=area.astype(np.float64),
     )
-    area = rng.integers(profile.area_min, profile.area_max + 1, size=(count, n)).astype(
-        np.float64
-    )
-    wcet = period * factor
-    return TaskSetBatch(wcet=wcet, period=period, deadline=period.copy(), area=area)

@@ -40,7 +40,7 @@ def _gn2_chunk(
     a_i = a[:, None, None, :]
     d_k = d[:, :, None, None]  # (B, N, 1, 1)
 
-    # Lemma 7 β cases (corrected case 2 = u_i; see DESIGN.md §4.3).
+    # Lemma 7 β cases (corrected case 2 = u_i; see README, "Design notes" §4.3).
     case1 = np.maximum(u_i, u_i * (1.0 - d_i / d_k) + c_i / d_k)
     case3 = u_i + (c_i - lam4 * d_i) / d_k
     beta = np.where(
@@ -63,8 +63,12 @@ def _gn2_chunk(
     rhs2 = (abnd - amin) * one_minus + amin
     cond2 = (lhs2 < rhs2) if strict_condition2 else (lhs2 <= rhs2)
 
-    # λ must be a declared candidate and >= C_k/T_k.
-    valid = lam_valid[:, None, :] & (lam[:, None, :] >= util[:, :, None])  # (B, N, L)
+    # λ must be a declared candidate, >= C_k/T_k, and keep λ_k < 1.
+    valid = (
+        lam_valid[:, None, :]
+        & (lam[:, None, :] >= util[:, :, None])
+        & (one_minus > 0)
+    )  # (B, N, L)
     witnessed = np.any((cond1 | cond2) & valid, axis=2)  # (B, N)
     return np.all(witnessed, axis=1)
 
@@ -74,7 +78,7 @@ def gn2_accepts(
     capacity: int,
     *,
     strict_condition2: bool = True,
-    chunk: int = 512,
+    chunk: int = 64,
 ) -> "np.ndarray":
     """Per-set GN2 verdicts, shape ``(B,)`` bool (chunked evaluation)."""
     if chunk < 1:

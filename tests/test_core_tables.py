@@ -1,7 +1,7 @@
 """Regression tests: the paper's §6 worked examples (Tables 1-3).
 
 These are the only ground-truth numbers in the paper, so they pin down the
-formula-ambiguity resolutions documented in DESIGN.md §4.  All arithmetic
+formula-ambiguity resolutions documented in the README's "Design notes" §4.1–4.4.  All arithmetic
 is exact (Fractions).
 """
 
@@ -103,7 +103,7 @@ class TestTable3WorkedNumbers:
 class TestTable1KnifeEdge:
     """Table 1 vs GN2 is an exact boundary: condition 2 holds with equality
     at λ = 0.19, so the printed `<=` would accept while the paper claims
-    rejection.  DESIGN.md §4.4."""
+    rejection.  README, "Design notes" §4.4."""
 
     def test_condition2_equality_at_lambda_019(self, table1):
         lam = F("0.19")
@@ -153,7 +153,7 @@ class TestTable2Details:
 
 
 class TestVariantSensitivity:
-    """The DESIGN.md §4 variants change verdicts only where expected."""
+    """The "Design notes" §4.1–4.4 variants change verdicts only where expected."""
 
     def test_gn1_theorem_literal_still_matches_tables(self, table1, table2, table3, fpga10):
         literal = Gn1Test(Gn1Variant.THEOREM_LITERAL)

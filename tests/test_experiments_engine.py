@@ -141,13 +141,13 @@ class TestBinnedBatchAt:
         import repro.experiments.acceptance as acc
 
         sizes = []
-        real = acc.generate_batch
+        real = acc.raw_draws
 
         def spy(profile, count, rng):
             sizes.append(count)
             return real(profile, count, rng)
 
-        monkeypatch.setattr(acc, "generate_batch", spy)
+        monkeypatch.setattr(acc, "raw_draws", spy)
         batch = binned_batch_at(
             paper_unconstrained(10), 60.0, 5.0, 25, rng_from_seed(11)
         )

@@ -213,6 +213,18 @@ SEED_CASES = [
     ("del-self-attribute", "repro.core.k",
      "class C:\n    def m(self):\n        del self.cache\n",
      "C.m", {"STATE_MUTATION"}),
+    ("self-subscript-store", "repro.core.k",
+     "class C:\n    def m(self, k, v):\n        self.cache[k] = v\n",
+     "C.m", {"STATE_MUTATION"}),
+    ("del-self-subscript", "repro.core.k",
+     "class C:\n    def m(self, k):\n        del self.cache[k]\n",
+     "C.m", {"STATE_MUTATION"}),
+    ("self-nested-subscript-store", "repro.core.k",
+     "class C:\n    def m(self, k, v):\n        self.rows[k][0] = v\n",
+     "C.m", {"STATE_MUTATION"}),
+    ("local-subscript-store-is-pure", "repro.core.k",
+     "def f(k, v):\n    d = {}\n    d[k] = v\n    del d[k]\n    return d\n",
+     "f", set()),
     ("self-mutator-call", "repro.core.k",
      "class C:\n    def m(self, x):\n        self.queue.append(x)\n",
      "C.m", {"STATE_MUTATION"}),

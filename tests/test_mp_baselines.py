@@ -80,11 +80,12 @@ class TestBak2:
     def test_incomparable_with_bcl_direction_one(self):
         """BAK2 accepts a set BCL rejects (λ-extension pays off).
 
-        Witness found by randomized search; Baker 2006 shows the tests are
-        incomparable in general.
+        Witness found by randomized search over certificates with
+        ``λ_k < 1``; Baker 2006 shows the tests are incomparable in
+        general.
         """
         ts = cpu_ts(
-            (F(1, 10), 2, 5), (F(17, 5), 6, 8), (F(9, 10), 8, 12), (F(11, 10), 4, 5)
+            (F(1, 5), 1, 12), (F(3, 5), 3, 5), (F(3, 5), 2, 7), (F(1, 2), 11, 12)
         )
         assert bak2_test(ts, 2).accepted
         assert not bcl_test(ts, 2).accepted

@@ -163,7 +163,7 @@ class TestOffsetSampling:
     def test_offset_search_finds_counterexample(self):
         """Synchronous release masks this miss; offsets reveal it.
 
-        Witness found by randomized search (see DESIGN.md §4.9): the
+        Witness found by randomized search (see README, "Design notes" §4.9): the
         synchronous pattern — the paper's coarse upper bound — survives,
         but some release offsets overload the device and miss.  This is
         precisely why §6 calls simulation only an upper bound.

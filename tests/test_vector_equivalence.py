@@ -1,5 +1,7 @@
 """Cross-validation: vectorized verdicts == scalar reference verdicts."""
 
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.core.dp import DpTest, AreaModel, dp_test
 from repro.core.gn1 import Gn1Test, Gn1Variant, gn1_test
 from repro.core.gn2 import Gn2Test, gn2_test
 from repro.fpga.device import Fpga
+from repro.incremental.analyzers import Gn2Analyzer
 from repro.gen.profiles import (
     GenerationProfile,
     paper_unconstrained,
@@ -247,3 +250,39 @@ class TestChunking:
                 bool(gn2_accepts(batch, 10)[0]),
             )
             assert got == expect
+
+
+class TestGn2LambdaBelowOne:
+    """GN2 skips every λ candidate with ``λ_k >= 1``.
+
+    On such a candidate both right-hand sides of Theorem 3 are zero or
+    negative, and the clamped ``A_i·min(β, 1-λ_k)`` sum can undercut
+    them, which accepted the WCET-inflated set below while rejecting
+    the original (GN2 was not monotone in the WCETs).
+    """
+
+    ORIGINAL = (
+        Task(wcet=F(6, 5), deadline=5, period=5, area=6, name="tau1"),
+        Task(wcet=F(1, 10), deadline=2, period=8, area=1, name="tau2"),
+    )
+    INFLATED = (
+        Task(wcet=2, deadline=5, period=5, area=6, name="tau1"),
+        Task(wcet=F(13, 20), deadline=2, period=8, area=1, name="tau2"),
+    )
+
+    @pytest.mark.parametrize("tasks", [ORIGINAL, INFLATED], ids=["original", "inflated"])
+    def test_rejected_on_every_path(self, tasks):
+        fpga = Fpga(width=10)
+        ts = TaskSet(tasks)
+        assert not gn2_test(ts, fpga).accepted
+        batch = TaskSetBatch.from_tasksets([ts])
+        assert not bool(gn2_accepts(batch, fpga.capacity)[0])
+        analyzer = Gn2Analyzer(gn2_test, fpga)
+        analyzer.refresh(list(tasks))
+        assert analyzer.verdict() is False
+        assert analyzer.result() == gn2_test(ts, fpga)
+
+    def test_check_lambda_refuses_nonpositive_slack(self):
+        terms = [(F(-1), F(0))]
+        for one_minus in (F(0), F(-1, 2)):
+            assert gn2_test.check_lambda(one_minus, F(5), F(1), terms) is None
