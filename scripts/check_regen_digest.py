@@ -6,60 +6,41 @@ Usage (from the repository root)::
     PYTHONPATH=src python scripts/check_regen_digest.py
 
 Runs ``scripts/regenerate_results.py`` at the setting pinned in
-``perfbench/regen_digest.json`` (``--samples``, ``--seed``) into a
-temporary directory, hashes its nine outputs the way the benchmark does
-(SHA-256 over each file name, a NUL byte and the file's bytes, in a fixed
-order) and compares the result with the pinned ``sha256``.  Prints the
-wall time and the child's peak resident set (``ru_maxrss``, i.e. its
-VmHWM).  Exits 1 on a mismatch; the reference file is only read.
+``perfbench/regen_digest.json`` into a temporary directory through the
+benchmark's own launcher (``perfbench/run.py``: ``regen_reference`` and
+``regen``), which owns the output list and the digest format, and
+compares the digest with the pinned one.  Prints the wall time and the
+child's ``ru_maxrss``: the larger of the regeneration's peak resident
+set and this process's resident set when it started it.  Exits 1 on a
+mismatch or a failed run; the reference file is only read.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-REFERENCE = ROOT / "perfbench" / "regen_digest.json"
-OUTPUTS = ("experiments_data.txt",) + tuple(
-    f"{fig}.{ext}" for fig in ("fig3a", "fig3b", "fig4a", "fig4b") for ext in ("csv", "svg")
-)
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-
-def digest(out_dir: Path) -> str:
-    h = hashlib.sha256()
-    for name in OUTPUTS:
-        h.update(name.encode() + b"\0" + (out_dir / name).read_bytes())
-    return h.hexdigest()
+import run as bench  # noqa: E402  (perfbench/run.py)
 
 
 def main() -> int:
-    ref = json.loads(REFERENCE.read_text())
+    args, pinned = bench.regen_reference()
+    bench.OUT.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        cmd = [
-            sys.executable, str(ROOT / "scripts" / "regenerate_results.py"),
-            "--samples", str(ref["samples"]), "--seed", str(ref["seed"]),
-            "--out", tmp,
-        ]
-        start = time.perf_counter()
-        proc = subprocess.Popen(cmd, cwd=ROOT, stdout=subprocess.DEVNULL)
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - start
-        if status != 0:
-            print(f"regeneration failed (wait status {status})")
+        try:
+            result = bench.regen(args, Path(tmp) / "results", "check-regen-digest")
+        except bench.BenchError as exc:
+            print(f"regeneration failed: {exc}")
             return 1
-        got = digest(Path(tmp))
-    print(f"wall {wall:.1f} s, VmHWM {usage.ru_maxrss / 1024:.1f} MB")
-    if got != ref["sha256"]:
-        print(f"digest {got} != pinned {ref['sha256']}")
+    print(f"wall {result.wall_s:.1f} s, ru_maxrss {result.rss_kib / 1024:.1f} MB")
+    if result.digest != pinned:
+        print(f"digest {result.digest} != pinned {pinned}")
         return 1
-    print(f"digest {got} matches perfbench/regen_digest.json")
+    print(f"digest {result.digest} matches perfbench/regen_digest.json")
     return 0
 
 

@@ -21,12 +21,13 @@ of :mod:`repro.sim` are kept as test oracles only.
 Every ablation fans its bucket axis into the *batch* dimension of
 :func:`repro.vector.sim_vec.simulate_batch`: all buckets are drawn
 first and simulated together through
-:func:`repro.experiments.acceptance.simulate_grid`, in calls of bounded
-size.  Both release-pattern searches fan their pattern axis in as
-well: a bucket's ``B`` tasksets are repeated ``P`` times (``B x P``
-rows, one pattern per repeat, each bucket's patterns drawn from its own
-stream) and reduced per taskset with "any failing pattern ⇒
-unschedulable".  The searched verdict is always *intersected* with the
+:func:`repro.vector.grid.simulate_grid`, in calls of bounded size.
+Both release-pattern searches fan their pattern axis in as well
+(:func:`repro.search.drivers.uniform_offset_search_grid` and its
+sporadic sibling): a bucket's ``B`` tasksets are repeated ``P`` times
+(``B x P`` rows, one pattern per repeat, each bucket's patterns drawn
+from its own stream) and reduced per taskset with "any failing pattern
+⇒ unschedulable".  The searched verdict is always *intersected* with the
 synchronous/periodic one, so the searched curve is pointwise <= the
 baseline curve by construction (a pattern search can only remove
 acceptances, never add them).
@@ -48,28 +49,28 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.experiments import acceptance
 from repro.experiments.acceptance import (
     AcceptanceCurves,
     AcceptanceSeries,
     acceptance_experiment,
     feasible_batch_at,
-    grid_chunks,
-    simulate_grid,
 )
 from repro.fpga.device import Fpga
 from repro.fpga.placement import PlacementPolicy
 from repro.gen.profiles import GenerationProfile, paper_unconstrained
+from repro.search.adaptive import round_sizes
 from repro.search.drivers import (
     adaptive_offset_search_batch,
     adaptive_sporadic_search_batch,
-    fan_rows,
+    uniform_offset_search_grid,
+    uniform_sporadic_search_grid,
 )
 from repro.search.proposal import SearchConfig
 from repro.sim.simulator import MigrationMode
 from repro.util.rngutil import rng_from_seed, spawn_rngs
+from repro.vector import grid
 from repro.vector.batch import TaskSetBatch
-from repro.vector.sim_vec import sample_offsets_batch
+from repro.vector.grid import simulate_grid, split_rows, stack_rows
 
 
 def _draw_buckets(
@@ -83,50 +84,56 @@ def _draw_buckets(
     ]
 
 
-def _intersect_patterns(
-    searched: List[np.ndarray], fanned_ok: List[np.ndarray], patterns: int
-) -> None:
-    """Clear each taskset whose fanned patterns saw any miss."""
-    for verdict, ok in zip(searched, fanned_ok):
-        verdict &= ok.reshape(-1, patterns).all(axis=1)
+def _bucket_rngs(seed: int, buckets: int) -> List[np.random.Generator]:
+    """The uniform searches' pattern streams, one per bucket."""
+    return [rng_from_seed(seed * 1000 + i) for i in range(buckets)]
 
 
 def _adaptive_search(
     driver, batches: List[TaskSetBatch], searched: List[np.ndarray],
-    fpga: Fpga, seed: int, rows: int, *, budget: int, **kwargs,
+    fpga: Fpga, seed: int, rows: int, *, budget: int, config: SearchConfig,
+    **kwargs,
 ) -> None:
     """Run an adaptive search ``driver`` over the baseline survivors of
     every bucket, merged into calls that simulate at most ``rows`` rows
-    per round, and clear the tasksets it finds a miss for.
+    in their largest round, and clear the tasksets it finds a miss for.
 
     Only survivors are searched: a failing row's searched verdict is
     already False.  Every taskset draws from its own child stream of
     its bucket's seed, so rows replay exactly as in a per-bucket search
     whichever call they land in.
     """
-    survivors, streams = [], []
-    for i, (batch, ok) in enumerate(zip(batches, searched)):
-        live = np.nonzero(ok)[0]
-        pattern_rngs = spawn_rngs(seed * 1000 + i, batch.count)
-        survivors.append(_batch_rows(batch, live))
-        streams.append((live, [pattern_rngs[b] for b in live]))
-    for chunk, parts in grid_chunks(survivors, rows // max(1, budget)):
-        outcome = driver(
-            chunk, fpga, "EDF-NF", budget=budget,
-            rngs=[rng for i, lo, hi in parts for rng in streams[i][1][lo:hi]],
-            **kwargs,
-        )
-        at = 0
-        for i, lo, hi in parts:
-            found = outcome.found[at:at + hi - lo]
-            searched[i][streams[i][0][lo:hi][found]] = False
-            at += hi - lo
+    live = [np.nonzero(ok)[0] for ok in searched]
+    rngs = []
+    for i, (batch, idx) in enumerate(zip(batches, live)):
+        streams = spawn_rngs(seed * 1000 + i, batch.count)
+        rngs.extend(streams[b] for b in idx)
+    if not rngs:
+        return
+    survivors = stack_rows([_batch_rows(b, idx) for b, idx in zip(batches, live)])
+    found = np.empty(survivors.count, dtype=bool)
+    per_call = rows // max(round_sizes(budget, config.rounds))
+    for part in grid.row_slices(survivors.count, per_call):
+        found[part] = driver(
+            survivors.rows(part), fpga, "EDF-NF", budget=budget,
+            rngs=rngs[part], config=config, **kwargs,
+        ).found
+    for ok, idx, hit in zip(searched, live, split_rows(found, [len(i) for i in live])):
+        ok[idx[hit]] = False
 
 
 def _batch_rows(batch: TaskSetBatch, idx: "np.ndarray") -> TaskSetBatch:
     return TaskSetBatch(
         batch.wcet[idx], batch.period[idx], batch.deadline[idx], batch.area[idx]
     )
+
+
+def _baseline(
+    batches: List[TaskSetBatch], fpga: Fpga, horizon_factor: int
+) -> List[np.ndarray]:
+    """Each bucket's synchronous-periodic EDF-NF verdicts."""
+    [res] = simulate_grid(batches, fpga, [{}], horizon_factor=horizon_factor)
+    return split_rows(res.schedulable, [batch.count for batch in batches])
 
 
 def _search_config(search: str, search_rounds: int, elite_frac: float) -> SearchConfig:
@@ -215,9 +222,10 @@ def placement_ablation(
         [dict(mode=mode, placement_policy=policy) for _, mode, policy in configs],
         horizon_factor=horizon_factor,
     )
+    sizes = [batch.count for batch in batches]
     ratios: Dict[str, list] = {
-        label: [float(ok.mean()) for ok in verdicts]
-        for (label, _, _), (verdicts, _) in zip(configs, results)
+        label: [float(ok.mean()) for ok in split_rows(res.schedulable, sizes)]
+        for (label, _, _), res in zip(configs, results)
     }
     buckets = tuple(float(u) for u in us_grid)
     return AcceptanceCurves(
@@ -275,25 +283,21 @@ def offset_ablation(
     config = _search_config(search, search_rounds, elite_frac)
     fpga = Fpga(width=100)
     batches = _draw_buckets(profile, us_grid, samples, seed)
-    [(sync, _)] = simulate_grid(batches, fpga, [{}], horizon_factor=horizon_factor)
+    sync = _baseline(batches, fpga, horizon_factor)
     searched = [ok.copy() for ok in sync]
     if offset_samples:
         if search == "uniform":
-            # One taskset-major stream per bucket: the draws of
-            # uniform_offset_search_batch on the bucket alone.
-            fanned = [fan_rows(batch, offset_samples) for batch in batches]
-            offsets = [
-                sample_offsets_batch(rows, rng_from_seed(seed * 1000 + i))
-                for i, rows in enumerate(fanned)
-            ]
-            [(ok, _)] = simulate_grid(
-                fanned, fpga, [{}], offsets=offsets, horizon_factor=horizon_factor
+            outcomes = uniform_offset_search_grid(
+                batches, fpga, patterns=offset_samples,
+                rngs=_bucket_rngs(seed, len(batches)),
+                horizon_factor=horizon_factor,
             )
-            _intersect_patterns(searched, ok, offset_samples)
+            for ok, outcome in zip(searched, outcomes):
+                ok &= ~outcome.found
         else:
             _adaptive_search(
                 adaptive_offset_search_batch, batches, searched, fpga, seed,
-                acceptance.GRID_ROWS_PER_CALL,
+                grid.GRID_ROWS_PER_CALL,
                 budget=offset_samples, config=config,
                 horizon_factor=horizon_factor,
             )
@@ -350,28 +354,22 @@ def sporadic_ablation(
     config = _search_config(search, search_rounds, elite_frac)
     fpga = Fpga(width=100)
     batches = _draw_buckets(profile, us_grid, samples, seed)
-    [(periodic, _)] = simulate_grid(
-        batches, fpga, [{}], horizon_factor=horizon_factor
-    )
+    periodic = _baseline(batches, fpga, horizon_factor)
     searched = [ok.copy() for ok in periodic]
     if sporadic_samples:
         if search == "uniform":
-            # One stream per bucket: the schedules
-            # uniform_sporadic_search_batch draws on the bucket alone.
-            [(ok, _)] = simulate_grid(
-                [fan_rows(batch, sporadic_samples) for batch in batches],
-                fpga, [{}],
-                release_rngs=[
-                    rng_from_seed(seed * 1000 + i) for i in range(len(batches))
-                ],
-                jitter=jitter,
+            outcomes = uniform_sporadic_search_grid(
+                batches, fpga, patterns=sporadic_samples,
+                rngs=_bucket_rngs(seed, len(batches)),
+                max_jitter_factor=jitter,
                 horizon_factor=horizon_factor,
             )
-            _intersect_patterns(searched, ok, sporadic_samples)
+            for ok, outcome in zip(searched, outcomes):
+                ok &= ~outcome.found
         else:
             _adaptive_search(
                 adaptive_sporadic_search_batch, batches, searched, fpga, seed,
-                acceptance.TABLE_ROWS_PER_CALL,
+                grid.TABLE_ROWS_PER_CALL,
                 budget=sporadic_samples, max_jitter_factor=jitter,
                 config=config, horizon_factor=horizon_factor,
             )

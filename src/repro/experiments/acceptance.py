@@ -20,18 +20,16 @@ get cheap, knife-edge buckets get the full budget.
 
 A grid runs as one bounded pass: every bucket is drawn first, from its
 own stream, and the buckets' rows are then concatenated into analytic
-and simulator calls of bounded size (:data:`GRID_ROWS_PER_CALL`,
-:data:`TABLE_ROWS_PER_CALL`; see :func:`grid_chunks` and
-:func:`simulate_grid`), whose per-row verdicts
-split back by row offsets.  Rows never interact, so the curves equal the
-per-bucket ones bit for bit.
+and simulator calls of bounded size (:mod:`repro.vector.grid`), whose
+per-row verdicts split back per bucket.  Rows never interact, so the
+curves equal the per-bucket ones bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,15 +38,12 @@ from repro.fpga.placement import PlacementPolicy
 from repro.gen.profiles import GenerationProfile
 from repro.sim.simulator import MigrationMode
 from repro.util.rngutil import rng_from_seed, spawn_rngs
+from repro.vector import grid
 from repro.vector.batch import TaskSetBatch, generate_batch, raw_draws, sequential_sum
 from repro.vector.dp_vec import dp_accepts
 from repro.vector.gn1_vec import gn1_accepts
 from repro.vector.gn2_vec import gn2_accepts
-from repro.vector.sim_vec import (
-    default_horizon_batch,
-    sample_release_times_batch,
-    simulate_batch,
-)
+from repro.vector.grid import simulate_grid, split_rows, stack_rows
 
 #: 95% two-sided normal quantile for the ``ci_target`` bucket sizing.
 _CI_Z = 1.96
@@ -58,17 +53,6 @@ _CI_PILOT_MIN = 32
 #: Rows per block when :func:`binned_batch_at` filters a round's draws:
 #: bounds the ``wcet``/``US`` temporaries to a block, not a round.
 _BIN_BLOCK = 4096
-
-#: Most rows one merged :func:`simulate_batch` call takes.  A call runs
-#: until its slowest row is decided, and its per-pass cost is paid once
-#: for all its rows, so large calls are much cheaper per row; periodic
-#: simulator state costs about 1.5 kB per row at N=10.
-GRID_ROWS_PER_CALL = 8192
-
-#: Most rows one merged call takes when every row carries a table: the
-#: analytic tests' ``(N, N)`` pair terms and sporadic release schedules
-#: (about 17 kB per row at N=10 and ``horizon_factor=20``).
-TABLE_ROWS_PER_CALL = 512
 
 #: Vectorized analytical tests available to the engine.
 TEST_FUNCS = {
@@ -183,7 +167,7 @@ def feasible_batch_at(
             f"profile {profile.name!r} cannot reach US={us_target}: "
             f"only {have}/{count} feasible samples in {max_rounds} rounds"
         )
-    return _stack_rows(kept, count)
+    return stack_rows(kept).rows(slice(0, count))
 
 
 def binned_batch_at(
@@ -243,7 +227,7 @@ def binned_batch_at(
             draw_size = min(chunk, draw_size * 4)
     if have == 0:
         return None
-    return _stack_rows(kept, count)
+    return stack_rows(kept).rows(slice(0, count))
 
 
 def _bin_rows(
@@ -271,144 +255,6 @@ def _bin_rows(
                 )
             )
     return kept
-
-
-def _stack_rows(batches: Sequence[TaskSetBatch], count: int) -> TaskSetBatch:
-    """The first ``count`` rows of ``batches`` concatenated."""
-    return TaskSetBatch(
-        np.concatenate([b.wcet for b in batches])[:count],
-        np.concatenate([b.period for b in batches])[:count],
-        np.concatenate([b.deadline for b in batches])[:count],
-        np.concatenate([b.area for b in batches])[:count],
-    )
-
-
-def grid_chunks(
-    batches: Sequence[TaskSetBatch], rows: int
-) -> Iterator[Tuple[TaskSetBatch, List[Tuple[int, int, int]]]]:
-    """The rows of ``batches``, concatenated in order, in chunks of at
-    most ``rows`` rows (at least one).
-
-    Yields ``(chunk, parts)``: ``parts`` lists ``(i, lo, hi)`` — rows
-    ``lo:hi`` of ``batches[i]`` — in the order they sit in ``chunk``.
-    Rows are independent in every vector kernel, so a row's result in a
-    chunk equals its result in its own batch.
-    """
-    cap = max(1, rows)
-    parts: List[Tuple[int, int, int]] = []
-    room = cap
-    for i, batch in enumerate(batches):
-        lo = 0
-        while lo < batch.count:
-            hi = min(batch.count, lo + room)
-            parts.append((i, lo, hi))
-            room -= hi - lo
-            lo = hi
-            if room == 0:
-                yield _chunk_of(batches, parts), parts
-                parts, room = [], cap
-    if parts:
-        yield _chunk_of(batches, parts), parts
-
-
-def _chunk_of(
-    batches: Sequence[TaskSetBatch], parts: Sequence[Tuple[int, int, int]]
-) -> TaskSetBatch:
-    if len(parts) == 1:
-        i, lo, hi = parts[0]
-        return batches[i].rows(slice(lo, hi))
-    return _stack_rows(
-        [batches[i].rows(slice(lo, hi)) for i, lo, hi in parts],
-        sum(hi - lo for _, lo, hi in parts),
-    )
-
-
-def _release_tables(
-    batches: Sequence[TaskSetBatch],
-    parts: Sequence[Tuple[int, int, int]],
-    release_rngs: Sequence[np.random.Generator],
-    horizon_factor: int,
-    jitter: float,
-) -> np.ndarray:
-    """Sporadic schedules for a chunk: each part sampled from its own
-    batch's stream, ``+inf``-padded to a common length."""
-    tables = []
-    for i, lo, hi in parts:
-        rows = batches[i].rows(slice(lo, hi))
-        tables.append(
-            sample_release_times_batch(
-                rows,
-                default_horizon_batch(rows, factor=horizon_factor),
-                release_rngs[i],
-                jitter,
-            )
-        )
-    if len(tables) == 1:
-        return tables[0]
-    shape = (
-        sum(t.shape[0] for t in tables),
-        tables[0].shape[1],
-        max(t.shape[2] for t in tables),
-    )
-    out = np.full(shape, np.inf, dtype=np.float64)
-    at = 0
-    for table in tables:
-        out[at:at + table.shape[0], :, :table.shape[2]] = table
-        at += table.shape[0]
-    return out
-
-
-def simulate_grid(
-    batches: Sequence[TaskSetBatch],
-    fpga: Fpga,
-    configs: Sequence[Dict[str, object]],
-    *,
-    offsets: Optional[Sequence[np.ndarray]] = None,
-    release_rngs: Optional[Sequence[np.random.Generator]] = None,
-    jitter: float = 0.5,
-    horizon_factor: int = 20,
-    **common: object,
-) -> List[Tuple[List[np.ndarray], int]]:
-    """Simulate every row of ``batches`` under each of ``configs``, the
-    batches merged into :func:`simulate_batch` calls of at most
-    :data:`GRID_ROWS_PER_CALL` rows (:data:`TABLE_ROWS_PER_CALL` under
-    sporadic release).
-
-    ``configs`` holds each curve's own :func:`simulate_batch` keywords
-    (``scheduler``, ``mode``, ``placement_policy``); ``common`` the
-    shared ones.  ``offsets`` gives each batch's ``(rows, N)`` first
-    releases.  ``release_rngs`` switches to sporadic release: each
-    batch's schedules come from its own stream, sampled in row order a
-    chunk at a time (the same draws as one sample over the whole
-    batch), and every config replays the same schedules (paired curves).
-
-    Returns, per config, each batch's ``schedulable`` array and the
-    number of rows that ran out of event budget.
-    """
-    verdicts = [[np.empty(b.count, dtype=bool) for b in batches] for _ in configs]
-    exceeded = [0] * len(configs)
-    rows = GRID_ROWS_PER_CALL if release_rngs is None else TABLE_ROWS_PER_CALL
-    for chunk, parts in grid_chunks(batches, rows):
-        kwargs = dict(common)
-        if offsets is not None:
-            kwargs["offsets"] = np.concatenate(
-                [offsets[i][lo:hi] for i, lo, hi in parts]
-            )
-        if release_rngs is not None:
-            kwargs["release"] = "sporadic"
-            kwargs["release_times"] = _release_tables(
-                batches, parts, release_rngs, horizon_factor, jitter
-            )
-        for c, config in enumerate(configs):
-            res = simulate_batch(
-                chunk, fpga, horizon_factor=horizon_factor, **config, **kwargs
-            )
-            at = 0
-            for i, lo, hi in parts:
-                verdicts[c][i][lo:hi] = res.schedulable[at:at + hi - lo]
-                at += hi - lo
-            exceeded[c] += int(res.budget_exceeded.sum())
-    return list(zip(verdicts, exceeded))
 
 
 def _ci_required_samples(counts: Dict[str, List[int]], ci_target: float) -> int:
@@ -581,16 +427,19 @@ def acceptance_experiment(
         ``counts``, every bucket's rows merged into capped calls."""
         nonlocal budget_exceeded
         index = [i for i, batch in enumerate(draws) if batch is not None]
+        if not index:
+            return
         batches = [draws[i] for i in index]
-        for chunk, parts in grid_chunks(batches, TABLE_ROWS_PER_CALL):
-            for test in tests:
-                mask = TEST_FUNCS[test](chunk, capacity)
-                at = 0
-                for j, lo, hi in parts:
-                    count = counts[index[j]][test]
-                    count[0] += int(mask[at:at + hi - lo].sum())
-                    count[1] += hi - lo
-                    at += hi - lo
+        sizes = [batch.count for batch in batches]
+        flat = stack_rows(batches)
+        for test in tests:
+            mask = np.empty(flat.count, dtype=bool)
+            for rows in grid.row_slices(flat.count, grid.TABLE_ROWS_PER_CALL):
+                mask[rows] = TEST_FUNCS[test](flat.rows(rows), capacity)
+            for i, hits in zip(index, split_rows(mask, sizes)):
+                counts[i][test][0] += int(hits.sum())
+                counts[i][test][1] += hits.shape[0]
+        del flat
         if not sim_configs or sim_n <= 0:
             return
         subs = [
@@ -608,12 +457,12 @@ def acceptance_experiment(
             max_events=max_events,
             sim_workers=sim_workers,
         )
-        for sched, (verdicts, exceeded) in zip(sim_schedulers, results):
-            for i, ok in zip(index, verdicts):
-                count = counts[i][f"sim:{sched}"]
-                count[0] += int(ok.sum())
-                count[1] += ok.shape[0]
-            budget_exceeded += exceeded
+        for sched, res in zip(sim_schedulers, results):
+            parts = split_rows(res.schedulable, [sub.count for sub in subs])
+            for i, ok in zip(index, parts):
+                counts[i][f"sim:{sched}"][0] += int(ok.sum())
+                counts[i][f"sim:{sched}"][1] += ok.shape[0]
+            budget_exceeded += res.budget_exceeded
 
     if ci_target is None:
         first_n = samples_per_point

@@ -47,7 +47,9 @@ _DRIVER_EXPORTS = (
     "adaptive_offset_search_batch",
     "adaptive_sporadic_search_batch",
     "uniform_offset_search_batch",
+    "uniform_offset_search_grid",
     "uniform_sporadic_search_batch",
+    "uniform_sporadic_search_grid",
 )
 
 __all__ = [

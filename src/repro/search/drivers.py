@@ -4,7 +4,9 @@ The four entry points — uniform/adaptive x offsets/sporadic — fan the
 pattern axis into the batch dimension of
 :func:`repro.vector.sim_vec.simulate_batch` (rows repeated
 consecutively, one pattern per repeat) and score with its ``min_slack``
-channel.  Sampling uses per-row numpy generators for scalar-twin
+channel.  The uniform searches also run over a list of batches with one
+generator each (``uniform_*_search_grid``), their fanned rows merged
+into capped calls; the one-batch drivers are that case.  Sampling uses per-row numpy generators for scalar-twin
 parity; the pattern mappings live in :mod:`repro.search.patterns`.
 
 This module imports :mod:`repro.vector` and therefore loads lazily via
@@ -14,7 +16,7 @@ the package ``__getattr__`` (the scalar twins sit *underneath*
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Callable, List, Sequence, Union
 
 import numpy as np
 
@@ -24,7 +26,12 @@ from repro.search.adaptive import SearchOutcome, adaptive_pattern_search
 from repro.search.patterns import offsets_from_unit, release_times_from_unit
 from repro.search.proposal import SearchConfig
 from repro.vector.batch import TaskSetBatch
-from repro.vector.sim_vec import default_horizon_batch, simulate_batch
+from repro.vector.grid import GridResult, simulate_grid, split_rows
+from repro.vector.sim_vec import (
+    default_horizon_batch,
+    sample_offsets_batch,
+    simulate_batch,
+)
 
 
 def _host_batch(batch: TaskSetBatch) -> TaskSetBatch:
@@ -62,6 +69,73 @@ def _trivial_outcome(count: int) -> SearchOutcome:
     )
 
 
+def _uniform_search_grid(
+    batches: Sequence[TaskSetBatch],
+    patterns: int,
+    rngs: Sequence[np.random.Generator],
+    simulate: Callable[[List[TaskSetBatch]], GridResult],
+) -> List[SearchOutcome]:
+    """Fan ``patterns`` repeats of every row of ``batches``, simulate the
+    fanned batches with ``simulate`` (one pattern per repeat, batch
+    ``i``'s patterns drawn from ``rngs[i]``) and reduce each row with
+    "any miss => found"."""
+    if patterns < 0:
+        raise ValueError("patterns must be >= 0")
+    if len(rngs) != len(batches):
+        raise ValueError(f"need one rng per batch: {len(rngs)} != {len(batches)}")
+    hosts = [_host_batch(batch) for batch in batches]
+    if patterns == 0:
+        return [_trivial_outcome(host.count) for host in hosts]
+    res = simulate([fan_rows(host, patterns) for host in hosts])
+    counts = [host.count for host in hosts]
+    oks = split_rows(res.schedulable.reshape(-1, patterns), counts)
+    slacks = split_rows(res.min_slack.reshape(-1, patterns), counts)
+    return [
+        SearchOutcome(
+            found=~ok.all(axis=1),
+            min_slack=slack.min(axis=1),
+            patterns_used=np.full(count, patterns, dtype=np.int64),
+            rounds_run=1,
+        )
+        if count else _trivial_outcome(0)
+        for ok, slack, count in zip(oks, slacks, counts)
+    ]
+
+
+def uniform_offset_search_grid(
+    batches: Sequence[TaskSetBatch],
+    fpga: Union[float, Fpga],
+    scheduler: Union[str, Scheduler] = "EDF-NF",
+    *,
+    patterns: int,
+    rngs: Sequence[np.random.Generator],
+    horizon_factor: int = 20,
+    max_events: int = 1_000_000,
+) -> List[SearchOutcome]:
+    """Uniform offset search over several batches, one generator each,
+    their fanned rows merged into capped simulator calls
+    (:func:`repro.vector.grid.simulate_grid`).
+
+    Draws ``patterns`` assignments per row — taskset-major, uniform in
+    ``[0, T_i)``, the exact stream order of per-taskset
+    :func:`repro.sim.offsets.sample_offsets` calls on ``rngs[i]`` — and
+    reduces with "any miss => found".  Each pattern's window is extended
+    by its largest offset inside ``simulate_batch`` (the
+    horizon-extension rule).
+    """
+
+    def simulate(fanned: List[TaskSetBatch]) -> GridResult:
+        [res] = simulate_grid(
+            fanned, fpga, [dict(scheduler=scheduler)],
+            offsets=[sample_offsets_batch(rows, rng) for rows, rng in zip(fanned, rngs)],
+            horizon_factor=horizon_factor,
+            max_events=max_events,
+        )
+        return res
+
+    return _uniform_search_grid(batches, patterns, rngs, simulate)
+
+
 def uniform_offset_search_batch(
     batch: TaskSetBatch,
     fpga: Union[float, Fpga],
@@ -72,38 +146,13 @@ def uniform_offset_search_batch(
     horizon_factor: int = 20,
     max_events: int = 1_000_000,
 ) -> SearchOutcome:
-    """Legacy uniform offset search as one batched sweep.
-
-    Draws ``patterns`` assignments per row — taskset-major ``(B, P, N)``
-    uniform in ``[0, T_i)``, the exact stream order of per-taskset
-    :func:`repro.sim.offsets.sample_offsets` calls — fans them into the
-    batch dimension, and reduces with "any miss => found".  Each
-    pattern's window is extended by its largest offset inside
-    ``simulate_batch`` (the horizon-extension rule).
-    """
-    if patterns < 0:
-        raise ValueError("patterns must be >= 0")
-    host = _host_batch(batch)
-    if patterns == 0 or host.count == 0:
-        return _trivial_outcome(host.count)
-    b, n = host.count, host.n_tasks
-    high = np.broadcast_to(host.period[:, None, :], (b, patterns, n))
-    offs = rng.uniform(0.0, high)
-    res = simulate_batch(
-        fan_rows(host, patterns),
-        fpga,
-        scheduler,
-        offsets=offs.reshape(-1, n),
-        horizon_factor=horizon_factor,
-        max_events=max_events,
+    """Legacy uniform offset search as one batched sweep: the one-batch
+    :func:`uniform_offset_search_grid`."""
+    [outcome] = uniform_offset_search_grid(
+        [batch], fpga, scheduler, patterns=patterns, rngs=[rng],
+        horizon_factor=horizon_factor, max_events=max_events,
     )
-    ok = res.schedulable.reshape(b, patterns)
-    return SearchOutcome(
-        found=~ok.all(axis=1),
-        min_slack=res.min_slack.reshape(b, patterns).min(axis=1),
-        patterns_used=np.full(b, patterns, dtype=np.int64),
-        rounds_run=1,
-    )
+    return outcome
 
 
 def adaptive_offset_search_batch(
@@ -150,6 +199,39 @@ def adaptive_offset_search_batch(
     )
 
 
+def uniform_sporadic_search_grid(
+    batches: Sequence[TaskSetBatch],
+    fpga: Union[float, Fpga],
+    scheduler: Union[str, Scheduler] = "EDF-NF",
+    *,
+    patterns: int,
+    rngs: Sequence[np.random.Generator],
+    max_jitter_factor: float = 0.5,
+    horizon_factor: int = 20,
+    max_events: int = 1_000_000,
+) -> List[SearchOutcome]:
+    """Uniform sporadic search over several batches, one generator each,
+    their fanned rows merged into capped simulator calls.
+
+    Draws one per-gap jittered schedule per fanned row of batch ``i``
+    from ``rngs[i]`` — the exact stream of sequential per-taskset
+    :func:`repro.sim.sporadic.sample_release_schedule` calls — and
+    reduces with "any miss => found".
+    """
+
+    def simulate(fanned: List[TaskSetBatch]) -> GridResult:
+        [res] = simulate_grid(
+            fanned, fpga, [dict(scheduler=scheduler)],
+            release_rngs=rngs,
+            jitter=max_jitter_factor,
+            horizon_factor=horizon_factor,
+            max_events=max_events,
+        )
+        return res
+
+    return _uniform_search_grid(batches, patterns, rngs, simulate)
+
+
 def uniform_sporadic_search_batch(
     batch: TaskSetBatch,
     fpga: Union[float, Fpga],
@@ -161,36 +243,14 @@ def uniform_sporadic_search_batch(
     horizon_factor: int = 20,
     max_events: int = 1_000_000,
 ) -> SearchOutcome:
-    """Legacy uniform sporadic search as one batched sweep.
-
-    Fans ``patterns`` repeats per row and lets ``simulate_batch`` draw
-    one per-gap jittered schedule per fanned row from ``rng`` — the
-    exact stream of sequential per-taskset
-    :func:`repro.sim.sporadic.sample_release_schedule` calls.
-    """
-    if patterns < 0:
-        raise ValueError("patterns must be >= 0")
-    host = _host_batch(batch)
-    if patterns == 0 or host.count == 0:
-        return _trivial_outcome(host.count)
-    b = host.count
-    res = simulate_batch(
-        fan_rows(host, patterns),
-        fpga,
-        scheduler,
-        release="sporadic",
-        jitter=max_jitter_factor,
-        rng=rng,
-        horizon_factor=horizon_factor,
-        max_events=max_events,
+    """Legacy uniform sporadic search as one batched sweep: the
+    one-batch :func:`uniform_sporadic_search_grid`."""
+    [outcome] = uniform_sporadic_search_grid(
+        [batch], fpga, scheduler, patterns=patterns, rngs=[rng],
+        max_jitter_factor=max_jitter_factor,
+        horizon_factor=horizon_factor, max_events=max_events,
     )
-    ok = res.schedulable.reshape(b, patterns)
-    return SearchOutcome(
-        found=~ok.all(axis=1),
-        min_slack=res.min_slack.reshape(b, patterns).min(axis=1),
-        patterns_used=np.full(b, patterns, dtype=np.int64),
-        rounds_run=1,
-    )
+    return outcome
 
 
 def adaptive_sporadic_search_batch(

@@ -1,0 +1,171 @@
+"""Merged simulator calls over a grid of batches.
+
+An experiment grid is a list of batches (one per utilization bucket, or
+per bucket and release pattern).  :func:`simulate_grid` concatenates
+their rows once and simulates the flat batch in capped
+:func:`~repro.vector.sim_vec.simulate_batch` calls; its results are flat
+arrays over the concatenated rows, which :func:`split_rows` cuts back
+per batch.  Rows never interact in any vector kernel, so a row's
+verdict does not depend on which call it lands in.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
+
+from repro.fpga.device import Fpga
+from repro.vector.batch import TaskSetBatch
+from repro.vector.sim_vec import (
+    default_horizon_batch,
+    sample_release_times_batch,
+    simulate_batch,
+)
+from repro.vector.xp import host as np
+
+#: Most rows one merged :func:`simulate_batch` call takes.  A call runs
+#: until its slowest row is decided, and its per-pass cost is paid once
+#: for all its rows, so large calls are much cheaper per row; periodic
+#: simulator state costs about 1.5 kB per row at N=10.
+GRID_ROWS_PER_CALL = 8192
+
+#: Most rows one merged call takes when every row carries a table: the
+#: analytic tests' ``(N, N)`` pair terms and sporadic release schedules
+#: (about 17 kB per row at N=10 and ``horizon_factor=20``).
+TABLE_ROWS_PER_CALL = 512
+
+
+@dataclass(frozen=True)
+class GridResult:
+    """One configuration's per-row results over the concatenated rows."""
+
+    schedulable: "np.ndarray"  # (rows,) bool
+    min_slack: "np.ndarray"  # (rows,) float64
+    #: Rows that ran out of event budget.
+    budget_exceeded: int
+
+
+def stack_rows(batches: Sequence[TaskSetBatch]) -> TaskSetBatch:
+    """The rows of ``batches`` (at least one), concatenated in order."""
+    if len(batches) == 1:
+        return batches[0]
+    return TaskSetBatch(
+        np.concatenate([b.wcet for b in batches]),
+        np.concatenate([b.period for b in batches]),
+        np.concatenate([b.deadline for b in batches]),
+        np.concatenate([b.area for b in batches]),
+    )
+
+
+def split_rows(flat: "np.ndarray", counts: Sequence[int]) -> List["np.ndarray"]:
+    """``flat``, indexed by concatenated row, cut into per-batch parts of
+    ``counts`` rows."""
+    return np.split(flat, np.cumsum(counts)[:-1])
+
+
+def row_slices(total: int, cap: int) -> List[slice]:
+    """Consecutive slices of at most ``cap`` (at least one) rows covering
+    ``range(total)``."""
+    cap = max(1, cap)
+    return [slice(lo, min(total, lo + cap)) for lo in range(0, total, cap)]
+
+
+def _release_tables(
+    flat: TaskSetBatch,
+    rows: slice,
+    starts: "np.ndarray",
+    release_rngs: Sequence["np.random.Generator"],
+    horizon_factor: int,
+    jitter: float,
+) -> "np.ndarray":
+    """Sporadic schedules for ``flat.rows(rows)``: the rows of batch
+    ``i`` (``starts[i]:starts[i+1]``) sampled from ``release_rngs[i]``,
+    ``+inf``-padded to a common length."""
+    tables = []
+    first = int(np.searchsorted(starts, rows.start, side="right")) - 1
+    for i in range(first, len(release_rngs)):
+        lo, hi = max(rows.start, starts[i]), min(rows.stop, starts[i + 1])
+        if lo >= rows.stop:
+            break
+        if hi > lo:
+            part = flat.rows(slice(lo, hi))
+            tables.append(
+                sample_release_times_batch(
+                    part,
+                    default_horizon_batch(part, factor=horizon_factor),
+                    release_rngs[i],
+                    jitter,
+                )
+            )
+    if len(tables) == 1:
+        return tables[0]
+    out = np.full(
+        (rows.stop - rows.start, flat.n_tasks, max(t.shape[2] for t in tables)),
+        np.inf,
+        dtype=np.float64,
+    )
+    at = 0
+    for table in tables:
+        out[at:at + table.shape[0], :, :table.shape[2]] = table
+        at += table.shape[0]
+    return out
+
+
+def simulate_grid(
+    batches: Sequence[TaskSetBatch],
+    fpga: Fpga,
+    configs: Sequence[Dict[str, object]],
+    *,
+    offsets: Optional[Sequence["np.ndarray"]] = None,
+    release_rngs: Optional[Sequence["np.random.Generator"]] = None,
+    jitter: float = 0.5,
+    horizon_factor: int = 20,
+    **common: object,
+) -> List[GridResult]:
+    """Simulate every row of ``batches`` under each of ``configs``, the
+    batches merged into :func:`simulate_batch` calls of at most
+    :data:`GRID_ROWS_PER_CALL` rows (:data:`TABLE_ROWS_PER_CALL` under
+    sporadic release).
+
+    ``configs`` holds each curve's own :func:`simulate_batch` keywords
+    (``scheduler``, ``mode``, ``placement_policy``); ``common`` the
+    shared ones.  ``offsets`` gives each batch's ``(rows, N)`` first
+    releases.  ``release_rngs`` switches to sporadic release: each
+    batch's schedules come from its own stream, sampled in row order a
+    call at a time (the same draws as one sample over the whole batch),
+    and every config replays the same schedules (paired curves).
+
+    Returns one :class:`GridResult` per config, over the rows of
+    ``batches`` in order.
+    """
+    counts = [b.count for b in batches]
+    total = sum(counts)
+    schedulable = [np.empty(total, dtype=bool) for _ in configs]
+    min_slack = [np.empty(total, dtype=np.float64) for _ in configs]
+    exceeded = [0] * len(configs)
+    if total:
+        flat = stack_rows(batches)
+        flat_offsets = None if offsets is None else np.concatenate(offsets)
+        starts = np.concatenate([[0], np.cumsum(counts)])
+        cap = GRID_ROWS_PER_CALL if release_rngs is None else TABLE_ROWS_PER_CALL
+        for rows in row_slices(total, cap):
+            kwargs = dict(common)
+            if flat_offsets is not None:
+                kwargs["offsets"] = flat_offsets[rows]
+            if release_rngs is not None:
+                kwargs["release"] = "sporadic"
+                kwargs["release_times"] = _release_tables(
+                    flat, rows, starts, release_rngs, horizon_factor, jitter
+                )
+            for c, config in enumerate(configs):
+                res = simulate_batch(
+                    flat.rows(rows), fpga, horizon_factor=horizon_factor,
+                    **config, **kwargs,
+                )
+                schedulable[c][rows] = res.schedulable
+                min_slack[c][rows] = res.min_slack
+                exceeded[c] += int(res.budget_exceeded.sum())
+    return [
+        GridResult(ok, slack, n)
+        for ok, slack, n in zip(schedulable, min_slack, exceeded)
+    ]

@@ -20,7 +20,6 @@ from repro.experiments.acceptance import (
     acceptance_experiment,
     binned_batch_at,
     feasible_batch_at,
-    grid_chunks,
 )
 from repro.fpga.device import Fpga
 from repro.fpga.placement import PlacementPolicy
@@ -29,9 +28,17 @@ from repro.gen.profiles import (
     paper_unconstrained,
     spatially_light_temporally_heavy,
 )
+from repro.search.drivers import (
+    uniform_offset_search_batch,
+    uniform_offset_search_grid,
+    uniform_sporadic_search_batch,
+    uniform_sporadic_search_grid,
+)
 from repro.sim.simulator import MigrationMode
 from repro.util.rngutil import rng_from_seed, spawn_rngs
+from repro.vector import grid
 from repro.vector.batch import TaskSetBatch, generate_batch
+from repro.vector.grid import split_rows, stack_rows
 from repro.vector.sim_vec import (
     default_horizon_batch,
     sample_release_times_batch,
@@ -134,37 +141,92 @@ class TestBlockFilteredBinning:
         assert peak <= 16 * 2**20, peak / 2**20
 
 
-class TestGridChunks:
+class TestGridRows:
     def _batches(self, sizes):
         rng = rng_from_seed(5)
-        return [generate_batch(paper_unconstrained(3), n, rng) for n in sizes]
+        return [generate_batch(paper_unconstrained(3), max(n, 1), rng).rows(slice(0, n))
+                for n in sizes]
 
-    def test_parts_cover_rows_in_order(self):
-        batches = self._batches([5, 9, 1, 13])
+    def test_stack_and_split_restore_each_batch(self):
+        batches = self._batches([5, 9, 0, 1, 13])
+        flat = stack_rows(batches)
+        assert flat.count == 28
+        parts = split_rows(flat.wcet, [b.count for b in batches])
+        for batch, part in zip(batches, parts):
+            assert np.array_equal(part, batch.wcet)
+
+    def test_row_slices(self):
+        assert grid.row_slices(20, 3) == [slice(lo, min(20, lo + 3)) for lo in range(0, 20, 3)]
+        assert [s.stop - s.start for s in grid.row_slices(20, 0)] == [1] * 20
+        assert grid.row_slices(20, 100) == [slice(0, 20)]
+        assert grid.row_slices(0, 4) == []
+
+    @pytest.mark.parametrize("cap", [1, 4, 7, 100])
+    def test_release_tables_follow_each_batch_stream(self, cap, monkeypatch):
+        """Every chunk's schedules come from the streams of the batches
+        its rows belong to, as if each batch were sampled whole."""
+        monkeypatch.setattr(grid, "TABLE_ROWS_PER_CALL", cap)
+        batches = self._batches([5, 0, 9, 3])
         seen = []
-        for chunk, parts in grid_chunks(batches, 7):
-            assert chunk.count == sum(hi - lo for _, lo, hi in parts) <= 7
-            at = 0
-            for i, lo, hi in parts:
-                rows = batches[i].rows(slice(lo, hi))
-                assert np.array_equal(chunk.wcet[at:at + hi - lo], rows.wcet)
-                at += hi - lo
-                seen.extend((i, r) for r in range(lo, hi))
-        assert seen == [(i, r) for i, b in enumerate(batches) for r in range(b.count)]
 
-    def test_chunk_sizes(self):
-        batches = self._batches([10, 10])
-        assert [c.count for c, _ in grid_chunks(batches, 3)] == [3] * 6 + [2]
-        assert [c.count for c, _ in grid_chunks(batches, 0)] == [1] * 20
-        assert [c.count for c, _ in grid_chunks(batches, 100)] == [20]
-        assert list(grid_chunks([], 4)) == []
+        def spy(batch, fpga, *args, release_times=None, **kwargs):
+            seen.append(release_times)
+            return simulate_batch(batch, fpga, *args, release_times=release_times, **kwargs)
+
+        monkeypatch.setattr(grid, "simulate_batch", spy)
+        rngs = [rng_from_seed(100 + i) for i in range(len(batches))]
+        grid.simulate_grid(batches, Fpga(width=100), [{}], release_rngs=rngs,
+                           jitter=0.3, horizon_factor=4)
+        assert all(t.shape[0] <= cap for t in seen)
+        width = max(t.shape[2] for t in seen)
+        flat = np.concatenate([
+            np.pad(t, ((0, 0), (0, 0), (0, width - t.shape[2])), constant_values=np.inf)
+            for t in seen
+        ])
+        parts = split_rows(flat, [b.count for b in batches])
+        for i, (batch, part) in enumerate(zip(batches, parts)):
+            whole = sample_release_times_batch(
+                batch, default_horizon_batch(batch, factor=4), rng_from_seed(100 + i), 0.3
+            )
+            assert np.array_equal(part[:, :, :whole.shape[2]], whole)
+            assert np.isinf(part[:, :, whole.shape[2]:]).all()
+
+
+class TestUniformSearchGrid:
+    """The grid searches equal their one-batch drivers run per batch."""
+
+    @pytest.mark.parametrize("kind", ["offset", "sporadic"])
+    def test_grid_equals_per_batch_driver(self, kind, monkeypatch):
+        monkeypatch.setattr(grid, "GRID_ROWS_PER_CALL", 5)
+        monkeypatch.setattr(grid, "TABLE_ROWS_PER_CALL", 5)
+        rng = rng_from_seed(9)
+        batches = [feasible_batch_at(paper_unconstrained(4), us, n, rng)
+                   for us, n in ((60.0, 4), (80.0, 1), (90.0, 6))]
+        fpga = Fpga(width=100)
+        grid_fn, batch_fn = {
+            "offset": (uniform_offset_search_grid, uniform_offset_search_batch),
+            "sporadic": (uniform_sporadic_search_grid, uniform_sporadic_search_batch),
+        }[kind]
+        outcomes = grid_fn(batches, fpga, patterns=3, horizon_factor=4,
+                           rngs=[rng_from_seed(7 + i) for i in range(3)])
+        for i, (batch, outcome) in enumerate(zip(batches, outcomes)):
+            alone = batch_fn(batch, fpga, patterns=3, horizon_factor=4,
+                             rng=rng_from_seed(7 + i))
+            assert np.array_equal(outcome.found, alone.found)
+            assert np.array_equal(outcome.min_slack, alone.min_slack)
+            assert np.array_equal(outcome.patterns_used, alone.patterns_used)
+
+    def test_one_rng_per_batch(self):
+        with pytest.raises(ValueError, match="one rng per batch"):
+            uniform_offset_search_grid([], Fpga(width=100), patterns=2,
+                                       rngs=[rng_from_seed(1)])
 
 
 def _set_caps(monkeypatch, rows):
     """Cap every merged call at ``rows`` rows (``None``: the defaults)."""
     if rows is not None:
-        monkeypatch.setattr(acceptance, "GRID_ROWS_PER_CALL", rows)
-        monkeypatch.setattr(acceptance, "TABLE_ROWS_PER_CALL", rows)
+        monkeypatch.setattr(grid, "GRID_ROWS_PER_CALL", rows)
+        monkeypatch.setattr(grid, "TABLE_ROWS_PER_CALL", rows)
 
 
 def _per_bucket_curves(profile, fpga, grid, samples, seed, *, tests, schedulers,
