@@ -6,8 +6,9 @@ pattern axis into the batch dimension of
 consecutively, one pattern per repeat) and score with its ``min_slack``
 channel.  The uniform searches also run over a list of batches with one
 generator each (``uniform_*_search_grid``), their fanned rows merged
-into capped calls; the one-batch drivers are that case.  Sampling uses per-row numpy generators for scalar-twin
-parity; the pattern mappings live in :mod:`repro.search.patterns`.
+into capped calls; the one-batch drivers are that case.  Sampling uses
+per-row numpy generators for scalar-twin parity; the pattern mappings
+live in :mod:`repro.search.patterns`.
 
 This module imports :mod:`repro.vector` and therefore loads lazily via
 the package ``__getattr__`` (the scalar twins sit *underneath*
@@ -49,7 +50,7 @@ def _rows(batch: TaskSetBatch, idx: np.ndarray) -> TaskSetBatch:
     )
 
 
-def fan_rows(batch: TaskSetBatch, times: int) -> TaskSetBatch:
+def _fan(batch: TaskSetBatch, times: int) -> TaskSetBatch:
     """Each row repeated ``times`` consecutively, so a ``(B, P)`` reshape
     of the fanned per-row results restores the (row, pattern) pairing."""
     return TaskSetBatch(
@@ -86,7 +87,7 @@ def _uniform_search_grid(
     hosts = [_host_batch(batch) for batch in batches]
     if patterns == 0:
         return [_trivial_outcome(host.count) for host in hosts]
-    res = simulate([fan_rows(host, patterns) for host in hosts])
+    res = simulate([_fan(host, patterns) for host in hosts])
     counts = [host.count for host in hosts]
     oks = split_rows(res.schedulable.reshape(-1, patterns), counts)
     slacks = split_rows(res.min_slack.reshape(-1, patterns), counts)
@@ -182,7 +183,7 @@ def adaptive_offset_search_batch(
         live_count, patterns, n = u.shape
         offs = offsets_from_unit(host.period[live][:, None, :], u)
         res = simulate_batch(
-            fan_rows(_rows(host, live), patterns),
+            _fan(_rows(host, live), patterns),
             fpga,
             scheduler,
             offsets=offs.reshape(-1, n),
@@ -283,7 +284,7 @@ def adaptive_sporadic_search_batch(
 
     def score(live: np.ndarray, u: np.ndarray):
         live_count, patterns, n = u.shape
-        fanned = fan_rows(_rows(host, live), patterns)
+        fanned = _fan(_rows(host, live), patterns)
         hz_fan = np.repeat(hz[live], patterns)
         times = release_times_from_unit(
             fanned.period, u.reshape(-1, n), hz_fan, max_jitter_factor
