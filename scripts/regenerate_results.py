@@ -76,8 +76,8 @@ def main() -> None:
                              "the adaptive proposals each round")
     parser.add_argument("--sim-workers", type=int, default=1,
                         dest="sim_workers", metavar="W",
-                        help="shard each sim batch over W processes "
-                             "(bit-identical verdicts)")
+                        help="spread each figure's simulator calls over "
+                             "W processes (bit-identical verdicts)")
     parser.add_argument("--seed", type=int, default=2007)
     parser.add_argument("--out", type=Path, default=Path("results"))
     args = parser.parse_args()

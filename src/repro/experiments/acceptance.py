@@ -318,9 +318,9 @@ def acceptance_experiment(
     and counted in :attr:`AcceptanceCurves.sim_budget_exceeded` rather
     than aborting the sweep.
 
-    ``sim_workers`` shards each merged simulator call over a process
-    pool inside :func:`simulate_batch` (verdicts bit-identical to
-    serial).
+    ``sim_workers`` spreads each grid's merged simulator calls over a
+    process pool (:func:`repro.vector.grid.simulate_grid`; verdicts
+    bit-identical to serial).
 
     ``sampling`` selects how buckets are filled: ``"rescale"`` draws from
     the profile and rescales WCETs to the exact target (fast, exact

@@ -56,8 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=2007)
     run.add_argument("--sim-workers", type=int, default=None,
                      dest="sim_workers", metavar="W",
-                     help="shard each sim batch over W processes "
-                          "(default 1; verdicts bit-identical to serial)")
+                     help="spread each figure's simulator calls over W "
+                          "processes (default 1; verdicts bit-identical "
+                          "to serial)")
     run.add_argument("--sim-mode", choices=("free", "relocatable", "pinned"),
                      default=None, dest="sim_mode",
                      help="migration model for the figure-style sim curves: "

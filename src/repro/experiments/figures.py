@@ -115,8 +115,8 @@ def run_figure(
     ``sim_jitter`` under sporadic release patterns — so any figure-style
     curve can be regenerated for the non-paper workload families too
     (see :func:`~repro.experiments.acceptance.acceptance_experiment`).
-    ``sim_workers`` shards each sim batch over processes (verdicts
-    bit-identical to serial).
+    ``sim_workers`` spreads the figure's merged simulator calls over
+    that many processes (verdicts bit-identical to serial).
 
     ``ci_target`` switches bucket sizing from flat ``samples`` to
     adaptive: each bucket draws only as many tasksets as its series need

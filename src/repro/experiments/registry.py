@@ -31,7 +31,8 @@ class Experiment:
     #: offset search, the sim_* sweeps on ablations that sweep those axes
     #: themselves, sim_search on experiments without a pattern search)
     #: raises ``TypeError``.  Every sim curve runs on the batched
-    #: simulator.
+    #: simulator; sim_workers (figures only) spreads a figure's merged
+    #: simulator calls over that many processes.
     runner: Callable[..., AcceptanceCurves]
     default_samples: int
 

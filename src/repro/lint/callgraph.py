@@ -165,7 +165,8 @@ def collect_module(tree: ast.Module, modname: str,
                     bases=_base_candidates(node, decls.aliases, modname),
                 )
                 walk(node.body, qual, qual)
-            elif isinstance(node, (ast.If, ast.Try, ast.With)):
+            elif isinstance(node, (ast.If, ast.Try, ast.With, ast.AsyncWith,
+                                   ast.For, ast.AsyncFor, ast.While)):
                 for sub in ast.iter_child_nodes(node):
                     if isinstance(sub, ast.stmt):
                         walk([sub], prefix, cls)

@@ -293,7 +293,6 @@ def adaptive_sporadic_search_batch(
             fanned,
             fpga,
             scheduler,
-            release="sporadic",
             release_times=times,
             horizon=hz_fan,
             max_events=max_events,

@@ -132,10 +132,10 @@ class TaskSetBatch:
         """A contiguous row-slice view of the batch (shared storage).
 
         Rows are independent in every vector kernel, so slicing the
-        batch axis is the sharding primitive of
-        ``simulate_batch(..., sim_workers=...)``: results computed on
-        ``rows(a:b)`` slices concatenate to the full-batch result
-        bit-for-bit.
+        batch axis is how :func:`repro.vector.grid.simulate_grid` cuts
+        its merged calls (and its ``sim_workers`` shares): results
+        computed on ``rows(a:b)`` slices concatenate to the full-batch
+        result bit-for-bit.
         """
         return TaskSetBatch(
             self.wcet[sl], self.period[sl], self.deadline[sl], self.area[sl]

@@ -3,10 +3,11 @@
 An experiment grid is a list of batches (one per utilization bucket, or
 per bucket and release pattern).  :func:`simulate_grid` concatenates
 their rows once and simulates the flat batch in capped
-:func:`~repro.vector.sim_vec.simulate_batch` calls; its results are flat
-arrays over the concatenated rows, which :func:`split_rows` cuts back
-per batch.  Rows never interact in any vector kernel, so a row's
-verdict does not depend on which call it lands in.
+:func:`~repro.vector.sim_vec.simulate_batch` calls, in-process or over a
+process pool; its results are flat arrays over the concatenated rows,
+which :func:`split_rows` cuts back per batch.  Rows never interact in
+any vector kernel, so a row's verdict does not depend on which call (or
+process) it lands in.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.fpga.device import Fpga
+from repro.util.parallel import parallel_map
 from repro.vector.batch import TaskSetBatch
 from repro.vector.sim_vec import (
+    SimBatchResult,
     default_horizon_batch,
     sample_release_times_batch,
     simulate_batch,
@@ -111,6 +114,13 @@ def _release_tables(
     return out
 
 
+def _simulate_call(call) -> SimBatchResult:
+    """One merged call, ``(rows, fpga, kwargs)``; module-level so a
+    process pool can pickle it."""
+    rows, fpga, kwargs = call
+    return simulate_batch(rows, fpga, **kwargs)
+
+
 def simulate_grid(
     batches: Sequence[TaskSetBatch],
     fpga: Fpga,
@@ -120,6 +130,7 @@ def simulate_grid(
     release_rngs: Optional[Sequence["np.random.Generator"]] = None,
     jitter: float = 0.5,
     horizon_factor: int = 20,
+    sim_workers: int = 1,
     **common: object,
 ) -> List[GridResult]:
     """Simulate every row of ``batches`` under each of ``configs``, the
@@ -135,9 +146,17 @@ def simulate_grid(
     call at a time (the same draws as one sample over the whole batch),
     and every config replays the same schedules (paired curves).
 
+    ``sim_workers`` (at least 1) spreads the calls over that many
+    processes, each call at most ``ceil(rows / sim_workers)`` rows so
+    every worker gets a share; schedules are still sampled here, in
+    call order, so the results are bit-identical to ``sim_workers=1``,
+    which runs every call in this process.
+
     Returns one :class:`GridResult` per config, over the rows of
     ``batches`` in order.
     """
+    if sim_workers < 1:
+        raise ValueError(f"sim_workers must be >= 1, got {sim_workers!r}")
     counts = [b.count for b in batches]
     total = sum(counts)
     schedulable = [np.empty(total, dtype=bool) for _ in configs]
@@ -148,23 +167,29 @@ def simulate_grid(
         flat_offsets = None if offsets is None else np.concatenate(offsets)
         starts = np.concatenate([[0], np.cumsum(counts)])
         cap = GRID_ROWS_PER_CALL if release_rngs is None else TABLE_ROWS_PER_CALL
-        for rows in row_slices(total, cap):
-            kwargs = dict(common)
-            if flat_offsets is not None:
-                kwargs["offsets"] = flat_offsets[rows]
-            if release_rngs is not None:
-                kwargs["release"] = "sporadic"
-                kwargs["release_times"] = _release_tables(
-                    flat, rows, starts, release_rngs, horizon_factor, jitter
-                )
-            for c, config in enumerate(configs):
-                res = simulate_batch(
-                    flat.rows(rows), fpga, horizon_factor=horizon_factor,
-                    **config, **kwargs,
-                )
-                schedulable[c][rows] = res.schedulable
-                min_slack[c][rows] = res.min_slack
-                exceeded[c] += int(res.budget_exceeded.sum())
+        slices = row_slices(total, min(cap, -(-total // sim_workers)))
+
+        def calls():
+            for rows in slices:
+                kwargs = dict(common, horizon_factor=horizon_factor)
+                if flat_offsets is not None:
+                    kwargs["offsets"] = flat_offsets[rows]
+                if release_rngs is not None:
+                    kwargs["release_times"] = _release_tables(
+                        flat, rows, starts, release_rngs, horizon_factor, jitter
+                    )
+                for config in configs:
+                    yield flat.rows(rows), fpga, dict(config, **kwargs)
+
+        results = parallel_map(
+            _simulate_call, calls(),
+            workers=min(sim_workers, len(slices) * len(configs)),
+        )
+        for k, res in enumerate(results):
+            rows, c = slices[k // len(configs)], k % len(configs)
+            schedulable[c][rows] = res.schedulable
+            min_slack[c][rows] = res.min_slack
+            exceeded[c] += int(res.budget_exceeded.sum())
     return [
         GridResult(ok, slack, n)
         for ok, slack, n in zip(schedulable, min_slack, exceeded)

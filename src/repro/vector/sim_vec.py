@@ -26,10 +26,11 @@ Release patterns (the §6 upper-bound refinement axis):
   release times, jobs at ``O_i + k T_i`` with absolute deadlines
   ``O_i + k T_i + D_i`` (Baker's exhaustive-offsets refinement: any
   pattern that misses certifies unschedulability);
-* **sporadic** — ``release="sporadic"`` draws one jittered schedule per
-  row (gaps ``T_i * (1 + U(0, jitter))``, first release 0, matching
+* **sporadic** — ``release_times`` replays one explicit schedule per
+  row; :func:`sample_release_times_batch` draws jittered ones (gaps
+  ``T_i * (1 + U(0, jitter))``, first release 0, matching
   :func:`repro.sim.sporadic.sample_release_schedule` draw for draw on a
-  shared seed), or replays explicit ``release_times``.
+  shared seed).
 
 Offset-search callers fan release patterns into the *batch axis*: tile a
 bucket's ``B`` tasksets ``P`` times (``B x P`` rows), attach one offset
@@ -86,14 +87,13 @@ with (``tau10@...`` sorts before ``tau1@...`` because ``'0' < '@'``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from repro.fpga.device import Fpga
 from repro.fpga.placement import PlacementPolicy
 from repro.sched.base import Scheduler
 from repro.sim.simulator import MigrationMode
 from repro.util.mathutil import TIME_EPS
-from repro.util.parallel import parallel_map
 from repro.vector import xp
 from repro.vector.batch import TaskSetBatch
 from repro.vector.placement_vec import choose_batch, clear_spans, span_free
@@ -102,6 +102,15 @@ from repro.vector.xp import host as np
 #: scheduler name -> skip_blocked (EDF-NF skips a job that does not fit,
 #: EDF-FkF stops at the first one — see repro.sched.base.Scheduler).
 _SKIP_BLOCKED = {"EDF-NF": True, "EDF-FkF": False}
+
+#: Event steps per kernel pass.  Each pass advances every live row up to
+#: this many events back to back, then reads liveness back, scatters
+#: verdicts and compacts decided rows once.  Verdicts, ``events`` and
+#: ``min_slack`` are bit-identical for every value >= 1 (1 is the
+#: classic one-event-per-pass loop); :func:`simulate_batch` reads it at
+#: call time.
+FUSE = 8
+
 
 @dataclass(frozen=True)
 class SimBatchResult:
@@ -112,11 +121,7 @@ class SimBatchResult:
     of budget are additionally flagged in ``budget_exceeded`` (the
     scalar simulator raises ``SimulationError`` there — the batch runner
     records the row as not-schedulable-within-budget and keeps going).
-    All fields are numpy arrays.  ``mode``/``policy`` record the
-    migration model the batch ran under (``policy`` is ``None`` in FREE
-    mode, where placement is moot); ``release`` records the release pattern
-    (``"periodic"`` covers both synchronous and offset runs,
-    ``"sporadic"`` the jittered schedules).
+    The per-row fields are numpy arrays.
 
     ``min_slack`` is the row's near-miss metric: the minimum over every
     decided job of ``deadline - completion_time`` (completions) and
@@ -130,9 +135,9 @@ class SimBatchResult:
     ``kernel_passes``/``event_steps`` instrument the fused stepper:
     ``event_steps`` counts inner event-loop iterations actually executed
     and ``kernel_passes`` the outer passes (liveness readback, scatter
-    and compaction points).  Unfused (``fuse=1``) the two are equal; at
-    ``fuse=K`` the ratio approaches ``K`` — the measured, not assumed,
-    fusion factor.  Sharded runs sum the counters over their shards.
+    and compaction points).  Unfused (:data:`FUSE` ``= 1``) the two are
+    equal; at ``FUSE = K`` the ratio approaches ``K`` — the measured, not
+    assumed, fusion factor.
     """
 
     schedulable: "np.ndarray"  # (B,) bool
@@ -140,22 +145,12 @@ class SimBatchResult:
     events: "np.ndarray"  # (B,) int64 — event-loop iterations per row
     horizon: "np.ndarray"  # (B,) float64
     min_slack: "np.ndarray"  # (B,) float64 — see below
-    mode: MigrationMode = MigrationMode.FREE
-    policy: Optional[PlacementPolicy] = None
-    release: str = "periodic"
     kernel_passes: int = 0
     event_steps: int = 0
 
     @property
     def count(self) -> int:
         return int(self.schedulable.shape[0])
-
-    @property
-    def acceptance_ratio(self) -> float:
-        """Fraction of rows with no deadline miss (nan for empty batches)."""
-        if self.count == 0:
-            return float("nan")
-        return float(self.schedulable.mean())
 
     @property
     def fusion_factor(self) -> float:
@@ -455,14 +450,9 @@ def simulate_batch(
     horizon=None,
     horizon_factor: int = 20,
     offsets=None,
-    release: str = "periodic",
-    jitter: float = 0.5,
-    rng=None,
     release_times=None,
     max_events: int = 1_000_000,
     eps: float = TIME_EPS,
-    fuse: int = 8,
-    sim_workers: int = 1,
 ) -> SimBatchResult:
     """Simulate every row of ``batch`` on one device geometry.
 
@@ -482,74 +472,42 @@ def simulate_batch(
 
     Release patterns:
 
-    * ``release="periodic"`` (default): jobs at ``O_i + k T_i`` where
-      ``O_i`` comes from ``offsets`` — a scalar or ``(B, N)``-broadcast
-      array of first release times, default 0 (the paper's synchronous
-      pattern).  Verdicts are bit-identical to the scalar
+    * periodic (default): jobs at ``O_i + k T_i`` where ``O_i`` comes
+      from ``offsets`` — a scalar or ``(B, N)``-broadcast array of first
+      release times, default 0 (the paper's synchronous pattern).
+      Verdicts are bit-identical to the scalar
       ``simulate(..., offsets=...)``.
-    * ``release="sporadic"``: one jittered schedule per row.  Pass a
-      seeded ``rng`` to draw gaps ``T_i * (1 + U(0, jitter))`` via
+    * sporadic, exactly when ``release_times`` is given: a ``(B, N, K)``
+      ascending, ``+inf``-padded array of explicit schedules (successive
+      releases at least each task's deadline apart, so one job per task
+      is live at a time), to replay.  Sampled schedules come from
       :func:`sample_release_times_batch` (bit-identical to the scalar
       :func:`repro.sim.sporadic.sample_release_schedule` /
-      ``simulate_release_schedule`` pipeline on a shared generator), or
-      pass precomputed ``release_times`` (a ``(B, N, K)`` ascending,
-      ``+inf``-padded array; successive releases at least each task's
-      deadline apart, so one job per task is live at a time) to replay
-      explicit schedules.
+      ``simulate_release_schedule`` pipeline on a shared generator).
+      Sporadic schedules start at ``t = 0``, so ``offsets`` must be
+      ``None``.
 
     Rows whose event loop would exceed ``max_events`` (where the scalar
     simulator raises ``SimulationError``) are recorded as not
     schedulable and flagged in ``budget_exceeded`` instead of aborting
     the batch; the budget counts *event steps*, never fused passes, so
-    its semantics are independent of ``fuse``.  An empty batch
+    its semantics are independent of :data:`FUSE`.  An empty batch
     (``B == 0``) yields an empty result.
 
-    Fused stepping and sharding (perf knobs — all bit-neutral):
-
-    * ``fuse`` advances every live row up to that many events per
-      kernel pass; decided rows are neutralized in place (infinite
-      next-release/deadline/area makes every further step a no-op for
-      them) and the liveness readback, verdict scatter and row
-      compaction happen once per pass instead of once per event.
-      ``fuse=1`` degenerates to the classic one-event-per-pass loop.
-      Verdicts, ``events`` and ``min_slack`` are bit-identical for
-      every ``fuse``.
-    * ``sim_workers`` shards the batch dimension into contiguous
-      sub-batches simulated by a process pool
-      (:func:`repro.util.parallel.parallel_map`); the CLI's
-      ``--sim-workers`` arrives as this kwarg.  Rows are independent,
-      and all seeded sampling/validation/horizon derivation happens on
-      the full batch *before* the split, so sharded results are
-      bit-identical to the serial path whatever the worker count.
+    The kernel is serial; :func:`repro.vector.grid.simulate_grid` splits
+    rows across calls and processes.
     """
     skip_blocked = _resolve_skip_blocked(scheduler)
-    if not isinstance(fuse, int) or fuse < 1:
-        raise ValueError(f"fuse must be an integer >= 1, got {fuse!r}")
-    workers = int(sim_workers)
-    if workers < 1:
-        raise ValueError(f"sim_workers must be >= 1, got {sim_workers!r}")
-    if release not in ("periodic", "sporadic"):
-        raise ValueError(f"unknown release pattern {release!r}")
-    sporadic = release == "sporadic"
-    if sporadic:
-        if offsets is not None:
-            raise ValueError(
-                "offsets apply to periodic release only (sporadic "
-                "schedules always start at t=0, like the scalar sampler)"
-            )
-        if (rng is None) == (release_times is None):
-            raise ValueError(
-                "sporadic release needs exactly one of rng (to sample "
-                "schedules) or release_times (to replay them)"
-            )
-    elif rng is not None or release_times is not None:
-        raise ValueError("rng/release_times apply to sporadic release only")
-    if jitter < 0:
-        raise ValueError("jitter must be >= 0")
+    sporadic = release_times is not None
+    if sporadic and offsets is not None:
+        raise ValueError(
+            "offsets apply to periodic release only (sporadic "
+            "schedules always start at t=0, like the scalar sampler)"
+        )
     use_placement = mode is not MigrationMode.FREE
     # Pin the whole batch to float64 up front (exact upcast): the
-    # horizon derivation, validation comparisons and sporadic sampler
-    # must not run in a float32 input's precision.
+    # horizon derivation and validation comparisons must not run in a
+    # float32 input's precision.
     host_batch = TaskSetBatch(
         np.asarray(batch.wcet, dtype=np.float64),
         np.asarray(batch.period, dtype=np.float64),
@@ -608,54 +566,49 @@ def simulate_batch(
         raise ValueError("max_events must be >= 1")
 
     if sporadic:
-        if release_times is None:
-            release_times = sample_release_times_batch(host_batch, hz, rng, jitter)
-        else:
-            release_times = np.asarray(release_times, dtype=np.float64)
-            if (
-                release_times.ndim != 3
-                or release_times.shape[:2] != (B, N)
-                or release_times.shape[2] < 1
-            ):
-                raise ValueError(
-                    f"release_times must have shape (B, N, K), got "
-                    f"{release_times.shape}"
-                )
-            if np.any(release_times < 0) or np.any(np.isnan(release_times)):
-                raise ValueError("release times must be >= 0")
-            # Element-wise comparisons (not diff): inf padding minus inf
-            # padding would warn, `inf < inf` is just False.
-            if np.any(release_times[:, :, 1:] < release_times[:, :, :-1]):
-                raise ValueError("release times must be ascending per task")
-            # One-slot-per-task layout: job k+1 may only release once job
-            # k's deadline has passed (gap >= D), else the replay would
-            # silently clobber a live job that the scalar
-            # simulate_release_schedule still tracks.  The internal
-            # sampler satisfies this by construction (gaps >= T >= D).
-            if np.any(
-                release_times[:, :, 1:]
-                < release_times[:, :, :-1] + host_batch.deadline[:, :, None]
-            ):
-                raise ValueError(
-                    "release times must be separated by at least each "
-                    "task's deadline (one live job per task)"
-                )
-            # Releases at/after the horizon never fire (the scalar loop's
-            # strict `release < horizon` filter); one trailing inf column
-            # keeps the advanced pointer a valid index.
-            release_times = np.concatenate(
-                [
-                    np.where(
-                        release_times < hz[:, None, None],
-                        release_times,
-                        np.inf,
-                    ),
-                    np.full((B, N, 1), np.inf, dtype=np.float64),
-                ],
-                axis=2,
+        release_times = np.asarray(release_times, dtype=np.float64)
+        if (
+            release_times.ndim != 3
+            or release_times.shape[:2] != (B, N)
+            or release_times.shape[2] < 1
+        ):
+            raise ValueError(
+                f"release_times must have shape (B, N, K), got "
+                f"{release_times.shape}"
             )
-
-    result_policy = placement_policy if use_placement else None
+        if np.any(release_times < 0) or np.any(np.isnan(release_times)):
+            raise ValueError("release times must be >= 0")
+        # Element-wise comparisons (not diff): inf padding minus inf
+        # padding would warn, `inf < inf` is just False.
+        if np.any(release_times[:, :, 1:] < release_times[:, :, :-1]):
+            raise ValueError("release times must be ascending per task")
+        # One-slot-per-task layout: job k+1 may only release once job
+        # k's deadline has passed (gap >= D), else the replay would
+        # silently clobber a live job that the scalar
+        # simulate_release_schedule still tracks.  The sampler satisfies
+        # this by construction (gaps >= T >= D).
+        if np.any(
+            release_times[:, :, 1:]
+            < release_times[:, :, :-1] + host_batch.deadline[:, :, None]
+        ):
+            raise ValueError(
+                "release times must be separated by at least each "
+                "task's deadline (one live job per task)"
+            )
+        # Releases at/after the horizon never fire (the scalar loop's
+        # strict `release < horizon` filter); one trailing inf column
+        # keeps the advanced pointer a valid index.
+        release_times = np.concatenate(
+            [
+                np.where(
+                    release_times < hz[:, None, None],
+                    release_times,
+                    np.inf,
+                ),
+                np.full((B, N, 1), np.inf, dtype=np.float64),
+            ],
+            axis=2,
+        )
 
     # -- final per-row outcome (scattered into as rows decide) ---------------
     out_ok = np.ones(B, dtype=bool)
@@ -670,56 +623,6 @@ def simulate_batch(
             events=out_events,
             horizon=np.zeros(0, dtype=np.float64),
             min_slack=out_slack,
-            mode=mode,
-            policy=result_policy,
-            release=release,
-        )
-
-    # -- multi-core sharding over the batch dimension --------------------------
-    # Everything seeded or shape-derived (validation, horizon derivation,
-    # offset broadcast, sporadic sampling on the shared generator) has
-    # already run on the *full* batch above, and rows never interact — so
-    # contiguous row slices simulated independently concatenate to the
-    # exact serial result, worker count notwithstanding.
-    n_shards = min(workers, B)
-    if n_shards > 1:
-        bounds = [(B * s) // n_shards for s in range(n_shards + 1)]
-        shard_kwargs = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            kw = dict(
-                batch=host_batch.rows(slice(lo, hi)),
-                capacity=device if device is not None else capacity,
-                scheduler="EDF-NF" if skip_blocked else "EDF-FkF",
-                mode=mode,
-                placement_policy=placement_policy,
-                horizon=hz[lo:hi],
-                horizon_factor=horizon_factor,
-                release=release,
-                jitter=jitter,
-                max_events=max_events,
-                eps=eps,
-                fuse=fuse,
-                sim_workers=1,
-            )
-            if off is not None:
-                kw["offsets"] = off[lo:hi]
-            if sporadic:
-                kw["release_times"] = release_times[lo:hi]
-            shard_kwargs.append(kw)
-        shards = parallel_map(_simulate_shard, shard_kwargs, workers=n_shards)
-        return SimBatchResult(
-            schedulable=np.concatenate([r.schedulable for r in shards]),
-            budget_exceeded=np.concatenate(
-                [r.budget_exceeded for r in shards]
-            ),
-            events=np.concatenate([r.events for r in shards]),
-            horizon=np.concatenate([r.horizon for r in shards]),
-            min_slack=np.concatenate([r.min_slack for r in shards]),
-            mode=mode,
-            policy=result_policy,
-            release=release,
-            kernel_passes=sum(r.kernel_passes for r in shards),
-            event_steps=sum(r.event_steps for r in shards),
         )
 
     hz_out = hz.copy()  # compaction rebinds hz; keep the full-batch view
@@ -851,7 +754,7 @@ def simulate_batch(
 
     release_due()  # the scalar pre-loop release_due(0)
 
-    # Fused stepping: the outer loop is one *kernel pass* — up to `fuse`
+    # Fused stepping: the outer loop is one *kernel pass* — up to FUSE
     # event steps computed back to back, then exactly one
     # liveness readback, verdict scatter and row compaction.
     # Bit-identity with the classic per-event loop holds because a dead
@@ -863,7 +766,7 @@ def simulate_batch(
     while idx.shape[0]:
         kernel_passes += 1
         M = idx.shape[0]
-        for _ in range(fuse):
+        for _ in range(FUSE):
             iteration += 1
             if iteration > max_events:
                 # The scalar simulator raises SimulationError here;
@@ -994,14 +897,6 @@ def simulate_batch(
         events=out_events,
         horizon=hz_out,
         min_slack=out_slack,
-        mode=mode,
-        policy=result_policy,
-        release=release,
         kernel_passes=kernel_passes,
         event_steps=event_steps,
     )
-
-
-def _simulate_shard(kwargs: dict) -> SimBatchResult:
-    """Top-level (picklable) worker for the ``sim_workers`` shard pool."""
-    return simulate_batch(**kwargs)

@@ -3,6 +3,7 @@ merged simulator calls, checked against the per-bucket loops they
 replace."""
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -191,6 +192,35 @@ class TestGridRows:
             assert np.array_equal(part[:, :, :whole.shape[2]], whole)
             assert np.isinf(part[:, :, whole.shape[2]:]).all()
 
+    @pytest.mark.parametrize("sporadic", [False, True])
+    def test_one_worker_calls_module_simulate_batch_in_process(
+        self, sporadic, monkeypatch
+    ):
+        """At ``sim_workers=1`` every call goes, in this process, through
+        the module-level ``simulate_batch`` (the name a tracer patches),
+        once per (slice, config) in slice-major order, over the capped
+        slices of the merged rows."""
+        monkeypatch.setattr(grid, "GRID_ROWS_PER_CALL", 7)
+        monkeypatch.setattr(grid, "TABLE_ROWS_PER_CALL", 7)
+        batches = self._batches([5, 0, 9, 3])
+        configs = [dict(scheduler="EDF-NF"), dict(scheduler="EDF-FkF")]
+        seen = []
+
+        def spy(batch, fpga, scheduler, **kwargs):
+            seen.append((os.getpid(), batch.count, scheduler,
+                         "release_times" in kwargs))
+            return simulate_batch(batch, fpga, scheduler, **kwargs)
+
+        monkeypatch.setattr(grid, "simulate_batch", spy)
+        rngs = [rng_from_seed(i) for i in range(4)] if sporadic else None
+        grid.simulate_grid(batches, Fpga(width=100), configs, sim_workers=1,
+                           release_rngs=rngs, horizon_factor=4)
+        assert seen == [
+            (os.getpid(), rows.stop - rows.start, config["scheduler"], sporadic)
+            for rows in grid.row_slices(17, 7)
+            for config in configs
+        ]
+
 
 class TestUniformSearchGrid:
     """The grid searches equal their one-batch drivers run per batch."""
@@ -245,7 +275,6 @@ def _per_bucket_curves(profile, fpga, grid, samples, seed, *, tests, schedulers,
         kwargs = {}
         if release == "sporadic":
             kwargs = dict(
-                release="sporadic",
                 release_times=sample_release_times_batch(
                     sub, default_horizon_batch(sub, factor=horizon_factor),
                     rng_from_seed(seed * 1_000_003 + i), jitter,

@@ -231,6 +231,33 @@ SEED_CASES = [
     ("local-mutation-is-pure", "repro.core.k",
      "def f():\n    out = []\n    out.append(1)\n    return out\n",
      "f", set()),
+    # A def nested in a loop or async-with body is collected like one
+    # in an if body; its effects reach the report (and its caller).
+    ("nested-def-in-for", "repro.core.k",
+     "def f(xs):\n    total = 0\n    for x in xs:\n        def g():\n"
+     "            nonlocal total\n            total += x\n        g()\n"
+     "    return total\n",
+     "f.g", {"STATE_MUTATION"}),
+    ("nested-def-in-for-else", "repro.core.k",
+     "def f(xs):\n    total = 0\n    for x in xs:\n        pass\n"
+     "    else:\n        def g():\n            nonlocal total\n"
+     "            total += 1\n        g()\n    return total\n",
+     "f.g", {"STATE_MUTATION"}),
+    ("nested-def-in-while", "repro.core.k",
+     "def f(n):\n    total = 0\n    while n:\n        def g():\n"
+     "            nonlocal total\n            total += 1\n        g()\n"
+     "        n -= 1\n    return total\n",
+     "f.g", {"STATE_MUTATION"}),
+    ("nested-def-in-async-for", "repro.core.k",
+     "async def f(xs):\n    total = 0\n    async for x in xs:\n"
+     "        def g():\n            nonlocal total\n            total += x\n"
+     "        g()\n    return total\n",
+     "f.g", {"STATE_MUTATION"}),
+    ("nested-def-in-async-with", "repro.core.k",
+     "async def f(lock):\n    total = 0\n    async with lock:\n"
+     "        def g():\n            nonlocal total\n            total += 1\n"
+     "        g()\n    return total\n",
+     "f.g", {"STATE_MUTATION"}),
     ("all-three-atoms", "repro.core.k",
      "import time\nclass C:\n    def m(self, rng):\n"
      "        self.t = time.time()\n        return rng.integers(3)\n",

@@ -52,6 +52,26 @@ class TestParallelMap:
         items = list(range(64))
         assert parallel_map(_square, items, workers=2) == [x * x for x in items]
 
+    def test_serial_path_draws_one_item_per_call(self):
+        """A generator is consumed lazily: each item is drawn just before
+        its call, so large items are never all alive at once."""
+        drawn = []
+
+        def items():
+            for x in range(4):
+                drawn.append(x)
+                yield x
+
+        def fn(x):
+            assert drawn == list(range(x + 1))
+            return x * x
+
+        assert parallel_map(fn, items(), workers=1) == [0, 1, 4, 9]
+
+    def test_pool_path_takes_a_generator_in_order(self):
+        items = (x for x in range(23))
+        assert parallel_map(_square, items, workers=2) == [x * x for x in range(23)]
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_worker_error_reaches_caller(self, workers):
         with pytest.raises(ValueError, match="negative item -3"):

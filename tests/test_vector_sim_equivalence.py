@@ -36,7 +36,9 @@ from repro.sim.simulator import (
 )
 from repro.sim.sporadic import sample_release_schedule, simulate_release_schedule
 from repro.util.rngutil import rng_from_seed
+from repro.vector import sim_vec
 from repro.vector.batch import TaskSetBatch, generate_batch
+from repro.vector.grid import simulate_grid
 from repro.vector.sim_vec import (
     default_horizon_batch,
     sample_offsets_batch,
@@ -91,7 +93,7 @@ class TestRandomBatchEquivalence:
         batch = _batch(profile, seed=1)
         vec = _assert_verdicts_match(batch, sched_name, sched_cls)
         assert not vec.budget_exceeded.any()
-        assert 0.0 <= vec.acceptance_ratio <= 1.0
+        assert vec.count == batch.count
 
 
 @pytest.mark.parametrize("sched_name,sched_cls", SCHEDULERS)
@@ -230,7 +232,6 @@ def _assert_placement_match(batch, fpga, mode, policy, sched_name, sched_cls,
         batch, fpga, sched_name,
         mode=mode, placement_policy=policy, horizon_factor=factor,
     )
-    assert vec.mode is mode and vec.policy is policy
     for i in range(batch.count):
         ts = batch.taskset(i)
         ref = simulate(
@@ -309,19 +310,19 @@ class TestPlacementKnifeEdges:
 
 class TestEdgeCases:
     def test_empty_batch(self):
-        """B == 0 must yield an empty result (and a quiet nan ratio),
-        not a reduction error — callers slice batches freely."""
+        """B == 0 must yield an empty result, not a reduction error —
+        callers slice batches freely."""
         empty = TaskSetBatch(*(np.empty((0, 3)) for _ in range(4)))
         for mode in MigrationMode:
-            res = simulate_batch(
-                empty, Fpga(width=10), "EDF-NF", mode=mode, horizon=5.0
-            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = simulate_batch(
+                    empty, Fpga(width=10), "EDF-NF", mode=mode, horizon=5.0
+                )
             assert res.count == 0
             assert res.schedulable.shape == (0,)
             assert not res.budget_exceeded.any()
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert np.isnan(res.acceptance_ratio)
+            assert res.kernel_passes == 0 and np.isnan(res.fusion_factor)
 
     def test_zero_task_rows_rejected(self):
         degenerate = TaskSetBatch(*(np.empty((2, 0)) for _ in range(4)))
@@ -417,11 +418,14 @@ def _assert_sporadic_verdicts_match(batch, seed, sched_name, sched_cls,
     """Shared-seed contract: one generator drives the batched sampler, an
     identically-seeded twin drives per-row scalar sample_release_schedule
     calls in row order — verdicts must agree bit for bit."""
-    vec = simulate_batch(
-        batch, fpga, sched_name, release="sporadic", jitter=jitter,
-        rng=rng_from_seed(seed), horizon_factor=factor, mode=mode,
-    )
     hz = default_horizon_batch(batch, factor=factor)
+    vec = simulate_batch(
+        batch, fpga, sched_name,
+        release_times=sample_release_times_batch(
+            batch, hz, rng_from_seed(seed), jitter
+        ),
+        horizon_factor=factor, mode=mode,
+    )
     scalar_rng = rng_from_seed(seed)
     for i in range(batch.count):
         ts = batch.taskset(i)
@@ -446,8 +450,7 @@ class TestOffsetEquivalence:
     def test_random_offsets_bit_identical(self, profile, sched_name, sched_cls):
         batch = _batch(profile, seed=31)
         offsets = sample_offsets_batch(batch, rng_from_seed(310))
-        vec = _assert_offset_verdicts_match(batch, offsets, sched_name, sched_cls)
-        assert vec.release == "periodic"
+        _assert_offset_verdicts_match(batch, offsets, sched_name, sched_cls)
 
     def test_zero_offsets_match_synchronous(self, sched_name, sched_cls):
         batch = _batch(paper_unconstrained(5), seed=32, count=15)
@@ -508,8 +511,7 @@ class TestSporadicEquivalence:
     )
     def test_shared_seed_bit_identical(self, profile, sched_name, sched_cls):
         batch = _batch(profile, seed=41)
-        vec = _assert_sporadic_verdicts_match(batch, 410, sched_name, sched_cls)
-        assert vec.release == "sporadic"
+        _assert_sporadic_verdicts_match(batch, 410, sched_name, sched_cls)
 
     def test_zero_jitter_matches_periodic(self, sched_name, sched_cls):
         """Knife edge: jitter 0 degenerates to the synchronous-periodic
@@ -517,26 +519,13 @@ class TestSporadicEquivalence:
         cross-task deadline ties to expose the pseudo-name rank)."""
         batch = _batch(paper_unconstrained(5), seed=42, count=20)
         periodic = simulate_batch(batch, CAPACITY, sched_name, horizon_factor=5)
+        times = sample_release_times_batch(
+            batch, default_horizon_batch(batch, factor=5), rng_from_seed(420), 0.0
+        )
         sporadic = simulate_batch(
-            batch, CAPACITY, sched_name, release="sporadic", jitter=0.0,
-            rng=rng_from_seed(420), horizon_factor=5,
+            batch, CAPACITY, sched_name, release_times=times, horizon_factor=5,
         )
         assert (periodic.schedulable == sporadic.schedulable).all()
-
-    def test_release_times_replay_matches_rng(self, sched_name, sched_cls):
-        """Precomputed release_times replay == in-call rng sampling."""
-        batch = _batch(paper_unconstrained(4), seed=43, count=10)
-        hz = default_horizon_batch(batch, factor=5)
-        times = sample_release_times_batch(batch, hz, rng_from_seed(430), 0.5)
-        replay = simulate_batch(
-            batch, CAPACITY, sched_name, release="sporadic",
-            release_times=times, horizon_factor=5,
-        )
-        sampled = simulate_batch(
-            batch, CAPACITY, sched_name, release="sporadic",
-            rng=rng_from_seed(430), horizon_factor=5,
-        )
-        assert (replay.schedulable == sampled.schedulable).all()
 
     def test_sporadic_with_placement_modes(self, sched_name, sched_cls):
         batch = _placement_batch(seed=44, count=8)
@@ -595,33 +584,20 @@ class TestReleasePatternValidation:
             np.array([[4.0]]), np.array([[2.0]]),
         )
 
-    def test_unknown_release_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_batch(self._tiny(), 10, release="bursty")
-
-    def test_sporadic_needs_exactly_one_source(self):
-        t = self._tiny()
-        with pytest.raises(ValueError):
-            simulate_batch(t, 10, release="sporadic")  # neither
-        times = np.array([[[0.0, np.inf]]])
-        with pytest.raises(ValueError):
-            simulate_batch(
-                t, 10, release="sporadic",
-                rng=rng_from_seed(1), release_times=times,
-            )  # both
-
-    def test_periodic_rejects_sporadic_knobs(self):
-        t = self._tiny()
-        with pytest.raises(ValueError):
-            simulate_batch(t, 10, rng=rng_from_seed(1))
-        with pytest.raises(ValueError):
-            simulate_batch(t, 10, release_times=np.array([[[0.0]]]))
+    @pytest.mark.parametrize(
+        "kwarg", ["release", "rng", "jitter", "fuse", "sim_workers"]
+    )
+    def test_removed_kwargs_rejected(self, kwarg):
+        """One serial kernel: sporadic input is replay-only, fusion is
+        the FUSE constant and row sharding lives in simulate_grid."""
+        with pytest.raises(TypeError):
+            simulate_batch(self._tiny(), 10, **{kwarg: 1})
 
     def test_offsets_incompatible_with_sporadic(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="offsets"):
             simulate_batch(
-                self._tiny(), 10, release="sporadic",
-                rng=rng_from_seed(1), offsets=np.array([[1.0]]),
+                self._tiny(), 10, release_times=np.array([[[0.0, np.inf]]]),
+                offsets=np.array([[1.0]]),
             )
 
     def test_bad_offsets_rejected(self):
@@ -630,8 +606,6 @@ class TestReleasePatternValidation:
             simulate_batch(t, 10, offsets=np.array([[-1.0]]))
         with pytest.raises(ValueError):
             simulate_batch(t, 10, offsets=np.array([[np.inf]]))
-        with pytest.raises(ValueError):
-            simulate_batch(t, 10, jitter=-0.1)
 
     def test_bad_release_times_rejected(self):
         t = self._tiny()
@@ -642,9 +616,7 @@ class TestReleasePatternValidation:
             np.array([[[-1.0]]]),  # negative
         ):
             with pytest.raises(ValueError):
-                simulate_batch(
-                    t, 10, release="sporadic", release_times=times
-                )
+                simulate_batch(t, 10, release_times=times)
 
     def test_release_gap_below_deadline_rejected(self):
         """Regression: a replayed gap shorter than the deadline would
@@ -656,14 +628,14 @@ class TestReleasePatternValidation:
         )
         with pytest.raises(ValueError, match="deadline"):
             simulate_batch(
-                batch, 100, release="sporadic",
+                batch, 100,
                 release_times=np.array([[[0.0, 1.0, np.inf]]]),
                 horizon=10.0,
             )
         # gap == deadline is the legal knife edge (job decided at its
         # deadline before the successor releases)
         ok = simulate_batch(
-            batch, 100, release="sporadic",
+            batch, 100,
             release_times=np.array([[[0.0, 4.0, np.inf]]]),
             horizon=10.0,
         )
@@ -744,41 +716,48 @@ def _assert_results_equal(a, b, counters=False):
 class TestFusionKnifeEdges:
     """Fused stepping must be invisible in every per-row output."""
 
-    def test_fuse_one_equals_fused(self):
+    def test_fuse_one_equals_fused(self, monkeypatch):
         batch = _batch(paper_unconstrained(10), seed=21)
         for sched_name, _ in SCHEDULERS:
-            base = simulate_batch(batch, CAPACITY, sched_name, fuse=1)
-            # fuse=1 is the unfused path: one event step per kernel pass
+            monkeypatch.setattr(sim_vec, "FUSE", 1)
+            base = simulate_batch(batch, CAPACITY, sched_name)
+            # FUSE = 1 is the unfused path: one event step per kernel pass
             assert base.kernel_passes == base.event_steps
             for fuse in (2, 8):
-                fused = simulate_batch(batch, CAPACITY, sched_name, fuse=fuse)
+                monkeypatch.setattr(sim_vec, "FUSE", fuse)
+                fused = simulate_batch(batch, CAPACITY, sched_name)
                 _assert_results_equal(base, fused)
                 assert fused.event_steps == base.event_steps
                 assert fused.kernel_passes <= base.kernel_passes
 
-    def test_fuse_beyond_events_per_row(self):
+    def test_fuse_beyond_events_per_row(self, monkeypatch):
         """K larger than any row's event count: everything decides in
         very few passes, outputs untouched."""
         batch = _batch(paper_unconstrained(4), seed=22, count=10)
-        base = simulate_batch(batch, CAPACITY, "EDF-NF", fuse=1)
-        huge = simulate_batch(batch, CAPACITY, "EDF-NF", fuse=10 * base.event_steps)
+        monkeypatch.setattr(sim_vec, "FUSE", 1)
+        base = simulate_batch(batch, CAPACITY, "EDF-NF")
+        monkeypatch.setattr(sim_vec, "FUSE", 10 * base.event_steps)
+        huge = simulate_batch(batch, CAPACITY, "EDF-NF")
         _assert_results_equal(base, huge)
         assert huge.kernel_passes == 1
 
-    def test_max_events_exhaustion_mid_chunk(self):
+    def test_max_events_exhaustion_mid_chunk(self, monkeypatch):
         """The budget counts events, not passes: a budget that runs out
         in the middle of a fused chunk must match the unfused verdicts."""
         batch = _batch(paper_unconstrained(10), seed=24)
-        base = simulate_batch(batch, CAPACITY, "EDF-NF", max_events=5, fuse=1)
+        monkeypatch.setattr(sim_vec, "FUSE", 1)
+        base = simulate_batch(batch, CAPACITY, "EDF-NF", max_events=5)
         assert base.budget_exceeded.any()  # the knife edge is exercised
         for fuse in (2, 4, 8):
-            fused = simulate_batch(batch, CAPACITY, "EDF-NF", max_events=5, fuse=fuse)
+            monkeypatch.setattr(sim_vec, "FUSE", fuse)
+            fused = simulate_batch(batch, CAPACITY, "EDF-NF", max_events=5)
             _assert_results_equal(base, fused)
         assert (base.events[base.budget_exceeded] == 6).all()
 
     def test_instrumentation_counters(self):
         batch = _batch(paper_unconstrained(10), seed=25)
-        res = simulate_batch(batch, CAPACITY, "EDF-NF", fuse=8)
+        assert sim_vec.FUSE == 8  # the documented default
+        res = simulate_batch(batch, CAPACITY, "EDF-NF")
         assert res.kernel_passes >= 1
         assert res.event_steps >= res.kernel_passes
         assert res.fusion_factor == pytest.approx(
@@ -786,78 +765,65 @@ class TestFusionKnifeEdges:
         )
         assert int(res.events.max()) <= res.event_steps
 
-    def test_fuse_validation(self):
-        batch = _batch(paper_unconstrained(4), seed=26, count=5)
-        with pytest.raises(ValueError):
-            simulate_batch(batch, CAPACITY, fuse=0)
-        with pytest.raises(ValueError):
-            simulate_batch(batch, CAPACITY, fuse=1.5)
+
+def _assert_grids_equal(a, b):
+    """Every per-row field of two simulate_grid results, bit-for-bit."""
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert np.array_equal(x.schedulable, y.schedulable)
+        assert np.array_equal(x.min_slack, y.min_slack, equal_nan=True)
+        assert x.budget_exceeded == y.budget_exceeded
 
 
 class TestShardingKnifeEdges:
-    """sim_workers must be invisible in every per-row output."""
+    """simulate_grid's sim_workers must be invisible in every per-row
+    output."""
 
-    def test_not_divisible_and_prime_batch(self):
+    CONFIGS = [dict(scheduler="EDF-NF"), dict(scheduler="EDF-FkF")]
+
+    def _grid(self, batches, workers, **kwargs):
+        return simulate_grid(
+            batches, FPGA, self.CONFIGS, sim_workers=workers,
+            horizon_factor=5, **kwargs,
+        )
+
+    def test_not_divisible_and_prime_grid(self):
         full = _batch(paper_unconstrained(10), seed=31)
-        batch = full.rows(slice(0, 29))  # prime: indivisible by any worker count
-        assert batch.count == 29
-        serial = simulate_batch(batch, CAPACITY, "EDF-NF", sim_workers=1)
+        batches = [full.rows(slice(0, 12)), full.rows(slice(12, 29))]
+        assert sum(b.count for b in batches) == 29  # prime: no even split
+        serial = self._grid(batches, 1)
         for workers in (2, 3, 7):
-            sharded = simulate_batch(
-                batch, CAPACITY, "EDF-NF", sim_workers=workers
-            )
-            _assert_results_equal(serial, sharded)
+            _assert_grids_equal(serial, self._grid(batches, workers))
 
-    def test_single_row_batch(self):
-        batch = _batch(paper_unconstrained(4), seed=32, count=3)
-        one = TaskSetBatch(
-            batch.wcet[:1], batch.period[:1], batch.deadline[:1], batch.area[:1]
-        )
-        serial = simulate_batch(one, CAPACITY, "EDF-NF", sim_workers=1)
-        sharded = simulate_batch(one, CAPACITY, "EDF-NF", sim_workers=4)
-        _assert_results_equal(serial, sharded, counters=True)
+    def test_single_row_grid(self):
+        one = _batch(paper_unconstrained(4), seed=32, count=3).rows(slice(0, 1))
+        _assert_grids_equal(self._grid([one], 1), self._grid([one], 4))
 
-    def test_empty_batch(self):
-        empty = TaskSetBatch(
-            np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 3))
-        )
-        res = simulate_batch(empty, CAPACITY, "EDF-NF", sim_workers=4, fuse=8)
-        assert res.schedulable.shape == (0,)
-        assert res.kernel_passes == 0 and res.event_steps == 0
+    def test_empty_grid(self):
+        empty = TaskSetBatch(*(np.empty((0, 3)) for _ in range(4)))
+        for batches in ([], [empty, empty]):
+            results = self._grid(batches, 4)
+            assert [r.schedulable.shape for r in results] == [(0,), (0,)]
+            assert [r.budget_exceeded for r in results] == [0, 0]
 
     def test_sharded_offsets_and_sporadic(self):
-        batch = _batch(paper_unconstrained(10), seed=33)
-        offsets = sample_offsets_batch(batch, rng_from_seed(34))
-        serial = simulate_batch(batch, CAPACITY, "EDF-NF", offsets=offsets)
-        sharded = simulate_batch(
-            batch, CAPACITY, "EDF-NF", offsets=offsets, sim_workers=3
+        full = _batch(paper_unconstrained(10), seed=33)
+        batches = [full.rows(slice(0, 7)), full.rows(slice(7, None))]
+        offsets = [sample_offsets_batch(b, rng_from_seed(34)) for b in batches]
+        _assert_grids_equal(
+            self._grid(batches, 1, offsets=offsets),
+            self._grid(batches, 3, offsets=offsets),
         )
-        _assert_results_equal(serial, sharded)
-        # sporadic: the release schedules are sampled from the full-batch
-        # stream *before* the split, so shards replay identical draws
-        spo_serial = simulate_batch(
-            batch, CAPACITY, "EDF-NF",
-            release="sporadic", jitter=0.4, rng=rng_from_seed(35),
-        )
-        spo_sharded = simulate_batch(
-            batch, CAPACITY, "EDF-NF",
-            release="sporadic", jitter=0.4, rng=rng_from_seed(35), sim_workers=3,
-        )
-        _assert_results_equal(spo_serial, spo_sharded)
+        # sporadic: schedules are sampled in the parent, in call order,
+        # from each batch's own stream, so workers replay identical draws
+        def sporadic(workers):
+            rngs = [rng_from_seed(35 + i) for i in range(len(batches))]
+            return self._grid(batches, workers, release_rngs=rngs, jitter=0.4)
 
-    def test_shard_counters_sum_to_shard_work(self):
-        """Counters account the work actually done: each shard steps its
-        own rows, so the sharded totals exceed the serial globals while
-        the per-row ``events`` stay bit-identical."""
-        batch = _batch(paper_unconstrained(10), seed=36)
-        serial = simulate_batch(batch, CAPACITY, "EDF-NF", sim_workers=1)
-        sharded = simulate_batch(batch, CAPACITY, "EDF-NF", sim_workers=3)
-        assert sharded.event_steps >= serial.event_steps
-        assert sharded.kernel_passes >= serial.kernel_passes
-        assert (serial.events == sharded.events).all()
+        _assert_grids_equal(sporadic(1), sporadic(3))
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_sim_workers_below_one_raises(self, workers):
         batch = _batch(paper_unconstrained(4), seed=37, count=3)
         with pytest.raises(ValueError, match="sim_workers must be >= 1"):
-            simulate_batch(batch, CAPACITY, "EDF-NF", sim_workers=workers)
+            self._grid([batch], workers)
