@@ -181,7 +181,8 @@ def test_bench_sim_batch_fused_sharded(benchmark, monkeypatch):
 
     def sharded():
         [out] = simulate_grid(
-            [batch], FPGA, [dict(scheduler="EDF-NF")], sim_workers=workers
+            batch, [batch.count], FPGA, [dict(scheduler="EDF-NF")],
+            sim_workers=workers,
         )
         return out
 

@@ -110,7 +110,7 @@ def _adaptive_search(
         rngs.extend(streams[b] for b in idx)
     if not rngs:
         return
-    survivors = stack_rows([_batch_rows(b, idx) for b, idx in zip(batches, live)])
+    survivors = stack_rows([b.rows(idx) for b, idx in zip(batches, live)])
     found = np.empty(survivors.count, dtype=bool)
     per_call = rows // max(round_sizes(budget, config.rounds))
     for part in grid.row_slices(survivors.count, per_call):
@@ -122,18 +122,15 @@ def _adaptive_search(
         ok[idx[hit]] = False
 
 
-def _batch_rows(batch: TaskSetBatch, idx: "np.ndarray") -> TaskSetBatch:
-    return TaskSetBatch(
-        batch.wcet[idx], batch.period[idx], batch.deadline[idx], batch.area[idx]
-    )
-
-
 def _baseline(
     batches: List[TaskSetBatch], fpga: Fpga, horizon_factor: int
 ) -> List[np.ndarray]:
     """Each bucket's synchronous-periodic EDF-NF verdicts."""
-    [res] = simulate_grid(batches, fpga, [{}], horizon_factor=horizon_factor)
-    return split_rows(res.schedulable, [batch.count for batch in batches])
+    counts = [batch.count for batch in batches]
+    [res] = simulate_grid(
+        stack_rows(batches), counts, fpga, [{}], horizon_factor=horizon_factor
+    )
+    return split_rows(res.schedulable, counts)
 
 
 def _search_config(search: str, search_rounds: int, elite_frac: float) -> SearchConfig:
@@ -217,12 +214,12 @@ def placement_ablation(
         (f"sim:RELOC/{p.value}", MigrationMode.RELOCATABLE, p) for p in policies
     ]
     configs += [("sim:PINNED", MigrationMode.PINNED, PlacementPolicy.FIRST_FIT)]
+    sizes = [batch.count for batch in batches]
     results = simulate_grid(
-        batches, fpga,
+        stack_rows(batches), sizes, fpga,
         [dict(mode=mode, placement_policy=policy) for _, mode, policy in configs],
         horizon_factor=horizon_factor,
     )
-    sizes = [batch.count for batch in batches]
     ratios: Dict[str, list] = {
         label: [float(ok.mean()) for ok in split_rows(res.schedulable, sizes)]
         for (label, _, _), res in zip(configs, results)

@@ -151,14 +151,7 @@ def feasible_batch_at(
         scaled = draw.scaled_to_system_utilization(np.full(count, us_target))
         mask = scaled.feasible_mask
         if mask.any():
-            kept.append(
-                TaskSetBatch(
-                    scaled.wcet[mask],
-                    scaled.period[mask],
-                    scaled.deadline[mask],
-                    scaled.area[mask],
-                )
-            )
+            kept.append(scaled.rows(mask))
             have += int(mask.sum())
         if have >= count:
             break
@@ -249,10 +242,7 @@ def _bin_rows(
         mask = np.abs(us - us_target) <= tolerance
         if mask.any():
             kept.append(
-                TaskSetBatch(
-                    wcet[mask], block_period[mask],
-                    block_period[mask], block_area[mask],
-                )
+                TaskSetBatch(wcet, block_period, block_period, block_area).rows(mask)
             )
     return kept
 
@@ -420,18 +410,23 @@ def acceptance_experiment(
     counts: List[Dict[str, List[int]]] = [
         {label: [0, 0] for label in labels} for _ in grid_list
     ]
+    drawn = [0] * len(grid_list)
     budget_exceeded = 0
 
-    def accumulate(draws: Sequence[Optional[TaskSetBatch]]) -> None:
-        """Add one draw per bucket (``None``: nothing drawn) to
-        ``counts``, every bucket's rows merged into capped calls."""
+    def run_round(wants: Sequence[int]) -> None:
+        """Draw ``wants[i]`` more tasksets for each bucket ``i``, stack
+        the draws once and add every series' verdicts on the flat batch
+        to ``counts``, in capped calls."""
         nonlocal budget_exceeded
-        index = [i for i, batch in enumerate(draws) if batch is not None]
+        draws = {i: draw(i, n) for i, n in enumerate(wants) if n > 0}
+        index = [i for i, batch in draws.items() if batch is not None]
         if not index:
             return
-        batches = [draws[i] for i in index]
-        sizes = [batch.count for batch in batches]
-        flat = stack_rows(batches)
+        sizes = [draws[i].count for i in index]
+        flat = stack_rows([draws[i] for i in index])
+        del draws  # the analytic tests and the simulator read `flat` only
+        for i, n in zip(index, sizes):
+            drawn[i] += n
         for test in tests:
             mask = np.empty(flat.count, dtype=bool)
             for rows in grid.row_slices(flat.count, grid.TABLE_ROWS_PER_CALL):
@@ -439,15 +434,13 @@ def acceptance_experiment(
             for i, hits in zip(index, split_rows(mask, sizes)):
                 counts[i][test][0] += int(hits.sum())
                 counts[i][test][1] += hits.shape[0]
-        del flat
         if not sim_configs or sim_n <= 0:
             return
-        subs = [
-            batch if ci_target is not None else batch.rows(slice(0, sim_n))
-            for batch in batches
-        ]
+        sim_sizes = [min(n, sim_n) for n in sizes]
+        if sim_sizes != sizes:  # each bucket's first sim_n rows
+            flat = flat.rows(np.concatenate([np.arange(n) < sim_n for n in sizes]))
         results = simulate_grid(
-            subs, fpga, sim_configs,
+            flat, sim_sizes, fpga, sim_configs,
             release_rngs=(
                 None if release_rngs is None
                 else [release_rngs[i] for i in index]
@@ -458,32 +451,21 @@ def acceptance_experiment(
             sim_workers=sim_workers,
         )
         for sched, res in zip(sim_schedulers, results):
-            parts = split_rows(res.schedulable, [sub.count for sub in subs])
-            for i, ok in zip(index, parts):
+            for i, ok in zip(index, split_rows(res.schedulable, sim_sizes)):
                 counts[i][f"sim:{sched}"][0] += int(ok.sum())
                 counts[i][f"sim:{sched}"][1] += ok.shape[0]
             budget_exceeded += res.budget_exceeded
 
     if ci_target is None:
-        first_n = samples_per_point
+        run_round([samples_per_point] * len(grid_list))
     else:
-        first_n = min(
-            samples_per_point,
-            max(_CI_PILOT_MIN, math.ceil(samples_per_point / 10)),
-        )
-    pilots = [draw(i, first_n) for i in range(len(grid_list))]
-    accumulate(pilots)
-    drawn = [0 if batch is None else batch.count for batch in pilots]
-    if ci_target is not None:
+        pilot = max(_CI_PILOT_MIN, math.ceil(samples_per_point / 10))
+        run_round([min(samples_per_point, pilot)] * len(grid_list))
         # An empty pilot counted nothing, so it needs no extension.
-        extras: List[Optional[TaskSetBatch]] = []
-        for i in range(len(grid_list)):
-            needed = min(samples_per_point, _ci_required_samples(counts[i], ci_target))
-            extras.append(draw(i, needed - drawn[i]) if needed > drawn[i] else None)
-        accumulate(extras)
-        for i, extra in enumerate(extras):
-            if extra is not None:
-                drawn[i] += extra.count
+        run_round([
+            min(samples_per_point, _ci_required_samples(counts[i], ci_target)) - drawn[i]
+            for i in range(len(grid_list))
+        ])
 
     buckets = tuple(float(u) for u in us_grid)
     series = tuple(

@@ -13,8 +13,10 @@ effect fixpoint (pass 1) and the transitive rules (pass 2): it claims a
 a same-module or alias-imported project function, a ``self.m()`` /
 ``cls.m()`` method looked up through the in-project base-class chain, a
 class call (edge to ``__init__``), or a method on a local variable
-assigned from a project-class constructor in the same function.  An
-unresolvable call contributes no edge: the analysis under-approximates
+assigned from a project-class constructor in the same function.  A
+project function named as a call's argument is an edge of the caller
+too (it runs on the callee's behalf).  An unresolvable call contributes
+no edge: the analysis under-approximates
 the call graph and never invents reachability.
 
 This module imports only the stdlib and :mod:`repro.lint.config`
@@ -310,26 +312,44 @@ def iter_own_nodes(fn: ast.AST) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
+def _call_sites(decls: ModuleDecls, functions: Container[str],
+                classes: Mapping[str, "ClassDecl | Tuple[str, ...]"],
+                ) -> Iterator[Tuple[ast.Call, str, str]]:
+    """``(call node, caller qualname, target qualname)`` for every call
+    in ``decls``, callers in declaration order.  A call reaches its
+    resolved callee and every argument that *names* a project function:
+    a function passed as a value (a ``parallel_map`` worker, a scoring
+    callback) runs on the callee's behalf.  A class passed as a value is
+    no call of its ``__init__``."""
+    for fn in decls.functions:
+        local_types = local_constructor_types(
+            fn.node, decls.modname, decls.aliases, classes
+        )
+        for node in iter_own_nodes(fn.node):
+            if not isinstance(node, ast.Call):
+                continue
+            values = [
+                ast.Call(func=arg, args=[], keywords=[])
+                for arg in [*node.args, *(kw.value for kw in node.keywords)]
+                if isinstance(arg, (ast.Name, ast.Attribute))
+            ]
+            for k, call in enumerate([node, *values]):
+                target = resolve_call(
+                    call, fn, decls.aliases, local_types, functions, classes
+                )
+                if target is not None and not (k and target.endswith(".__init__")):
+                    yield node, fn.qualname, target
+
+
 def call_edges(decls: ModuleDecls, functions: Container[str],
                classes: Mapping[str, "ClassDecl | Tuple[str, ...]"],
                ) -> Dict[str, Tuple[str, ...]]:
     """Resolved callee qualnames per function in ``decls`` (sorted,
     deduplicated — the deterministic edge lists the fixpoint consumes)."""
-    out: Dict[str, Tuple[str, ...]] = {}
-    for fn in decls.functions:
-        local_types = local_constructor_types(
-            fn.node, decls.modname, decls.aliases, classes
-        )
-        callees: Set[str] = set()
-        for node in iter_own_nodes(fn.node):
-            if isinstance(node, ast.Call):
-                target = resolve_call(
-                    node, fn, decls.aliases, local_types, functions, classes
-                )
-                if target is not None:
-                    callees.add(target)
-        out[fn.qualname] = tuple(sorted(callees))
-    return out
+    out: Dict[str, Set[str]] = {fn.qualname: set() for fn in decls.functions}
+    for _node, caller, target in _call_sites(decls, functions, classes):
+        out[caller].add(target)
+    return {caller: tuple(sorted(callees)) for caller, callees in out.items()}
 
 
 class ModuleResolver:
@@ -341,22 +361,10 @@ class ModuleResolver:
                  classes: Mapping[str, "ClassDecl | Tuple[str, ...]"],
                  ) -> None:
         self.decls = collect_module(tree, modname, is_package)
-        self._sites: List[Tuple[ast.Call, str, str]] = []
-        for fn in self.decls.functions:
-            local_types = local_constructor_types(
-                fn.node, modname, self.decls.aliases, classes
-            )
-            for node in iter_own_nodes(fn.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                target = resolve_call(
-                    node, fn, self.decls.aliases, local_types,
-                    functions, classes,
-                )
-                if target is not None:
-                    self._sites.append((node, fn.qualname, target))
+        self._sites = list(_call_sites(self.decls, functions, classes))
 
     def call_sites(self) -> List[Tuple[ast.Call, str, str]]:
         """``(call node, caller qualname, callee qualname)`` triples in
-        source order of the callers' declarations."""
+        source order of the callers' declarations; a function passed as
+        an argument is a callee of the call it is passed to."""
         return list(self._sites)

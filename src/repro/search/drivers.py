@@ -27,7 +27,13 @@ from repro.search.adaptive import SearchOutcome, adaptive_pattern_search
 from repro.search.patterns import offsets_from_unit, release_times_from_unit
 from repro.search.proposal import SearchConfig
 from repro.vector.batch import TaskSetBatch
-from repro.vector.grid import GridResult, simulate_grid, split_rows
+from repro.vector.grid import (
+    GridResult,
+    batch_slices,
+    simulate_grid,
+    split_rows,
+    stack_rows,
+)
 from repro.vector.sim_vec import (
     default_horizon_batch,
     sample_offsets_batch,
@@ -41,12 +47,6 @@ def _host_batch(batch: TaskSetBatch) -> TaskSetBatch:
         np.asarray(batch.period, dtype=np.float64),
         np.asarray(batch.deadline, dtype=np.float64),
         np.asarray(batch.area, dtype=np.float64),
-    )
-
-
-def _rows(batch: TaskSetBatch, idx: np.ndarray) -> TaskSetBatch:
-    return TaskSetBatch(
-        batch.wcet[idx], batch.period[idx], batch.deadline[idx], batch.area[idx]
     )
 
 
@@ -74,21 +74,21 @@ def _uniform_search_grid(
     batches: Sequence[TaskSetBatch],
     patterns: int,
     rngs: Sequence[np.random.Generator],
-    simulate: Callable[[List[TaskSetBatch]], GridResult],
+    simulate: Callable[[TaskSetBatch, List[int]], GridResult],
 ) -> List[SearchOutcome]:
-    """Fan ``patterns`` repeats of every row of ``batches``, simulate the
-    fanned batches with ``simulate`` (one pattern per repeat, batch
-    ``i``'s patterns drawn from ``rngs[i]``) and reduce each row with
-    "any miss => found"."""
+    """Stack the rows of ``batches``, fan ``patterns`` repeats of each,
+    simulate the fanned rows with ``simulate(fanned, counts)`` (one
+    pattern per repeat, batch ``i``'s ``counts[i]`` fanned rows drawn
+    from ``rngs[i]``) and reduce each row with "any miss => found"."""
     if patterns < 0:
         raise ValueError("patterns must be >= 0")
     if len(rngs) != len(batches):
         raise ValueError(f"need one rng per batch: {len(rngs)} != {len(batches)}")
-    hosts = [_host_batch(batch) for batch in batches]
-    if patterns == 0:
-        return [_trivial_outcome(host.count) for host in hosts]
-    res = simulate([_fan(host, patterns) for host in hosts])
-    counts = [host.count for host in hosts]
+    counts = [batch.count for batch in batches]
+    if patterns == 0 or not batches:
+        return [_trivial_outcome(count) for count in counts]
+    fanned = _fan(_host_batch(stack_rows(batches)), patterns)
+    res = simulate(fanned, [count * patterns for count in counts])
     oks = split_rows(res.schedulable.reshape(-1, patterns), counts)
     slacks = split_rows(res.min_slack.reshape(-1, patterns), counts)
     return [
@@ -125,10 +125,14 @@ def uniform_offset_search_grid(
     horizon-extension rule).
     """
 
-    def simulate(fanned: List[TaskSetBatch]) -> GridResult:
+    def simulate(fanned: TaskSetBatch, counts: List[int]) -> GridResult:
+        offsets = np.concatenate([
+            sample_offsets_batch(fanned.rows(rows), rng)
+            for rows, rng in zip(batch_slices(counts), rngs)
+        ])
         [res] = simulate_grid(
-            fanned, fpga, [dict(scheduler=scheduler)],
-            offsets=[sample_offsets_batch(rows, rng) for rows, rng in zip(fanned, rngs)],
+            fanned, counts, fpga, [dict(scheduler=scheduler)],
+            offsets=offsets,
             horizon_factor=horizon_factor,
             max_events=max_events,
         )
@@ -183,7 +187,7 @@ def adaptive_offset_search_batch(
         live_count, patterns, n = u.shape
         offs = offsets_from_unit(host.period[live][:, None, :], u)
         res = simulate_batch(
-            _fan(_rows(host, live), patterns),
+            _fan(host.rows(live), patterns),
             fpga,
             scheduler,
             offsets=offs.reshape(-1, n),
@@ -220,9 +224,9 @@ def uniform_sporadic_search_grid(
     reduces with "any miss => found".
     """
 
-    def simulate(fanned: List[TaskSetBatch]) -> GridResult:
+    def simulate(fanned: TaskSetBatch, counts: List[int]) -> GridResult:
         [res] = simulate_grid(
-            fanned, fpga, [dict(scheduler=scheduler)],
+            fanned, counts, fpga, [dict(scheduler=scheduler)],
             release_rngs=rngs,
             jitter=max_jitter_factor,
             horizon_factor=horizon_factor,
@@ -284,7 +288,7 @@ def adaptive_sporadic_search_batch(
 
     def score(live: np.ndarray, u: np.ndarray):
         live_count, patterns, n = u.shape
-        fanned = _fan(_rows(host, live), patterns)
+        fanned = _fan(host.rows(live), patterns)
         hz_fan = np.repeat(hz[live], patterns)
         times = release_times_from_unit(
             fanned.period, u.reshape(-1, n), hz_fan, max_jitter_factor

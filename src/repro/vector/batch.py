@@ -128,17 +128,19 @@ class TaskSetBatch:
     def to_tasksets(self) -> List[TaskSet]:
         return [self.taskset(i) for i in range(self.count)]
 
-    def rows(self, sl: slice) -> "TaskSetBatch":
-        """A contiguous row-slice view of the batch (shared storage).
+    def rows(self, index) -> "TaskSetBatch":
+        """The rows ``index`` selects: any numpy row index — a slice
+        (a view, shared storage), an int array or a bool mask (copies).
 
-        Rows are independent in every vector kernel, so slicing the
-        batch axis is how :func:`repro.vector.grid.simulate_grid` cuts
-        its merged calls (and its ``sim_workers`` shares): results
+        Rows are independent in every vector kernel, so selecting along
+        the batch axis is how :func:`repro.vector.grid.simulate_grid`
+        cuts its merged calls (and its ``sim_workers`` shares): results
         computed on ``rows(a:b)`` slices concatenate to the full-batch
         result bit-for-bit.
         """
         return TaskSetBatch(
-            self.wcet[sl], self.period[sl], self.deadline[sl], self.area[sl]
+            self.wcet[index], self.period[index],
+            self.deadline[index], self.area[index],
         )
 
     def scaled_to_system_utilization(self, targets) -> "TaskSetBatch":

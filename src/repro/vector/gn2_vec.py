@@ -86,8 +86,5 @@ def gn2_accepts(
     parts = []
     for start in range(0, batch.count, chunk):
         sl = slice(start, min(start + chunk, batch.count))
-        sub = TaskSetBatch(
-            batch.wcet[sl], batch.period[sl], batch.deadline[sl], batch.area[sl]
-        )
-        parts.append(_gn2_chunk(sub, capacity, strict_condition2))
+        parts.append(_gn2_chunk(batch.rows(sl), capacity, strict_condition2))
     return np.concatenate(parts) & necessary_mask(batch, capacity)

@@ -1,10 +1,11 @@
 """Merged simulator calls over a grid of batches.
 
 An experiment grid is a list of batches (one per utilization bucket, or
-per bucket and release pattern).  :func:`simulate_grid` concatenates
-their rows once and simulates the flat batch in capped
+per bucket and release pattern).  Its caller stacks their rows once
+(:func:`stack_rows`) and hands :func:`simulate_grid` the flat batch with
+its per-batch row counts; the flat batch is simulated in capped
 :func:`~repro.vector.sim_vec.simulate_batch` calls, in-process or over a
-process pool; its results are flat arrays over the concatenated rows,
+process pool, and the results are flat arrays over the stacked rows,
 which :func:`split_rows` cuts back per batch.  Rows never interact in
 any vector kernel, so a row's verdict does not depend on which call (or
 process) it lands in.
@@ -34,7 +35,9 @@ GRID_ROWS_PER_CALL = 8192
 
 #: Most rows one merged call takes when every row carries a table: the
 #: analytic tests' ``(N, N)`` pair terms and sporadic release schedules
-#: (about 17 kB per row at N=10 and ``horizon_factor=20``).
+#: (about 17 kB per row at N=10 and ``horizon_factor=20``; the simulator
+#: replays a schedule in place, so for sporadic calls that is the sampled
+#: table alone).
 TABLE_ROWS_PER_CALL = 512
 
 
@@ -60,10 +63,17 @@ def stack_rows(batches: Sequence[TaskSetBatch]) -> TaskSetBatch:
     )
 
 
+def batch_slices(counts: Sequence[int]) -> List[slice]:
+    """The slice of the stacked rows that each batch of ``counts`` rows
+    occupies."""
+    stops = np.cumsum(counts, dtype=np.int64)
+    return [slice(int(stop) - n, int(stop)) for n, stop in zip(counts, stops)]
+
+
 def split_rows(flat: "np.ndarray", counts: Sequence[int]) -> List["np.ndarray"]:
-    """``flat``, indexed by concatenated row, cut into per-batch parts of
+    """``flat``, indexed by stacked row, cut into per-batch parts of
     ``counts`` rows."""
-    return np.split(flat, np.cumsum(counts)[:-1])
+    return [flat[rows] for rows in batch_slices(counts)]
 
 
 def row_slices(total: int, cap: int) -> List[slice]:
@@ -76,28 +86,23 @@ def row_slices(total: int, cap: int) -> List[slice]:
 def _release_tables(
     flat: TaskSetBatch,
     rows: slice,
-    starts: "np.ndarray",
+    counts: Sequence[int],
     release_rngs: Sequence["np.random.Generator"],
     horizon_factor: int,
     jitter: float,
 ) -> "np.ndarray":
     """Sporadic schedules for ``flat.rows(rows)``: the rows of batch
-    ``i`` (``starts[i]:starts[i+1]``) sampled from ``release_rngs[i]``,
+    ``i`` (``counts[i]`` rows) sampled from ``release_rngs[i]``,
     ``+inf``-padded to a common length."""
     tables = []
-    first = int(np.searchsorted(starts, rows.start, side="right")) - 1
-    for i in range(first, len(release_rngs)):
-        lo, hi = max(rows.start, starts[i]), min(rows.stop, starts[i + 1])
-        if lo >= rows.stop:
-            break
+    for part, rng in zip(batch_slices(counts), release_rngs):
+        lo, hi = max(rows.start, part.start), min(rows.stop, part.stop)
         if hi > lo:
-            part = flat.rows(slice(lo, hi))
+            sub = flat.rows(slice(lo, hi))
             tables.append(
                 sample_release_times_batch(
-                    part,
-                    default_horizon_batch(part, factor=horizon_factor),
-                    release_rngs[i],
-                    jitter,
+                    sub, default_horizon_batch(sub, factor=horizon_factor),
+                    rng, jitter,
                 )
             )
     if len(tables) == 1:
@@ -122,29 +127,30 @@ def _simulate_call(call) -> SimBatchResult:
 
 
 def simulate_grid(
-    batches: Sequence[TaskSetBatch],
+    flat: TaskSetBatch,
+    counts: Sequence[int],
     fpga: Fpga,
     configs: Sequence[Dict[str, object]],
     *,
-    offsets: Optional[Sequence["np.ndarray"]] = None,
+    offsets: Optional["np.ndarray"] = None,
     release_rngs: Optional[Sequence["np.random.Generator"]] = None,
     jitter: float = 0.5,
     horizon_factor: int = 20,
     sim_workers: int = 1,
     **common: object,
 ) -> List[GridResult]:
-    """Simulate every row of ``batches`` under each of ``configs``, the
-    batches merged into :func:`simulate_batch` calls of at most
-    :data:`GRID_ROWS_PER_CALL` rows (:data:`TABLE_ROWS_PER_CALL` under
-    sporadic release).
+    """Simulate every row of the stacked batches ``flat`` (batch ``i``
+    has ``counts[i]`` rows) under each of ``configs``, in
+    :func:`simulate_batch` calls of at most :data:`GRID_ROWS_PER_CALL`
+    rows (:data:`TABLE_ROWS_PER_CALL` under sporadic release).
 
     ``configs`` holds each curve's own :func:`simulate_batch` keywords
     (``scheduler``, ``mode``, ``placement_policy``); ``common`` the
-    shared ones.  ``offsets`` gives each batch's ``(rows, N)`` first
-    releases.  ``release_rngs`` switches to sporadic release: each
-    batch's schedules come from its own stream, sampled in row order a
-    call at a time (the same draws as one sample over the whole batch),
-    and every config replays the same schedules (paired curves).
+    shared ones.  ``offsets`` gives every row's ``(N,)`` first releases.
+    ``release_rngs`` switches to sporadic release: each batch's
+    schedules come from its own stream, sampled in row order a call at
+    a time (the same draws as one sample over the whole batch), and
+    every config replays the same schedules (paired curves).
 
     ``sim_workers`` (at least 1) spreads the calls over that many
     processes, each call at most ``ceil(rows / sim_workers)`` rows so
@@ -153,30 +159,32 @@ def simulate_grid(
     which runs every call in this process.
 
     Returns one :class:`GridResult` per config, over the rows of
-    ``batches`` in order.
+    ``flat`` in order.
     """
     if sim_workers < 1:
         raise ValueError(f"sim_workers must be >= 1, got {sim_workers!r}")
-    counts = [b.count for b in batches]
-    total = sum(counts)
+    total = flat.count
+    if sum(counts) != total:
+        raise ValueError(f"counts sum to {sum(counts)}, not {total} rows")
+    if release_rngs is not None and len(release_rngs) != len(counts):
+        raise ValueError(
+            f"need one release rng per batch: {len(release_rngs)} != {len(counts)}"
+        )
     schedulable = [np.empty(total, dtype=bool) for _ in configs]
     min_slack = [np.empty(total, dtype=np.float64) for _ in configs]
     exceeded = [0] * len(configs)
     if total:
-        flat = stack_rows(batches)
-        flat_offsets = None if offsets is None else np.concatenate(offsets)
-        starts = np.concatenate([[0], np.cumsum(counts)])
         cap = GRID_ROWS_PER_CALL if release_rngs is None else TABLE_ROWS_PER_CALL
         slices = row_slices(total, min(cap, -(-total // sim_workers)))
 
         def calls():
             for rows in slices:
                 kwargs = dict(common, horizon_factor=horizon_factor)
-                if flat_offsets is not None:
-                    kwargs["offsets"] = flat_offsets[rows]
+                if offsets is not None:
+                    kwargs["offsets"] = offsets[rows]
                 if release_rngs is not None:
                     kwargs["release_times"] = _release_tables(
-                        flat, rows, starts, release_rngs, horizon_factor, jitter
+                        flat, rows, counts, release_rngs, horizon_factor, jitter
                     )
                 for config in configs:
                     yield flat.rows(rows), fpga, dict(config, **kwargs)

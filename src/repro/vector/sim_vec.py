@@ -57,12 +57,32 @@ Scope (exactly the configuration the acceptance engine uses):
 * placement-aware modes additionally require integral task areas, like
   the scalar simulator.
 
-State is struct-of-arrays over ``(B, N)`` — ``remaining``,
-``next_release``, absolute deadlines, per-task positions/pins, a per-row
-event clock — and each step advances every live row to its *own* next
-event (rows are not synchronized to a global clock).  Decided rows are
-compacted out, so the per-step cost tracks the number of still-undecided
-sets.
+State is one per-row record, ``_Rows``: struct-of-arrays over the live
+rows — ``remaining``, ``next_rel``, absolute deadlines, per-task
+positions/pins, a per-row event clock — whose ``take(keep)`` compacts
+every field at once.  Each step advances every live row to its *own*
+next event (rows are not synchronized to a global clock).  A kernel pass
+runs up to :data:`FUSE` steps of three module-level phases and ends with
+a fourth:
+
+1. ``_release`` — activate the jobs due at each row's clock and load
+   each released task's next release (also run once before the first
+   pass, the scalar ``release_due(0)``);
+2. ``_select`` — the EDF decision: which jobs run;
+3. ``_advance`` — move each row to its next event, retire completed
+   jobs, decide the rows that missed or reached their horizon;
+4. ``_compact`` — scatter the decided rows' outcomes, compact them out,
+
+so the per-step cost tracks the number of still-undecided sets.  Each
+phase is looked up by name at call time, so a tracer can wrap it by
+path (``sim_vec._select``) without a clock read in this package.
+
+A sporadic call replays the caller's ``(B, N, K)`` table in place: each
+live row keeps its original row index, task columns map through the
+name permutation, and a per-slot pointer names the next release's column
+(one past the last column reads ``+inf``), so the call makes no copy of
+the table.  Periodic and sporadic releases share one ``< horizon``
+filter.
 
 Inputs are pinned to float64 once per batch (float32 state would
 silently change knife-edge verdicts).
@@ -86,8 +106,8 @@ with (``tau10@...`` sorts before ``tau1@...`` because ``'0' < '@'``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields, replace
+from typing import Optional, Union
 
 from repro.fpga.device import Fpga
 from repro.fpga.placement import PlacementPolicy
@@ -344,6 +364,95 @@ def sample_release_times_batch(
     return out
 
 
+@dataclass
+class _Rows:
+    """The live (undecided) rows of one :func:`simulate_batch` call, task
+    columns in name order.  Inactive slots hold ``+inf`` in ``abs_dl``
+    (sorts last, never a deadline candidate) and ``area_m`` (never
+    fits); ``next_rel`` is ``+inf`` once the next release would land
+    at/after the horizon.  A row decided inside a pass is neutralized
+    the same way, so the rest of the pass is a no-op for it and its
+    outcome stays frozen until :func:`_compact` scatters it.
+    """
+
+    idx: "np.ndarray"  # (M,) row index in the caller's batch
+    hz: "np.ndarray"  # (M,) horizon
+    wcet: "np.ndarray"  # (M, N)
+    period: "np.ndarray"  # (M, N)
+    deadline: "np.ndarray"  # (M, N)
+    area: "np.ndarray"  # (M, N)
+    remaining: "np.ndarray"  # (M, N) work left of each task's live job
+    rel: "np.ndarray"  # (M, N) release time of each task's live job
+    abs_dl: "np.ndarray"  # (M, N) its absolute deadline
+    area_m: "np.ndarray"  # (M, N) its area
+    next_rel: "np.ndarray"  # (M, N) each task's next release
+    now: "np.ndarray"  # (M,) per-row event clock
+    slack_min: "np.ndarray"  # (M,) running minimum of the near-miss metric
+    live: "np.ndarray"  # (M,) bool — not yet decided
+    ok: "np.ndarray"  # (M,) bool — no miss so far
+    exceeded: "np.ndarray"  # (M,) bool — ran out of event budget
+    events: "np.ndarray"  # (M,) int64 — event step the row was decided at
+    ptr: Optional["np.ndarray"] = None  # (M, N) sporadic: table column of next_rel
+    area_i: Optional["np.ndarray"] = None  # (M, N) placement: integral areas
+    pos: Optional["np.ndarray"] = None  # (M, N) placement: columns, -1 unplaced
+    pin: Optional["np.ndarray"] = None  # (M, N) PINNED: recorded columns, -1 none
+
+    def take(self, keep: "np.ndarray") -> None:
+        """Keep only the rows ``keep`` selects, in every field."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None:
+                setattr(self, f.name, value[keep])
+
+
+@dataclass(frozen=True)
+class _Fixed:
+    """What one call's phases read and never change."""
+
+    capacity: float
+    skip_blocked: bool
+    eps: float
+    perm: "np.ndarray"  # (N,) task column of each name-order slot
+    table: Optional["np.ndarray"]  # the caller's (B, N, K) release times
+    words: Optional["np.ndarray"]  # placement: the device's free-column bitmap
+    width: int
+    policy: PlacementPolicy
+
+
+def _table_at(s: _Rows, fixed: _Fixed) -> "np.ndarray":
+    """Sporadic: the release each slot's pointer names, read in place
+    from the caller's table through the row's original index and the
+    name permutation; a pointer past the last column reads ``+inf``."""
+    last = fixed.table.shape[2] - 1
+    times = fixed.table[s.idx[:, None], fixed.perm, np.minimum(s.ptr, last)]
+    return np.where(s.ptr <= last, times, np.inf)
+
+
+def _before_horizon(times: "np.ndarray", hz: "np.ndarray") -> "np.ndarray":
+    """``times``, with every release at/after the row's horizon ``+inf``
+    (the scalar loop's strict ``release < horizon`` filter)."""
+    return np.where(times < hz[:, None], times, np.inf)
+
+
+def _release(s: _Rows, fixed: _Fixed) -> None:
+    """Phase 1: activate every job due at the rows' clocks — the scalar
+    ``release_due(now)`` (periods/gaps > eps make its while-loop a single
+    pass) — and load each released task's next release."""
+    due = s.next_rel <= s.now[:, None] + fixed.eps
+    if not np.any(due):
+        return
+    s.rel = np.where(due, s.next_rel, s.rel)
+    s.remaining = np.where(due, s.wcet, s.remaining)
+    s.abs_dl = np.where(due, s.next_rel + s.deadline, s.abs_dl)
+    s.area_m = np.where(due, s.area, s.area_m)
+    if fixed.table is None:
+        nxt = s.next_rel + s.period
+    else:
+        s.ptr = s.ptr + due
+        nxt = _table_at(s, fixed)
+    s.next_rel = np.where(due, _before_horizon(nxt, s.hz), s.next_rel)
+
+
 def _nf_running_greedy(area_s, capacity):
     """EDF-NF FREE-mode selection.
 
@@ -363,37 +472,29 @@ def _nf_running_greedy(area_s, capacity):
     return run_s
 
 
-def _select_placement(
-    order,
-    area_m,
-    area_i,
-    pos,
-    pin,
-    device_words,
-    device_width: int,
-    policy: PlacementPolicy,
-    skip_blocked: bool,
-):
+def _select_placement(order, s: _Rows, fixed: _Fixed):
     """One placement-aware scheduling decision for every live row.
 
     Replicates the scalar ``select_running`` exactly: walk the jobs in
     EDF priority order; a PINNED job with a recorded pin may only resume
     on those exact columns; otherwise a job prefers its previous columns
     and falls back to the placement policy; EDF-FkF stops a row's scan
-    at its first blocked job, EDF-NF skips it.  ``pos``/``pin`` are
+    at its first blocked job, EDF-NF skips it.  ``s.pos``/``s.pin`` are
     updated in place; returns the ``(M, N)`` running mask.
     """
+    area_i, pos, pin = s.area_i, s.pos, s.pin
+    width = fixed.width
     M, N = order.shape
-    n_words = int(device_words.shape[0])
-    words = np.tile(device_words, (M, 1))
+    n_words = int(fixed.words.shape[0])
+    words = np.tile(fixed.words, (M, 1))
     running = np.zeros((M, N), dtype=np.bool_)
-    stopped = np.zeros((M,), dtype=np.bool_) if not skip_blocked else None
+    stopped = None if fixed.skip_blocked else np.zeros((M,), dtype=np.bool_)
     # Per row, active jobs sort ahead of inactive slots, so priority
     # position j holds an active job iff the row has > j active jobs.
     # Each step compresses to the rows that still have a candidate —
     # late priority positions involve few rows, and all per-step work
     # scales with that count.
-    n_act = np.sum(np.isfinite(area_m), axis=1)
+    n_act = np.sum(np.isfinite(s.area_m), axis=1)
     for j in range(int(np.max(n_act)) if M else 0):
         act = n_act > j
         if stopped is not None:
@@ -409,21 +510,21 @@ def _select_placement(
             p = pin[ar, slot]
             # A pinned job may only resume on its recorded columns — no
             # fallback; rows without a pin fall through to prev/choose.
-            ok = span_free(wsub, p, w, device_width, n_words)
+            ok = span_free(wsub, p, w, width, n_words)
             placed_at[ok] = p[ok]
             rest = p < 0
             prev = np.where(rest, pos[ar, slot], -1)
         else:
             rest = None
             prev = pos[ar, slot]
-        okp = span_free(wsub, prev, w, device_width, n_words)
+        okp = span_free(wsub, prev, w, width, n_words)
         placed_at[okp] = prev[okp]
         need = placed_at < 0
         if rest is not None:
             need = need & rest
         nr = np.nonzero(need)[0]
         if nr.shape[0]:
-            placed_at[nr] = choose_batch(wsub[nr], w[nr], device_width, policy)
+            placed_at[nr] = choose_batch(wsub[nr], w[nr], width, fixed.policy)
         placed = placed_at >= 0
         pr = np.nonzero(placed)[0]
         if pr.shape[0]:
@@ -438,6 +539,139 @@ def _select_placement(
         if stopped is not None:
             stopped[ar[~placed]] = True
     return running
+
+
+def _select(s: _Rows, fixed: _Fixed) -> "np.ndarray":
+    """Phase 2: the EDF decision — each row's jobs in (deadline,
+    release, name) order, then either the FREE-mode area accumulation
+    or the placement-aware contiguous-hole walk, with the same adds and
+    comparisons as the scalar path.  Returns the ``(M, N)`` running
+    mask."""
+    # Task columns are in name order, so a *stable* 2-key lexsort
+    # reproduces the scalar queue's full (deadline, release, name)
+    # tie-break.
+    order = np.lexsort((s.rel, s.abs_dl), axis=-1)
+    if fixed.words is not None:
+        return _select_placement(order, s, fixed)
+    area_s = np.take_along_axis(s.area_m, order, axis=1)
+    if fixed.skip_blocked:  # EDF-NF: greedy, blocked jobs skipped
+        run_s = _nf_running_greedy(area_s, fixed.capacity)
+    else:  # EDF-FkF: prefix, first blocked job stops the scan.
+        # Areas are positive, so the running sum over the active prefix
+        # is strictly increasing and "cumsum <= capacity" is exactly the
+        # largest-fitting-prefix rule (cumsum accumulates left-to-right
+        # like the scalar loop).
+        finite = np.isfinite(area_s)
+        csum = np.cumsum(np.where(finite, area_s, 0.0), axis=1)
+        run_s = (csum <= fixed.capacity) & finite
+    running = np.empty_like(run_s)
+    np.put_along_axis(running, order, run_s, axis=1)
+    return running
+
+
+def _advance(
+    s: _Rows, running: "np.ndarray", step: int, fixed: _Fixed
+) -> bool:
+    """Phase 3: advance every row to its next event (a release, a
+    completion or a deadline, capped at the horizon), retire completed
+    jobs and decide the rows that missed or reached their horizon.
+    Returns whether any row is still live."""
+    eps = fixed.eps
+    # One fused axis-min over the element-wise minimum of the three
+    # candidate kinds — the same value as three separate mins.
+    now_col = s.now[:, None]
+    cand = np.minimum(s.next_rel, np.where(running, now_col + s.remaining, np.inf))
+    cand = np.minimum(cand, np.where(s.abs_dl > now_col + eps, s.abs_dl, np.inf))
+    t_next = np.minimum(np.min(cand, axis=1), s.hz)
+    dt = t_next - s.now
+    adv = (dt > 0)[:, None] & running
+    s.remaining = np.where(adv, s.remaining - dt[:, None], s.remaining)
+    s.now = t_next
+    now_col = t_next[:, None]
+
+    # Completions first (finishing exactly at the deadline succeeds).
+    completed = running & (s.remaining <= eps)
+    if np.any(completed):
+        # Slack channel: deadline minus completion time, recorded before
+        # the slot is cleared (the scalar per-completion slack).
+        s.slack_min = np.minimum(
+            s.slack_min,
+            np.min(np.where(completed, s.abs_dl - now_col, np.inf), axis=1),
+        )
+        s.abs_dl = np.where(completed, np.inf, s.abs_dl)
+        s.area_m = np.where(completed, np.inf, s.area_m)
+        if s.pos is not None:
+            # The scalar loop pops positions/pins on completion; the
+            # task's successor job starts unplaced.
+            s.pos[completed] = -1
+            if s.pin is not None:
+                s.pin[completed] = -1
+
+    # Deadline misses decide the row (inactive slots have inf deadlines
+    # and can never register here).
+    miss = (s.abs_dl <= now_col + eps) & (s.remaining > eps)
+    row_miss = np.any(miss, axis=1)
+    done = row_miss | (s.now >= s.hz - eps)
+    newly = done & s.live
+    if not np.any(newly):
+        return True
+    if np.any(row_miss):
+        # Tardiness-proximity: a missing job contributes -remaining (the
+        # scalar DeadlineMiss.remaining, negated).  A missing row is
+        # necessarily live, so this nests under the newly-dead branch.
+        s.slack_min = np.minimum(
+            s.slack_min, np.min(np.where(miss, -s.remaining, np.inf), axis=1)
+        )
+    # Freeze outcomes and neutralize the dying rows in place; scatter
+    # and compaction wait for the end of the pass.
+    s.ok = s.ok & ~row_miss
+    s.events = np.where(newly, step, s.events)
+    s.live = s.live & ~done
+    newly_col = newly[:, None]
+    s.next_rel = np.where(newly_col, np.inf, s.next_rel)
+    s.abs_dl = np.where(newly_col, np.inf, s.abs_dl)
+    s.area_m = np.where(newly_col, np.inf, s.area_m)
+    return bool(np.any(s.live))
+
+
+def _compact(s: _Rows, out: SimBatchResult) -> None:
+    """Phase 4: scatter the frozen outcomes of every row decided this
+    pass into ``out`` and compact them out of ``s``."""
+    if s.live.all():
+        return
+    gone = ~s.live
+    decided = s.idx[gone]
+    out.schedulable[decided] = s.ok[gone]
+    out.budget_exceeded[decided] = s.exceeded[gone]
+    out.events[decided] = s.events[gone]
+    out.min_slack[decided] = s.slack_min[gone]
+    s.take(s.live)
+
+
+def _check_release_times(table: "np.ndarray", deadline: "np.ndarray") -> None:
+    """Reject a sporadic table the one-slot-per-task replay cannot
+    represent, one ``(B, N)`` column at a time (no table-sized
+    temporaries)."""
+    if table.ndim != 3 or table.shape[:2] != deadline.shape or table.shape[2] < 1:
+        raise ValueError(
+            f"release_times must have shape (B, N, K), got {table.shape}"
+        )
+    cols = [table[:, :, k] for k in range(table.shape[2])]
+    if any(np.any(col < 0) or np.any(np.isnan(col)) for col in cols):
+        raise ValueError("release times must be >= 0")
+    # Element-wise comparisons (not diff): inf padding minus inf padding
+    # would warn, `inf < inf` is just False.
+    if any(np.any(nxt < cur) for cur, nxt in zip(cols, cols[1:])):
+        raise ValueError("release times must be ascending per task")
+    # One-slot-per-task layout: job k+1 may only release once job k's
+    # deadline has passed (gap >= D), else the replay would silently
+    # clobber a live job that the scalar simulate_release_schedule still
+    # tracks.  The sampler satisfies this by construction (gaps >= T >= D).
+    if any(np.any(nxt < cur + deadline) for cur, nxt in zip(cols, cols[1:])):
+        raise ValueError(
+            "release times must be separated by at least each "
+            "task's deadline (one live job per task)"
+        )
 
 
 def simulate_batch(
@@ -478,10 +712,11 @@ def simulate_batch(
       Verdicts are bit-identical to the scalar
       ``simulate(..., offsets=...)``.
     * sporadic, exactly when ``release_times`` is given: a ``(B, N, K)``
-      ascending, ``+inf``-padded array of explicit schedules (successive
-      releases at least each task's deadline apart, so one job per task
-      is live at a time), to replay.  Sampled schedules come from
-      :func:`sample_release_times_batch` (bit-identical to the scalar
+      ascending array of explicit schedules (successive releases at
+      least each task's deadline apart, so one job per task is live at
+      a time; ``+inf`` padding optional), replayed in place.  Sampled
+      schedules come from :func:`sample_release_times_batch`
+      (bit-identical to the scalar
       :func:`repro.sim.sporadic.sample_release_schedule` /
       ``simulate_release_schedule`` pipeline on a shared generator).
       Sporadic schedules start at ``t = 0``, so ``offsets`` must be
@@ -564,339 +799,96 @@ def simulate_batch(
             raise ValueError("horizon must be > 0")
     if max_events < 1:
         raise ValueError("max_events must be >= 1")
-
     if sporadic:
         release_times = np.asarray(release_times, dtype=np.float64)
-        if (
-            release_times.ndim != 3
-            or release_times.shape[:2] != (B, N)
-            or release_times.shape[2] < 1
-        ):
-            raise ValueError(
-                f"release_times must have shape (B, N, K), got "
-                f"{release_times.shape}"
-            )
-        if np.any(release_times < 0) or np.any(np.isnan(release_times)):
-            raise ValueError("release times must be >= 0")
-        # Element-wise comparisons (not diff): inf padding minus inf
-        # padding would warn, `inf < inf` is just False.
-        if np.any(release_times[:, :, 1:] < release_times[:, :, :-1]):
-            raise ValueError("release times must be ascending per task")
-        # One-slot-per-task layout: job k+1 may only release once job
-        # k's deadline has passed (gap >= D), else the replay would
-        # silently clobber a live job that the scalar
-        # simulate_release_schedule still tracks.  The sampler satisfies
-        # this by construction (gaps >= T >= D).
-        if np.any(
-            release_times[:, :, 1:]
-            < release_times[:, :, :-1] + host_batch.deadline[:, :, None]
-        ):
-            raise ValueError(
-                "release times must be separated by at least each "
-                "task's deadline (one live job per task)"
-            )
-        # Releases at/after the horizon never fire (the scalar loop's
-        # strict `release < horizon` filter); one trailing inf column
-        # keeps the advanced pointer a valid index.
-        release_times = np.concatenate(
-            [
-                np.where(
-                    release_times < hz[:, None, None],
-                    release_times,
-                    np.inf,
-                ),
-                np.full((B, N, 1), np.inf, dtype=np.float64),
-            ],
-            axis=2,
-        )
+        _check_release_times(release_times, host_batch.deadline)
 
-    # -- final per-row outcome (scattered into as rows decide) ---------------
-    out_ok = np.ones(B, dtype=bool)
-    out_exceeded = np.zeros(B, dtype=bool)
-    out_events = np.zeros(B, dtype=np.int64)
-    out_slack = np.full(B, np.inf, dtype=np.float64)
-
+    out = SimBatchResult(
+        schedulable=np.ones(B, dtype=bool),
+        budget_exceeded=np.zeros(B, dtype=bool),
+        events=np.zeros(B, dtype=np.int64),
+        horizon=hz,
+        min_slack=np.full(B, np.inf, dtype=np.float64),
+    )
     if B == 0:
-        return SimBatchResult(
-            schedulable=out_ok,
-            budget_exceeded=out_exceeded,
-            events=out_events,
-            horizon=np.zeros(0, dtype=np.float64),
-            min_slack=out_slack,
-        )
+        return out
 
-    hz_out = hz.copy()  # compaction rebinds hz; keep the full-batch view
-
-    # -- working set: live (undecided) rows only ------------------------------
-    # Task columns are permuted into lexicographic-name order once, so a
-    # *stable* 2-key lexsort (release, deadline) reproduces the scalar
-    # queue's full (deadline, release, name) tie-break for free.  The
-    # sporadic rank follows the scalar pseudo-task names instead.
+    # Task columns are permuted into lexicographic-name order once (the
+    # sporadic rank follows the scalar pseudo-task names instead).
     perm = np.argsort(_name_ranks(N, sporadic=sporadic), kind="stable")
-    idx = np.arange(B)
-
     wcet = host_batch.wcet[:, perm]
-    period = host_batch.period[:, perm]
-    deadline = host_batch.deadline[:, perm]
-    area = host_batch.area[:, perm]
-
-    INF = float("inf")
-    # Inactivity is encoded as +inf: an inactive slot has abs_dl == inf
-    # (sorts behind every active job, never a deadline candidate) and
-    # area_m == inf (never fits, never accumulates).  All slots start
-    # inactive; the pre-loop release pass below (the scalar
-    # release_due(0)) activates whatever is due at t=0 — everything
-    # under synchronous release, nothing with a positive offset.
-    remaining = wcet.copy()
-    rel = np.zeros((B, N), dtype=np.float64)
-    abs_dl = np.full((B, N), INF, dtype=np.float64)
-    area_m = np.full((B, N), INF, dtype=np.float64)
-    # next_rel slots are +inf once the next release would land at/after
-    # the horizon (the scalar loop just keeps filtering them out).
-    if sporadic:
-        release_times = release_times[:, perm, :]
-        rel_ptr = np.zeros((B, N), dtype=np.int64)
-        next_rel = release_times[:, :, 0].copy()
-        next_rel[next_rel >= hz[:, None]] = INF
-    else:
-        rel_ptr = None
-        first = (
-            np.zeros((B, N), dtype=np.float64)
-            if off is None
-            else off[:, perm]
-        )
-        next_rel = np.where(first < hz[:, None], first, INF)
-    now = np.zeros((B,), dtype=np.float64)
-    # Per-row running minimum of the near-miss metric: deadline minus
-    # completion time on completions, -remaining on misses.
-    slack_min = np.full((B,), INF, dtype=np.float64)
-    # Every live row steps one event per loop iteration, so a single
-    # scalar counter tracks each row's event count.
-    iteration = 0
-    # -- fused-stepping state: rows decide *inside* a kernel pass and are
-    #    only scattered/compacted at its end, so each row's outcome is
-    #    frozen the moment it dies.  A dead row is
-    #    neutralized in place (infinite next release/deadline/area): it
-    #    selects nothing, releases nothing, misses nothing, and its
-    #    slack_min stops moving — every further step is a no-op for it.
-    live = np.ones((B,), dtype=np.bool_)
-    row_ok = np.ones((B,), dtype=np.bool_)
-    row_exc = np.zeros((B,), dtype=np.bool_)
-    row_events = np.zeros((B,), dtype=np.int64)
-    kernel_passes = 0
-    event_steps = 0
-
-    # -- placement-aware state (per task slot; one live job per task) ---------
+    # All slots start inactive; the pre-loop release phase (the scalar
+    # release_due(0)) activates whatever is due at t=0 — everything under
+    # synchronous release, nothing with a positive offset.
+    s = _Rows(
+        idx=np.arange(B),
+        hz=hz,
+        wcet=wcet,
+        period=host_batch.period[:, perm],
+        deadline=host_batch.deadline[:, perm],
+        area=host_batch.area[:, perm],
+        remaining=wcet.copy(),
+        rel=np.zeros((B, N), dtype=np.float64),
+        abs_dl=np.full((B, N), np.inf, dtype=np.float64),
+        area_m=np.full((B, N), np.inf, dtype=np.float64),
+        next_rel=np.zeros((B, N)) if off is None else off[:, perm],
+        now=np.zeros((B,), dtype=np.float64),
+        slack_min=np.full((B,), np.inf, dtype=np.float64),
+        live=np.ones((B,), dtype=np.bool_),
+        ok=np.ones((B,), dtype=np.bool_),
+        exceeded=np.zeros((B,), dtype=np.bool_),
+        events=np.zeros((B,), dtype=np.int64),
+        ptr=np.zeros((B, N), dtype=np.int64) if sporadic else None,
+    )
     if use_placement:
-        device_words = xp.spans_to_words(device.free_spans(), device.width)
-        area_i = area.astype(np.int64)
-        pos = np.full((B, N), -1, dtype=np.int64)
-        pin = (
-            np.full((B, N), -1, dtype=np.int64)
-            if mode is MigrationMode.PINNED
+        s.area_i = s.area.astype(np.int64)
+        s.pos = np.full((B, N), -1, dtype=np.int64)
+        if mode is MigrationMode.PINNED:
+            s.pin = np.full((B, N), -1, dtype=np.int64)
+    fixed = _Fixed(
+        capacity=capacity,
+        skip_blocked=skip_blocked,
+        eps=eps,
+        perm=perm,
+        table=release_times,
+        words=(
+            xp.spans_to_words(device.free_spans(), device.width)
+            if use_placement
             else None
-        )
-    else:
-        area_i = pos = pin = None
+        ),
+        width=device.width if use_placement else 0,
+        policy=placement_policy,
+    )
+    if sporadic:
+        s.next_rel = _table_at(s, fixed)
+    s.next_rel = _before_horizon(s.next_rel, hz)
+    _release(s, fixed)
 
-    rows = np.arange(B)[:, None]
-
-    def compact(keep: "np.ndarray") -> None:
-        nonlocal idx, wcet, period, deadline, area, hz, rows
-        nonlocal remaining, rel, abs_dl, area_m, next_rel, now, area_i, pos, pin
-        nonlocal release_times, rel_ptr, slack_min
-        nonlocal live, row_ok, row_exc, row_events
-        idx = idx[keep]
-        slack_min = slack_min[keep]
-        live, row_ok, row_exc, row_events = (
-            live[keep], row_ok[keep], row_exc[keep], row_events[keep],
-        )
-        wcet, period, deadline, area = (
-            wcet[keep], period[keep], deadline[keep], area[keep],
-        )
-        hz = hz[keep]
-        remaining, rel, abs_dl, area_m, next_rel = (
-            remaining[keep], rel[keep], abs_dl[keep], area_m[keep],
-            next_rel[keep],
-        )
-        now = now[keep]
-        if sporadic:
-            release_times, rel_ptr = release_times[keep], rel_ptr[keep]
-        if use_placement:
-            area_i, pos = area_i[keep], pos[keep]
-            if pin is not None:
-                pin = pin[keep]
-        rows = rows[: idx.shape[0]]
-
-    def release_due() -> None:
-        """Activate every job due at the rows' current clocks — the
-        scalar ``release_due(now)`` (periods/gaps > eps make its
-        while-loop a single pass)."""
-        nonlocal rel, remaining, abs_dl, area_m, next_rel, rel_ptr
-        due = next_rel <= now[:, None] + eps
-        if not np.any(due):
-            return
-        rel = np.where(due, next_rel, rel)
-        remaining = np.where(due, wcet, remaining)
-        abs_dl = np.where(due, next_rel + deadline, abs_dl)
-        area_m = np.where(due, area, area_m)
-        if sporadic:
-            rel_ptr = rel_ptr + due
-            nxt = np.take_along_axis(
-                release_times, rel_ptr[:, :, None], axis=2
-            )[:, :, 0]
-            next_rel = np.where(due, nxt, next_rel)
-        else:
-            nxt = next_rel + period
-            next_rel = np.where(
-                due, np.where(nxt < hz[:, None], nxt, INF), next_rel
-            )
-
-    release_due()  # the scalar pre-loop release_due(0)
-
-    # Fused stepping: the outer loop is one *kernel pass* — up to FUSE
-    # event steps computed back to back, then exactly one
-    # liveness readback, verdict scatter and row compaction.
-    # Bit-identity with the classic per-event loop holds because a dead
-    # row's neutralized state makes every subsequent in-pass step a no-op
-    # for it: it selects no jobs (infinite areas), schedules no candidate
-    # events (infinite release/deadline), cannot re-miss, and never
-    # touches slack_min again.  The any() early-outs below just skip
-    # those no-op updates.
-    while idx.shape[0]:
+    # Fused stepping: one kernel pass is up to FUSE event steps back to
+    # back (select -> advance -> release), then one scatter and
+    # compaction.  Rows decided inside a pass are neutralized in place
+    # (see _Rows), which keeps this bit-identical to one step per pass.
+    # Every live row steps one event per step, so the shared counter is
+    # each row's event count.
+    step = kernel_passes = 0
+    while s.idx.shape[0]:
         kernel_passes += 1
-        M = idx.shape[0]
         for _ in range(FUSE):
-            iteration += 1
-            if iteration > max_events:
+            step += 1
+            if step > max_events:
                 # The scalar simulator raises SimulationError here;
-                # record every still-live row as
-                # not-schedulable-within-budget.  The budget counts
-                # event steps — `iteration` is shared by all live rows —
-                # so fusion never changes which rows exceed it.
-                row_ok = row_ok & ~live
-                row_exc = row_exc | live
-                row_events = np.where(live, iteration, row_events)
-                live = np.zeros((M,), dtype=np.bool_)
+                # record every still-live row as not schedulable within
+                # budget.  The budget counts event steps, so fusion never
+                # changes which rows exceed it.
+                s.ok = s.ok & ~s.live
+                s.exceeded = s.exceeded | s.live
+                s.events = np.where(s.live, step, s.events)
+                s.live = np.zeros_like(s.live)
                 break
-            event_steps += 1
-
-            # -- EDF selection: per-row (deadline, release) stable argsort,
-            #    then either the FREE-mode area accumulation or the
-            #    placement-aware contiguous-hole walk — same adds and
-            #    comparisons as the scalar path.
-            order = np.lexsort((rel, abs_dl), axis=-1)
-            if use_placement:
-                running = _select_placement(
-                    order, area_m, area_i, pos, pin,
-                    device_words, device.width, placement_policy,
-                    skip_blocked,
-                )
-            else:
-                area_s = area_m[rows, order]
-                if skip_blocked:  # EDF-NF: greedy, blocked jobs skipped
-                    run_s = _nf_running_greedy(area_s, capacity)
-                else:  # EDF-FkF: prefix, first blocked job stops the scan.
-                    # Areas are positive, so the running sum over the
-                    # active prefix is strictly increasing and "cumsum <=
-                    # capacity" is exactly the largest-fitting-prefix rule
-                    # (cumsum accumulates left-to-right like the scalar
-                    # loop).
-                    finite = np.isfinite(area_s)
-                    csum = np.cumsum(np.where(finite, area_s, 0.0), axis=1)
-                    run_s = (csum <= capacity) & finite
-                running = np.zeros((M, N), dtype=np.bool_)
-                running[rows, order] = run_s
-
-            # -- next event per row: release, completion, or deadline expiry
-            #    (one fused axis-min over the element-wise minimum of the
-            #    three candidate kinds — same value as three separate mins).
-            now_col = now[:, None]
-            now_eps = now_col + eps
-            cand = np.minimum(
-                next_rel, np.where(running, now_col + remaining, INF)
-            )
-            cand = np.minimum(cand, np.where(abs_dl > now_eps, abs_dl, INF))
-            t_next = np.minimum(np.min(cand, axis=1), hz)
-
-            # -- advance the running jobs to t_next.
-            dt = t_next - now
-            adv = (dt > 0)[:, None] & running
-            remaining = np.where(adv, remaining - dt[:, None], remaining)
-            now = t_next
-            now_col = now[:, None]
-            now_eps = now_col + eps
-
-            # -- completions first (finishing exactly at the deadline
-            #    succeeds).
-            completed = running & (remaining <= eps)
-            if np.any(completed):
-                # Slack channel: deadline minus completion time, recorded
-                # before the slot is cleared (same subtraction as the
-                # scalar simulator's per-completion slack).
-                slack_min = np.minimum(
-                    slack_min,
-                    np.min(
-                        np.where(completed, abs_dl - now_col, INF), axis=1
-                    ),
-                )
-                abs_dl = np.where(completed, INF, abs_dl)
-                area_m = np.where(completed, INF, area_m)
-                if use_placement:
-                    # The scalar loop pops positions/pins on completion;
-                    # the successor job of the task starts unplaced.
-                    pos[completed] = -1
-                    if pin is not None:
-                        pin[completed] = -1
-
-            # -- deadline misses decide the row (inactive slots have inf
-            #    deadlines and can never register here).
-            miss = (abs_dl <= now_eps) & (remaining > eps)
-            row_miss = np.any(miss, axis=1)
-            done = row_miss | (now >= hz - eps)
-            newly = done & live
-            if np.any(newly):
-                if np.any(row_miss):
-                    # Tardiness-proximity: a missing job contributes
-                    # -remaining (the scalar DeadlineMiss.remaining,
-                    # negated).  A missing row is necessarily live, so
-                    # this nests under the newly-dead branch.
-                    slack_min = np.minimum(
-                        slack_min,
-                        np.min(np.where(miss, -remaining, INF), axis=1),
-                    )
-                # Freeze outcomes and neutralize the dying rows in place;
-                # scatter and compaction wait for the end of the pass.
-                row_ok = row_ok & ~row_miss
-                row_events = np.where(newly, iteration, row_events)
-                live = live & ~done
-                newly_col = newly[:, None]
-                next_rel = np.where(newly_col, INF, next_rel)
-                abs_dl = np.where(newly_col, INF, abs_dl)
-                area_m = np.where(newly_col, INF, area_m)
-                if not np.any(live):
-                    break
-
-            # -- releases due at the new `now` (one job per task slot).
-            release_due()
-
-        # -- end of pass: scatter the frozen verdicts of every row that
-        #    died this pass, compact.
-        if not live.all():
-            gone = ~live
-            decided = idx[gone]
-            out_ok[decided] = row_ok[gone]
-            out_exceeded[decided] = row_exc[gone]
-            out_events[decided] = row_events[gone]
-            out_slack[decided] = slack_min[gone]
-            compact(live)
-
-    return SimBatchResult(
-        schedulable=out_ok,
-        budget_exceeded=out_exceeded,
-        events=out_events,
-        horizon=hz_out,
-        min_slack=out_slack,
-        kernel_passes=kernel_passes,
-        event_steps=event_steps,
+            if not _advance(s, _select(s, fixed), step, fixed):
+                break
+            _release(s, fixed)
+        _compact(s, out)
+    return replace(
+        out, kernel_passes=kernel_passes, event_steps=min(step, max_events)
     )

@@ -176,7 +176,8 @@ class TestGridRows:
 
         monkeypatch.setattr(grid, "simulate_batch", spy)
         rngs = [rng_from_seed(100 + i) for i in range(len(batches))]
-        grid.simulate_grid(batches, Fpga(width=100), [{}], release_rngs=rngs,
+        grid.simulate_grid(stack_rows(batches), [b.count for b in batches],
+                           Fpga(width=100), [{}], release_rngs=rngs,
                            jitter=0.3, horizon_factor=4)
         assert all(t.shape[0] <= cap for t in seen)
         width = max(t.shape[2] for t in seen)
@@ -213,7 +214,8 @@ class TestGridRows:
 
         monkeypatch.setattr(grid, "simulate_batch", spy)
         rngs = [rng_from_seed(i) for i in range(4)] if sporadic else None
-        grid.simulate_grid(batches, Fpga(width=100), configs, sim_workers=1,
+        grid.simulate_grid(stack_rows(batches), [b.count for b in batches],
+                           Fpga(width=100), configs, sim_workers=1,
                            release_rngs=rngs, horizon_factor=4)
         assert seen == [
             (os.getpid(), rows.stop - rows.start, config["scheduler"], sporadic)
@@ -386,7 +388,6 @@ class TestMergedAblations:
         assert run() == reference
 
     def test_adaptive_search_matches_per_bucket_driver(self):
-        from repro.experiments.ablations import _batch_rows
         from repro.search.drivers import adaptive_offset_search_batch
         from repro.search.proposal import SearchConfig
 
@@ -404,7 +405,7 @@ class TestMergedAblations:
             searched = sync.copy()
             if live.size:
                 outcome = adaptive_offset_search_batch(
-                    _batch_rows(batch, live), fpga, "EDF-NF", budget=4,
+                    batch.rows(live), fpga, "EDF-NF", budget=4,
                     rngs=[streams[b] for b in live],
                     config=SearchConfig(rounds=2, elite_frac=0.25),
                     horizon_factor=hf,

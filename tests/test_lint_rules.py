@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.lint import lint_paths, lint_source
+from repro.lint.callgraph import ModuleResolver
 from repro.lint.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS, main
 from repro.lint.effects import EFFECTS, build_project, effects_report
 from repro.lint.engine import PARSE_ERROR_ID, build_project_for, module_name_for
@@ -273,6 +274,53 @@ SEED_CASES = [
 def test_seed_effects_per_atom(modname, src, qualname, expected):
     summary = build_project([(modname, ast.parse(src), False)])
     assert summary.seeds[f"{modname}.{qualname}"] == frozenset(expected)
+
+
+# A project function passed as an argument (a pool worker, a scoring
+# callback) runs on the callee's behalf: it is a call edge of the
+# function that passes it, so its effects reach that caller.
+VALUE_EDGE_MODULES = [
+    ("repro.core.a",
+     "N = 0\n"
+     "def mutate():\n    global N\n    N = 1\n"
+     "def run(fn=None, *args, key=None):\n    return fn\n"
+     "class Box:\n    def __init__(self):\n        self.n = 1\n"
+     "def positional():\n    return run(mutate)\n"
+     "def keyword():\n    return run(key=mutate)\n"
+     "def nested():\n    def cb():\n        global N\n        N = 2\n"
+     "    return run(cb)\n"
+     "def by_class():\n    return run(Box)\n"
+     "def by_lambda():\n    return run(lambda: mutate)\n"),
+    ("repro.core.b",
+     "from repro.core import a\nfrom repro.core.a import mutate\n"
+     "def imported():\n    return list(map(mutate, []))\n"
+     "def qualified():\n    return sorted([], key=a.mutate)\n"),
+]
+
+
+@pytest.mark.parametrize("qualname,callees,effects", [
+    ("repro.core.a.positional", ("repro.core.a.mutate", "repro.core.a.run"),
+     {"STATE_MUTATION"}),
+    ("repro.core.a.keyword", ("repro.core.a.mutate", "repro.core.a.run"),
+     {"STATE_MUTATION"}),
+    ("repro.core.a.nested", ("repro.core.a.nested.cb", "repro.core.a.run"),
+     {"STATE_MUTATION"}),
+    ("repro.core.a.by_class", ("repro.core.a.run",), set()),
+    ("repro.core.a.by_lambda", ("repro.core.a.run",), set()),
+    ("repro.core.b.imported", ("repro.core.a.mutate",), {"STATE_MUTATION"}),
+    ("repro.core.b.qualified", ("repro.core.a.mutate",), {"STATE_MUTATION"}),
+], ids=["positional", "keyword", "nested-def", "class-is-no-edge",
+        "lambda-is-no-edge", "imported", "module-qualified"])
+def test_functions_passed_as_values_are_call_edges(qualname, callees, effects):
+    modules = [(mod, ast.parse(src), False) for mod, src in VALUE_EDGE_MODULES]
+    summary = build_project(modules)
+    assert summary.calls[qualname] == callees
+    assert summary.effects_of(qualname) == frozenset(effects)
+    # Pass 2 sees the same edge, at the call the function is passed to.
+    mod, tree, _ = next(m for m in modules if qualname.startswith(m[0] + "."))
+    resolver = ModuleResolver(tree, mod, False, summary.functions, summary.classes)
+    sites = {(caller, callee) for _, caller, callee in resolver.call_sites()}
+    assert {(qualname, callee) for callee in callees} <= sites
 
 
 def test_effect_lattice_is_the_three_live_atoms():

@@ -12,6 +12,7 @@ pattern: random per-row offsets against ``simulate(offsets=...)`` and
 seed-shared sporadic schedules against ``simulate_release_schedule``.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -38,7 +39,7 @@ from repro.sim.sporadic import sample_release_schedule, simulate_release_schedul
 from repro.util.rngutil import rng_from_seed
 from repro.vector import sim_vec
 from repro.vector.batch import TaskSetBatch, generate_batch
-from repro.vector.grid import simulate_grid
+from repro.vector.grid import simulate_grid, stack_rows
 from repro.vector.sim_vec import (
     default_horizon_batch,
     sample_offsets_batch,
@@ -536,6 +537,107 @@ class TestSporadicEquivalence:
             )
 
 
+def _same_result(a, b):
+    assert np.array_equal(a.schedulable, b.schedulable)
+    assert np.array_equal(a.budget_exceeded, b.budget_exceeded)
+    assert np.array_equal(a.events, b.events)
+    assert np.array_equal(a.min_slack, b.min_slack)
+    assert (a.kernel_passes, a.event_steps) == (b.kernel_passes, b.event_steps)
+
+
+class TestSporadicReplayInPlace:
+    """The replay reads the caller's table as given: padding and releases
+    past the horizon are the caller's business, and the call holds no
+    copy of the table."""
+
+    def _table(self, batch, factor):
+        return sample_release_times_batch(
+            batch, default_horizon_batch(batch, factor=factor), rng_from_seed(62)
+        )
+
+    def test_no_trailing_inf_column_replays_like_padded(self):
+        batch = _batch(paper_unconstrained(6), seed=63)
+        table = self._table(batch, 4)
+        assert np.isinf(table[:, :, -1]).all()
+        trimmed = table[:, :, :-1]
+        assert np.isfinite(trimmed[:, :, -1]).any()  # some task fills every column
+        for sched in ("EDF-NF", "EDF-FkF"):
+            _same_result(
+                simulate_batch(batch, CAPACITY, sched, release_times=table, horizon_factor=4),
+                simulate_batch(batch, CAPACITY, sched, release_times=trimmed, horizon_factor=4),
+            )
+
+    def test_releases_past_the_horizon_never_fire(self):
+        batch = _batch(paper_unconstrained(6), seed=64)
+        table = self._table(batch, 8)  # sampled past the simulated window
+        hz = default_horizon_batch(batch, factor=4)
+        clipped = np.where(table < hz[:, None, None], table, np.inf)
+        assert (clipped != table).any()
+        _same_result(
+            simulate_batch(batch, CAPACITY, release_times=table, horizon_factor=4),
+            simulate_batch(batch, CAPACITY, release_times=clipped, horizon_factor=4),
+        )
+
+    def test_sporadic_peak_memory_close_to_periodic(self):
+        """A 2,048-row sporadic call allocates about what the same rows
+        run periodic do: the table the caller holds (about 11 MB) is read
+        in place, never copied."""
+        batch = _batch(paper_unconstrained(10), seed=61, count=2600).rows(slice(0, 2048))
+        assert batch.count == 2048
+        table = self._table(batch, 20)
+
+        def peak(**kwargs):
+            tracemalloc.start()
+            try:
+                simulate_batch(batch, CAPACITY, **kwargs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        periodic = peak()
+        sporadic = peak(release_times=table)
+        assert sporadic <= 1.5 * periodic, (sporadic / 2**20, periodic / 2**20)
+
+
+class TestPhases:
+    """Each fused pass runs module-level phases that a tracer outside the
+    package can wrap by path (as perfbench's ``wrap_function`` does)."""
+
+    PHASES = ("_release", "_select", "_advance", "_compact")
+
+    def test_every_phase_wrappable_and_results_unchanged(self, monkeypatch):
+        free = _batch(paper_unconstrained(6), seed=65)
+        placed = _placement_batch(seed=66, count=12)
+        table = sample_release_times_batch(
+            free, default_horizon_batch(free, factor=4), rng_from_seed(67)
+        )
+        runs = [
+            lambda: simulate_batch(free, CAPACITY, "EDF-FkF", horizon_factor=4),
+            lambda: simulate_batch(
+                placed, PLACEMENT_DEVICES[1], horizon_factor=4,
+                mode=MigrationMode.RELOCATABLE,
+            ),
+            lambda: simulate_batch(free, CAPACITY, release_times=table, horizon_factor=4),
+        ]
+        expected = [run() for run in runs]
+        calls = {}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in self.PHASES:
+            monkeypatch.setattr(sim_vec, name, counting(name, getattr(sim_vec, name)))
+        for run, want in zip(runs, expected):
+            calls.clear()
+            calls.update(dict.fromkeys(self.PHASES, 0))
+            got = run()
+            assert all(calls.values()), calls
+            _same_result(got, want)
+
+
 try:
     from hypothesis import given, settings, strategies as st
 except ImportError:  # pragma: no cover - CI always installs hypothesis
@@ -607,16 +709,22 @@ class TestReleasePatternValidation:
         with pytest.raises(ValueError):
             simulate_batch(t, 10, offsets=np.array([[np.inf]]))
 
-    def test_bad_release_times_rejected(self):
-        t = self._tiny()
-        for times in (
-            np.array([[0.0]]),  # not 3-D
-            np.zeros((2, 1, 1)),  # wrong B
-            np.array([[[3.0, 1.0]]]),  # descending
-            np.array([[[-1.0]]]),  # negative
-        ):
-            with pytest.raises(ValueError):
-                simulate_batch(t, 10, release_times=times)
+    @pytest.mark.parametrize("times,match", [
+        (np.array([[0.0]]), "shape"),
+        (np.zeros((2, 1, 1)), "shape"),
+        (np.zeros((1, 2, 1)), "shape"),
+        (np.zeros((1, 1, 0)), "shape"),
+        (np.array([[[0.0, -1.0]]]), ">= 0"),
+        (np.array([[[0.0, np.nan, np.inf]]]), ">= 0"),
+        (np.array([[[8.0, 4.0]]]), "ascending"),
+        (np.array([[[0.0, 3.0, np.inf]]]), "deadline"),
+        # past the horizon, where the replay never reads, still checked
+        (np.array([[[0.0, 40.0, 41.0]]]), "deadline"),
+    ], ids=["not-3d", "wrong-rows", "wrong-tasks", "no-columns", "negative",
+            "nan", "descending", "too-close", "too-close-past-horizon"])
+    def test_bad_release_times_rejected(self, times, match):
+        with pytest.raises(ValueError, match=match):
+            simulate_batch(self._tiny(), 10, release_times=times, horizon=10.0)
 
     def test_release_gap_below_deadline_rejected(self):
         """Regression: a replayed gap shorter than the deadline would
@@ -782,9 +890,13 @@ class TestShardingKnifeEdges:
     CONFIGS = [dict(scheduler="EDF-NF"), dict(scheduler="EDF-FkF")]
 
     def _grid(self, batches, workers, **kwargs):
+        flat = (
+            stack_rows(batches) if batches
+            else TaskSetBatch(*(np.empty((0, 3)) for _ in range(4)))
+        )
         return simulate_grid(
-            batches, FPGA, self.CONFIGS, sim_workers=workers,
-            horizon_factor=5, **kwargs,
+            flat, [b.count for b in batches], FPGA, self.CONFIGS,
+            sim_workers=workers, horizon_factor=5, **kwargs,
         )
 
     def test_not_divisible_and_prime_grid(self):
@@ -809,7 +921,9 @@ class TestShardingKnifeEdges:
     def test_sharded_offsets_and_sporadic(self):
         full = _batch(paper_unconstrained(10), seed=33)
         batches = [full.rows(slice(0, 7)), full.rows(slice(7, None))]
-        offsets = [sample_offsets_batch(b, rng_from_seed(34)) for b in batches]
+        offsets = np.concatenate(
+            [sample_offsets_batch(b, rng_from_seed(34)) for b in batches]
+        )
         _assert_grids_equal(
             self._grid(batches, 1, offsets=offsets),
             self._grid(batches, 3, offsets=offsets),
